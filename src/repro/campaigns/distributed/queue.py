@@ -344,7 +344,7 @@ class WorkQueue:
         by_key = dict(runnable)   # built outside the write lock
 
         def body(conn):
-            queued = self._queued_keys(conn)
+            queued = self._chunk_keys(conn, "pending", "leased")
             fresh = 0
             rows = []
             for keys, payload in prepared:
@@ -380,25 +380,26 @@ class WorkQueue:
             skipped_queued=len(runnable) - fresh_count + duplicates,
         )
 
-    def _queued_keys(self, conn) -> set[str]:
-        """Cell keys sitting in a live (pending/leased) chunk.
+    def _chunk_keys(self, conn, *states: str) -> set[str]:
+        """Cell keys inside this campaign's chunks in any of ``states``."""
+        keys: set[str] = set()
+        marks = ", ".join("?" * len(states))
+        for (keys_json,) in conn.execute(
+            "SELECT cell_keys FROM chunks "
+            f"WHERE campaign_key = ? AND state IN ({marks})",
+            (self.campaign, *states),
+        ):
+            keys.update(json.loads(keys_json))
+        return keys
+
+    def queued_cell_keys(self) -> set[str]:
+        """Cell keys currently pending or leased (enqueue's dedupe set).
 
         ``failed`` (parked) chunks are excluded on purpose: a fresh
         ``campaign enqueue`` is the operator's way of giving poison
         chunks' cells a new attempt cycle.
         """
-        queued: set[str] = set()
-        for (keys_json,) in conn.execute(
-            "SELECT cell_keys FROM chunks "
-            "WHERE campaign_key = ? AND state IN ('pending', 'leased')",
-            (self.campaign,),
-        ):
-            queued.update(json.loads(keys_json))
-        return queued
-
-    def queued_cell_keys(self) -> set[str]:
-        """Cell keys currently pending or leased (for tests/telemetry)."""
-        return self._queued_keys(self.store.connection())
+        return self._chunk_keys(self.store.connection(), "pending", "leased")
 
     # -- claim / heartbeat / complete ----------------------------------
 
@@ -634,14 +635,7 @@ class WorkQueue:
         against the store's completed/error keys to find the cells that
         truly never ran.
         """
-        parked: set[str] = set()
-        for (keys_json,) in self.store.connection().execute(
-            "SELECT cell_keys FROM chunks "
-            "WHERE campaign_key = ? AND state = 'failed'",
-            (self.campaign,),
-        ):
-            parked.update(json.loads(keys_json))
-        return parked
+        return self._chunk_keys(self.store.connection(), "failed")
 
     def ever_enqueued(self) -> bool:
         """Has any chunk (in any state) ever existed for this campaign?"""

@@ -21,13 +21,13 @@ import multiprocessing
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ...core.errors import ConfigurationError
 from ...obs import metrics as obs_metrics
 from ...obs.analyze import straggler_hint
-from ..executor import CampaignRun, batch_reject_counts
+from ..executor import CampaignRun, batch_reject_counts, prepare_cells
 from ..spec import CampaignSpec, CellConfig
 from ..stores import ResultStore, open_store
 from .queue import (
@@ -355,68 +355,56 @@ def run_distributed(
     poll_s: float = 0.25,
     batch: str | None = None,
 ) -> CampaignRun:
-    """Enqueue a spec, drain it with N local worker processes, summarise.
+    """Enqueue a spec, then drain it with N local worker processes.
 
     The distributed twin of :func:`~repro.campaigns.executor.run_cells`:
-    same progress callback, same :class:`CampaignRun` summary (with
-    ``records`` left empty — results live in the store).  The queue
-    carries the real state, so Ctrl-C / crashes resume exactly like a
-    multi-host fleet would: re-run with the same spec and store.
+    the same cell gate (:func:`~repro.campaigns.executor.prepare_cells`),
+    progress callback and :class:`CampaignRun` summary (with ``records``
+    left empty — results live in the store).  Each worker process runs
+    the shared execution loop over the queue.  The queue carries the
+    real state, so Ctrl-C / crashes resume exactly like a multi-host
+    fleet would: re-run with the same spec and store.
     """
     start = time.perf_counter()
-    cells = list(cells) if cells is not None else spec.cell_list()
-    if debug_invariants is not None:
-        # Apply before enqueue keys the cells: the flag is part of the
-        # content hash (when non-default), and workers execute chunks
-        # exactly as enqueued.
-        cells = [replace(c, debug_invariants=debug_invariants)
-                 for c in cells]
+    # Overrides apply before enqueue keys the cells: workers execute
+    # chunks exactly as enqueued.
+    cells = prepare_cells(spec.cell_list() if cells is None else cells,
+                          debug_invariants=debug_invariants, batch=batch)
     queue, report = enqueue_campaign(
         spec, store, cells=cells, chunk_size=chunk_size,
         retry_failed=retry_failed, lease_ttl_s=lease_ttl_s)
     store = queue.store
-    open_counts = queue.counts()
-    open_chunks = open_counts.pending + open_counts.leased
-    if open_chunks == 0:
-        # Nothing claimable: every cell was already recorded (or queued
-        # work was fully drained).  Don't spawn workers that would sit
-        # waiting for chunks that will never come.
-        return CampaignRun(
-            total=report.total,
-            skipped=report.skipped_done + report.skipped_failed,
-            executed=0, failed=0,
-            elapsed_s=time.perf_counter() - start,
-            workers=0, records=[],
-        )
-    if workers is None:
-        workers = multiprocessing.cpu_count()
+    counts = queue.counts()
     # Clamp to the chunks actually claimable — including leftovers from a
     # crashed or interrupted earlier run, which a resume drains at full
-    # width even though it enqueued nothing new.
-    workers = max(1, min(workers, open_chunks))
-
+    # width even though it enqueued nothing new.  With none (every cell
+    # already recorded) no worker is spawned.
+    open_chunks = counts.pending + counts.leased
+    if workers is None:
+        workers = multiprocessing.cpu_count()
+    workers = max(1, min(workers, open_chunks)) if open_chunks else 0
     records_before, errors_before = store.result_counts()
+    total = counts.cells_remaining   # includes leftovers being resumed
+
+    def report_progress() -> None:
+        if progress is not None and total:
+            done_now, _ = store.result_counts()
+            progress(min(done_now - records_before, total), total)
+
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    procs = []
-    for i in range(workers):
-        proc = ctx.Process(
-            target=_local_worker_main,
-            args=(store.uri(), queue.campaign, f"local-{i}-{os.getpid()}",
-                  lease_ttl_s, batch),
-            daemon=True,
-        )
+    procs = [
+        ctx.Process(target=_local_worker_main,
+                    args=(store.uri(), queue.campaign,
+                          f"local-{i}-{os.getpid()}", lease_ttl_s, batch),
+                    daemon=True)
+        for i in range(workers)
+    ]
+    for proc in procs:
         proc.start()
-        procs.append(proc)
-
-    total = open_counts.cells_remaining   # includes leftovers being resumed
     try:
-        while any(p.is_alive() for p in procs):
-            if progress is not None and total:
-                done_now, _ = store.result_counts()
-                progress(min(done_now - records_before, total), total)
-            if queue.finished():
-                break
+        while any(p.is_alive() for p in procs) and not queue.finished():
+            report_progress()
             time.sleep(poll_s)
     finally:
         for proc in procs:
@@ -424,22 +412,18 @@ def run_distributed(
             if proc.is_alive():  # pragma: no cover - stuck worker backstop
                 proc.terminate()
                 proc.join()
-
-    if progress is not None and total:
-        done_now, _ = store.result_counts()
-        progress(min(done_now - records_before, total), total)
-    if not queue.finished():
+    report_progress()
+    if workers and not queue.finished():
         raise ConfigurationError(
             f"distributed run of {queue.campaign!r} stopped before the queue "
             "drained (all local workers exited); inspect 'campaign status' "
             "and re-run — completed chunks are not lost")
-    final_counts = queue.counts()
-    if final_counts.failed:
+    store.invalidate_caches()
+    if queue.counts().failed:
         # Parked chunks are terminal for finished() so a poison chunk
         # cannot hang the fleet — but a "successful" summary must not
         # hide cells that were never run.  (A re-enqueue may already
         # have re-driven them: only cells with no outcome at all count.)
-        store.invalidate_caches()
         never_ran = (queue.parked_cell_keys()
                      - store.completed_keys() - store.error_keys())
         if never_ran:
@@ -450,9 +434,8 @@ def run_distributed(
                 "executed; inspect 'campaign status', then "
                 "'campaign enqueue' to retry them")
     records_after, errors_after = store.result_counts()
-    store.invalidate_caches()
     run_metrics = None
-    if obs_metrics.enabled():
+    if workers and obs_metrics.enabled():
         # Each worker upserted its cumulative snapshot; the merged view
         # is the whole fleet's counters and pooled histograms.
         run_metrics = obs_metrics.merge_snapshots(
@@ -466,6 +449,5 @@ def run_distributed(
         failed=errors_after - errors_before,
         elapsed_s=time.perf_counter() - start,
         workers=workers,
-        records=[],
         metrics=run_metrics,
     )

@@ -1,26 +1,24 @@
-"""The distributed campaign worker: claim, run, heartbeat, complete.
+"""The distributed campaign worker: the shared loop over a lease queue.
 
 ``python -m repro campaign worker --store sqlite:PATH --campaign NAME``
-runs this loop.  A worker needs nothing but the store URI and the
-campaign tag — the chunks carry fully serialised cells — so scaling a
-campaign out is literally "run the same command on more machines".
+runs this.  A worker needs nothing but the store URI and the campaign
+tag — the chunks carry fully serialised cells — so scaling a campaign
+out is literally "run the same command on more machines".
 
-The loop per chunk:
+The loop is :func:`~repro.campaigns.executor.drain`, the same one serial
+and pool runs use, with each chunk run inline.  What is distributed
+lives in the queue it drains, :class:`LeasedQueue`:
 
-1. :meth:`~repro.campaigns.distributed.queue.WorkQueue.claim` a chunk
-   (pending first, else steal an orphaned lease);
-2. start a :class:`LeaseKeeper` — a daemon thread with its **own**
-   database connection that heartbeats the lease every quarter-TTL
-   *while cells compute*, so a single cell slower than the TTL cannot
-   get a healthy worker's chunk stolen;
-3. run the chunk through the ordinary
-   :func:`~repro.campaigns.executor.run_chunk` — eligible cells in one
-   vectorized :class:`~repro.core.batch.BatchCore` pass, the rest
-   scalar — skipping cells whose key already completed (protects
-   against re-enqueues racing a finish); a lost lease (the keeper's
-   heartbeat came back ``False``) discards the partial chunk — the
-   thief records it;
-4. :meth:`~repro.campaigns.distributed.queue.WorkQueue.complete` —
+1. ``claim`` takes a chunk from the
+   :class:`~repro.campaigns.distributed.queue.WorkQueue` (pending first,
+   else steal an orphaned lease), starts a :class:`LeaseKeeper` — a
+   daemon thread with its **own** database connection that heartbeats
+   the lease every quarter-TTL *while cells compute*, so a single cell
+   slower than the TTL cannot get a healthy worker's chunk stolen — and
+   drops cells whose key already completed (protects against
+   re-enqueues racing a finish);
+2. ``complete`` stops the keeper; a lost lease (a heartbeat came back
+   ``False``) discards the chunk — the thief records it — otherwise
    records and chunk retirement commit atomically, or
    :class:`~repro.campaigns.distributed.queue.LeaseLost` discards.
 
@@ -35,16 +33,20 @@ SIGKILL costs at most one lease TTL).
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
-from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from ...obs import metrics as obs_metrics
-from ...obs import spans as obs_spans
-from .. import executor as executor_module
-from ..executor import run_chunk
+from .. import executor as executor_module  # noqa: F401  (test hook)
+from ..executor import (  # noqa: F401  (run_chunk is re-exported)
+    Chunk,
+    WorkerReport,
+    drain,
+    run_chunk,
+    run_inline,
+)
 from ..spec import CellConfig
 from ..stores import ResultStore
 from .queue import (
@@ -101,32 +103,89 @@ class LeaseKeeper:
         self._thread.join()
 
 
-@dataclass
-class WorkerReport:
-    """What one :func:`run_worker` invocation did."""
+class LeasedQueue:
+    """One worker's view of a :class:`WorkQueue`, as the shared loop
+    drains it: claims are leased to ``worker_id`` and heartbeated by a
+    :class:`LeaseKeeper` until they are committed or released."""
 
-    worker_id: str
-    chunks_done: int = 0
-    cells_done: int = 0
-    cells_failed: int = 0
-    cells_skipped: int = 0
-    chunks_stolen: int = 0
-    leases_lost: int = 0
-    cells_batched: int = 0
-    elapsed_s: float = 0.0
-    #: This worker's final metrics snapshot (None unless metrics enabled).
-    metrics: dict[str, dict] | None = field(default=None, repr=False)
+    def __init__(self, queue: WorkQueue, worker_id: str, *,
+                 poll_s: float, say: Callable[[str], None]) -> None:
+        self.queue = queue
+        self.store = queue.store
+        self.worker_id = worker_id
+        self._poll_s = poll_s
+        self._say = say
+        self._keepers: dict[int, LeaseKeeper] = {}
 
-    def summary(self) -> str:
-        batched = (f" batched={self.cells_batched}"
-                   if self.cells_batched else "")
-        return (
-            f"worker {self.worker_id}: chunks={self.chunks_done} "
-            f"cells={self.cells_done} failed={self.cells_failed} "
-            f"skipped={self.cells_skipped}{batched} "
-            f"stolen={self.chunks_stolen} "
-            f"leases-lost={self.leases_lost} in {self.elapsed_s:.1f}s"
-        )
+    def claim(self) -> Chunk | None:
+        """The next chunk; polls while a peer's lease may still orphan,
+        ``None`` once the queue is finished."""
+        announced = False
+        while True:
+            claim_t0 = time.perf_counter()
+            claim = self.queue.claim(self.worker_id)
+            claim_s = time.perf_counter() - claim_t0
+            if claim is not None:
+                break
+            if self.queue.finished():
+                return None
+            if not announced and not self.queue.ever_enqueued():
+                # Fleet bring-up: workers may start before the enqueue
+                # commits.  finished() stays False for a never-enqueued
+                # campaign, so we wait here instead of exiting 0 and
+                # silently stranding the campaign.
+                self._say(f"no chunks enqueued yet for campaign "
+                          f"{self.queue.campaign!r}; waiting")
+                announced = True
+            time.sleep(self._poll_s)
+        self._keepers[claim.chunk_id] = LeaseKeeper(
+            self.queue, claim.chunk_id, self.worker_id).__enter__()
+        attrs: dict = {"attempt": claim.attempt}
+        if claim.stolen_from is not None:
+            attrs["stolen_from"] = claim.stolen_from
+            self._say(f"chunk {claim.chunk_id}: reclaimed from "
+                      f"{claim.stolen_from} (attempt {claim.attempt})")
+        else:
+            self._say(f"chunk {claim.chunk_id}: claimed "
+                      f"({len(claim.cells)} cells)")
+        if claim.created_at is not None:
+            attrs["queue_wait_s"] = round(
+                max(0.0, time.time() - claim.created_at), 6)
+        # A re-enqueue may race a finishing worker; never re-record a
+        # completed cell.  invalidate_caches() makes this one indexed
+        # query against the current truth, not a stale snapshot.
+        self.store.invalidate_caches()
+        done = self.store.completed_keys()
+        cells = [CellConfig.from_dict(d) for d in claim.cells]
+        todo = [c for c in cells if c.key() not in done]
+        return Chunk(claim.chunk_id, todo, attrs, claim_s=claim_s,
+                     skipped=len(cells) - len(todo),
+                     abort=self._keepers[claim.chunk_id].lost.is_set)
+
+    def complete(self, chunk: Chunk, records, *, batched: bool,
+                 cells_per_s: float | None) -> None:
+        if self.release(chunk, to_pending=False):
+            raise LeaseLost("lease lost mid-chunk")
+        self.queue.complete(chunk.id, self.worker_id, records,
+                            batched=batched, cells_per_s=cells_per_s)
+
+    def release(self, chunk: Chunk, *, to_pending: bool = True) -> bool:
+        """Stop the chunk's heartbeat and, with ``to_pending``, hand the
+        chunk back; True when the heartbeat had found the lease lost."""
+        keeper = self._keepers.pop(chunk.id, None)
+        if keeper is not None:
+            keeper.__exit__()
+        if to_pending:
+            self.queue.release(chunk.id, self.worker_id)
+        return keeper is not None and keeper.lost.is_set()
+
+    def publish(self, report: WorkerReport) -> None:
+        if obs_metrics.enabled():
+            try:
+                self.queue.record_worker_metrics(self.worker_id,
+                                                 obs_metrics.snapshot())
+            except Exception:  # telemetry must never kill the worker
+                pass
 
 
 def run_worker(
@@ -162,151 +221,8 @@ def run_worker(
     queue = WorkQueue(
         store, campaign=campaign, lease_ttl_s=lease_ttl_s,
         max_attempts=max_attempts, clock=clock)
-    worker_id = worker_id or worker_identity()
-    report = WorkerReport(worker_id=worker_id)
-    started = clock()
-
-    def say(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
-    # Observability (no-ops unless enabled by env/CLI): the worker
-    # session is one `campaign` span, each claimed chunk a child `chunk`
-    # span (cells nest inside, via run_chunk); the span buffer and this
-    # worker's metrics snapshot are flushed to the store after every
-    # completed chunk so `status`/`campaign metrics` see a live fleet.
-    rec = obs_spans.ensure_recorder(
-        store=queue.store, campaign=queue.campaign, worker=worker_id)
-    session_ctx = (
-        rec.span("campaign", queue.campaign or "campaign",
-                 worker_id=worker_id)
-        if rec is not None else nullcontext()
-    )
-
-    def publish_telemetry() -> None:
-        if obs_metrics.enabled():
-            try:
-                queue.record_worker_metrics(worker_id,
-                                            obs_metrics.snapshot())
-            except Exception:  # telemetry must never kill the worker
-                pass
-        if rec is not None:
-            rec.flush()
-
-    with session_ctx:
-        waiting_announced = False
-        while max_chunks is None or report.chunks_done < max_chunks:
-            claim_t0 = time.perf_counter()
-            claim = queue.claim(worker_id)
-            claim_s = time.perf_counter() - claim_t0
-            if claim is None:
-                if queue.finished():
-                    break
-                if not waiting_announced and not queue.ever_enqueued():
-                    # Fleet bring-up: workers may start before the enqueue
-                    # commits.  finished() stays False for a never-enqueued
-                    # campaign, so we wait here instead of exiting 0 and
-                    # silently stranding the campaign.
-                    say(f"no chunks enqueued yet for campaign "
-                        f"{queue.campaign!r}; waiting")
-                    waiting_announced = True
-                time.sleep(poll_s)
-                continue
-            if claim.stolen_from is not None:
-                report.chunks_stolen += 1
-                say(f"chunk {claim.chunk_id}: reclaimed from "
-                    f"{claim.stolen_from} (attempt {claim.attempt})")
-            else:
-                say(f"chunk {claim.chunk_id}: claimed "
-                    f"({len(claim.cells)} cells)")
-            # A re-enqueue may race a finishing worker; never re-record a
-            # completed cell.  invalidate_caches() makes this one indexed
-            # query against the current truth, not a stale snapshot.
-            queue.store.invalidate_caches()
-            done_keys = queue.store.completed_keys()
-            records: list[dict[str, Any]] = []
-            n_batched = 0
-            skipped = 0
-            # The worker — not run_chunk — owns this chunk's span, so the
-            # span covers claim → execute → commit and carries the phase
-            # timings `campaign trace --critical-path` attributes
-            # wall-clock to.  Cell spans still nest under it (recorder
-            # stack), so the hierarchy check sees the same tree.
-            span_attrs = {"chunk_id": claim.chunk_id,
-                          "attempt": claim.attempt}
-            if claim.stolen_from is not None:
-                span_attrs["stolen_from"] = claim.stolen_from
-            chunk_ctx = (
-                rec.span("chunk", f"chunk[{len(claim.cells)}]", **span_attrs)
-                if rec is not None else nullcontext()
-            )
-            try:
-                with chunk_ctx as chunk_span:
-                    if chunk_span is not None:
-                        chunk_span.attrs["claim_s"] = round(claim_s, 6)
-                        if claim.created_at is not None:
-                            chunk_span.attrs["queue_wait_s"] = round(
-                                max(0.0, time.time() - claim.created_at), 6)
-                    chunk_started = time.perf_counter()
-                    with LeaseKeeper(queue, claim.chunk_id,
-                                     worker_id) as keeper:
-                        todo: list[CellConfig] = []
-                        for cell_dict in claim.cells:
-                            cell = CellConfig.from_dict(cell_dict)
-                            if cell.key() in done_keys:
-                                skipped += 1
-                            else:
-                                todo.append(cell)
-                        records, n_batched = run_chunk(
-                            todo, batch=batch, abort=keeper.lost.is_set,
-                            emit_span=False)
-                    chunk_elapsed = time.perf_counter() - chunk_started
-                    if keeper.lost.is_set():
-                        report.leases_lost += 1
-                        if chunk_span is not None:
-                            chunk_span.attrs["lease_lost"] = True
-                        say(f"chunk {claim.chunk_id}: lease lost mid-chunk; "
-                            "discarding")
-                        continue
-                    cells_per_s = (len(records) / chunk_elapsed
-                                   if records and chunk_elapsed > 0 else None)
-                    commit_t0 = time.perf_counter()
-                    try:
-                        queue.complete(
-                            claim.chunk_id, worker_id, records,
-                            batched=n_batched > 0, cells_per_s=cells_per_s)
-                    except LeaseLost:
-                        report.leases_lost += 1
-                        if chunk_span is not None:
-                            chunk_span.attrs["lease_lost"] = True
-                        say(f"chunk {claim.chunk_id}: lease lost at "
-                            "completion; discarding")
-                        continue
-                    if chunk_span is not None:
-                        chunk_span.attrs["commit_s"] = round(
-                            time.perf_counter() - commit_t0, 6)
-                        chunk_span.attrs["cells"] = len(records)
-                        chunk_span.attrs["batched"] = n_batched
-            except (KeyboardInterrupt, SystemExit):
-                # Graceful shutdown: hand the chunk straight back so the
-                # fleet does not wait a lease TTL for it.  Covers the whole
-                # claim-to-complete span; if complete() already committed,
-                # release() finds no lease and is a harmless no-op.
-                queue.release(claim.chunk_id, worker_id)
-                say(f"chunk {claim.chunk_id}: interrupted; released to pending")
-                raise
-            report.chunks_done += 1
-            report.cells_done += len(records)
-            report.cells_failed += sum(1 for r in records if "error" in r)
-            report.cells_skipped += skipped
-            report.cells_batched += n_batched
-            publish_telemetry()
-            rate = (f", {cells_per_s:.0f} cells/s" if cells_per_s else "")
-            say(f"chunk {claim.chunk_id}: done ({len(records)} cells"
-                + (f", {n_batched} batched" if n_batched else "") + rate + ")")
-
-    report.elapsed_s = clock() - started
-    if obs_metrics.enabled():
-        report.metrics = obs_metrics.snapshot()
-    publish_telemetry()
-    return report
+    say = progress or (lambda message: None)
+    report = WorkerReport(worker_id=worker_id or worker_identity())
+    leased = LeasedQueue(queue, report.worker_id, poll_s=poll_s, say=say)
+    return drain(leased, functools.partial(run_inline, batch=batch), report,
+                 say=say, max_chunks=max_chunks)

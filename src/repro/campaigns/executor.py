@@ -1,21 +1,24 @@
-"""Batch execution of campaign cells: serial, or multiprocessing with chunked work units.
+"""Campaign execution: one claim → run → commit loop for every mode.
 
-The unit shipped to a worker is a *chunk* of cell dicts, not a single
-cell: chunking amortises pickling/IPC over many simulations, and pool
-processes are long-lived (no ``maxtasksperchild``), so each worker pays
-the interpreter/import cost once and keeps its warm registry state —
-resolved factory tables, enum caches — for every cell it runs.
+:func:`drain` is the only execution loop.  It claims a chunk of cells
+from a queue, runs it through :func:`run_chunk`, commits the records
+back through the queue, and keeps the progress, span and metrics
+accounting.  Two things differ by mode, and both are arguments:
 
-Completed chunks are appended to the :class:`~repro.campaigns.stores.ResultStore`
-as they arrive, so an interrupted campaign loses at most the chunks in
-flight; :func:`run_cells` consults ``store.completed_keys()`` first and
-never re-runs a cell whose key is already present.
+* the **queue** — :class:`LocalQueue`, a list of chunks committed with
+  ``store.append_many`` (serial and pool runs, any store backend), or
+  the distributed worker's lease-holding view of the SQLite
+  :class:`~repro.campaigns.distributed.queue.WorkQueue`;
+* the **runner** — :func:`run_inline` runs each chunk in this process,
+  :func:`run_pooled` on a ``multiprocessing`` pool.  Pool processes are
+  long-lived (no ``maxtasksperchild``), so each pays the import cost once
+  and keeps its warm registry state for every chunk it runs.
 
+Chunks reach the store as they complete, so an interrupted campaign
+loses at most the chunks in flight; :func:`run_cells` consults
+``store.completed_keys()`` first and never re-runs a recorded cell.
 The chunking helpers (:func:`default_chunk_size`, :func:`chunk_cells`)
-are shared with :mod:`repro.campaigns.distributed`, where a chunk is the
-unit of lease-based claiming across *hosts* rather than the unit of IPC
-across pool processes; ``run_campaign(distributed=True)`` switches the
-whole execution onto that queue.
+size serial, pool and distributed chunks alike.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import spans as obs_spans
 from ..obs.logs import get_logger
 from .aggregate import metrics_from_result
+from .distributed.queue import LeaseLost, has_live_chunks
 from .registry import build_cell_engine, validate_cell
 from .spec import CampaignSpec, CellConfig
 from .stores import ResultStore, open_store
@@ -156,15 +160,12 @@ def run_chunk(
     *,
     batch: str | None = None,
     abort: Callable[[], bool] | None = None,
-    span_attrs: dict[str, Any] | None = None,
-    emit_span: bool = True,
 ) -> tuple[list[dict[str, Any]], int]:
     """Run one chunk of cells, batching the eligible ones in lockstep.
 
-    The single routing point shared by the serial path, the pool workers
-    and the distributed worker: eligible cells (shared predicate
-    :func:`~repro.core.batch.batch_eligible`, honouring the ``batch``
-    override / per-cell ``batch`` field) run through
+    The single routing point of every execution mode: eligible cells
+    (shared predicate :func:`~repro.core.batch.batch_eligible`, honouring
+    the ``batch`` override / per-cell ``batch`` field) run through
     :class:`~repro.core.batch.BatchCore`; the rest fall back to
     :func:`execute_cell` one by one.  Records come back in input order
     with the exact schema the scalar path appends, so stores cannot tell
@@ -175,109 +176,315 @@ def run_chunk(
     stop early; already-produced records are returned for the caller to
     discard or keep.
 
-    Observability (all no-ops unless enabled): the chunk gets a
-    ``chunk`` span (``span_attrs`` lets the caller attach chunk ids or a
-    cross-process ``parent_id``); routing decisions feed the
-    ``executor.*`` counters — per-reason batch rejections
-    (``executor.batch_reject.<key>``) and vector-path degradations
-    (``executor.degrade_to_scalar``).  ``emit_span=False`` skips the
-    chunk span: the distributed worker owns it instead, so the span can
-    cover claim and commit around the execution this function times —
-    cell spans still nest correctly under the caller's open span.
+    Observability (all no-ops unless enabled): cell spans nest under the
+    caller's open span (the chunk span :func:`drain` emits); routing
+    decisions feed the ``executor.*`` counters — per-reason batch
+    rejections (``executor.batch_reject.<key>``) and vector-path
+    degradations (``executor.degrade_to_scalar``).
     """
     if batch is not None and batch not in BATCH_MODES:
         raise ConfigurationError(
             f"batch must be one of {BATCH_MODES}, got {batch!r}")
     rec = obs_spans.recorder()
     reg = obs_metrics.registry() if obs_metrics.enabled() else None
-    chunk_ctx = (
-        rec.span("chunk", f"chunk[{len(cells)}]", **(span_attrs or {}))
-        if rec is not None and emit_span else nullcontext()
-    )
-    with chunk_ctx as chunk_span:
-        records: list[dict[str, Any] | None] = [None] * len(cells)
-        eligible = [(i, c) for i, c in enumerate(cells)
-                    if _wants_batch(c, batch)]
-        if reg is not None:
-            reg.counter("executor.chunks").inc()
-            reg.histogram("executor.chunk_cells").observe(len(cells))
-            for cell in cells:
-                if _effective_batch(cell, batch) == "off":
-                    continue
-                if not numpy_available():
-                    reg.counter("executor.batch_reject.no_numpy").inc()
-                    continue
-                reason_key = batch_ineligible_key(cell)
-                if reason_key is not None:
-                    reg.counter(f"executor.batch_reject.{reason_key}").inc()
-        batched = 0
-        if eligible:
-            start = time.perf_counter()
-            try:
-                results = run_batch_cells([c for _, c in eligible])
-            except Exception:
-                # Defensive only: the batch path is differentially proven,
-                # but a routing bug must degrade to the scalar path, never
-                # lose cells.  (The bench guard catches a silent
-                # always-fallback.)
-                results = None
-                _log.warning(
-                    "batch path failed for %d cells; degrading to scalar",
-                    len(eligible), exc_info=True)
-                if reg is not None:
-                    reg.counter("executor.degrade_to_scalar").inc()
-            if results is not None:
-                per_cell = round(
-                    (time.perf_counter() - start) / len(eligible), 6)
-                for (i, cell), result in zip(eligible, results):
-                    records[i] = {
-                        "key": cell.key(),
-                        "config": cell.to_dict(),
-                        "metrics": metrics_from_result(result),
-                        "elapsed_s": per_cell,
-                    }
-                    if rec is not None:
-                        records[i]["span_id"] = rec.emit(
-                            "cell", cell.algorithm, elapsed_s=per_cell,
-                            attrs={"key": cell.key(), "route": "batch"})
-                batched = len(eligible)
-                if reg is not None:
-                    reg.counter("executor.cells").inc(batched)
-                    reg.counter("executor.cells_batched").inc(batched)
-        for i, cell in enumerate(cells):
-            if records[i] is not None:
+    records: list[dict[str, Any] | None] = [None] * len(cells)
+    eligible = [(i, c) for i, c in enumerate(cells) if _wants_batch(c, batch)]
+    if reg is not None:
+        reg.counter("executor.chunks").inc()
+        reg.histogram("executor.chunk_cells").observe(len(cells))
+        for cell in cells:
+            if _effective_batch(cell, batch) == "off":
                 continue
-            if abort is not None and abort():
-                if chunk_span is not None:
-                    chunk_span.attrs["aborted"] = True
-                break
-            records[i] = execute_cell(cell)
-        if chunk_span is not None:
-            chunk_span.attrs["cells"] = len(cells)
-            chunk_span.attrs["batched"] = batched
+            if not numpy_available():
+                reg.counter("executor.batch_reject.no_numpy").inc()
+                continue
+            reason_key = batch_ineligible_key(cell)
+            if reason_key is not None:
+                reg.counter(f"executor.batch_reject.{reason_key}").inc()
+    batched = 0
+    if eligible:
+        start = time.perf_counter()
+        try:
+            results = run_batch_cells([c for _, c in eligible])
+        except Exception:
+            # Defensive only: the batch path is differentially proven,
+            # but a routing bug must degrade to the scalar path, never
+            # lose cells.  (The bench guard catches a silent
+            # always-fallback.)
+            results = None
+            _log.warning(
+                "batch path failed for %d cells; degrading to scalar",
+                len(eligible), exc_info=True)
+            if reg is not None:
+                reg.counter("executor.degrade_to_scalar").inc()
+        if results is not None:
+            per_cell = round((time.perf_counter() - start) / len(eligible), 6)
+            for (i, cell), result in zip(eligible, results):
+                records[i] = {
+                    "key": cell.key(),
+                    "config": cell.to_dict(),
+                    "metrics": metrics_from_result(result),
+                    "elapsed_s": per_cell,
+                }
+                if rec is not None:
+                    records[i]["span_id"] = rec.emit(
+                        "cell", cell.algorithm, elapsed_s=per_cell,
+                        attrs={"key": cell.key(), "route": "batch"})
+            batched = len(eligible)
+            if reg is not None:
+                reg.counter("executor.cells").inc(batched)
+                reg.counter("executor.cells_batched").inc(batched)
+    for i, cell in enumerate(cells):
+        if records[i] is not None:
+            continue
+        if abort is not None and abort():
+            break
+        records[i] = execute_cell(cell)
     return [r for r in records if r is not None], batched
 
 
-def _run_chunk(
-    payload: Sequence[dict[str, Any]], batch: str | None = None,
-    parent_span_id: str | None = None,
-) -> tuple[list[dict[str, Any]], int, dict | None]:
-    """Pool-worker entry point: run a chunk of serialised cells.
+# ---------------------------------------------------------------------------
+# runners: where a claimed chunk executes
+# ---------------------------------------------------------------------------
 
-    Returns ``(records, batched, metrics_snapshot)``; the snapshot is a
+def _timed_chunk(cells, batch, span_id, abort=None):
+    """``run_chunk`` under the chunk span ``span_id``, plus its wall start
+    (epoch seconds) and duration: ``(records, batched, start_s, run_s)``."""
+    rec = obs_spans.recorder()
+    start_s, t0 = time.time(), time.perf_counter()
+    with rec.within(span_id) if rec is not None else nullcontext():
+        records, batched = run_chunk(cells, batch=batch, abort=abort)
+    return records, batched, start_s, time.perf_counter() - t0
+
+
+def _run_chunk(task, batch: str | None = None):
+    """Pool-worker entry point: run one chunk of serialised cells.
+
+    ``task`` is ``(n, cell_dicts, span_id)``; returns ``(n, records,
+    batched, start_s, run_s, metrics_snapshot)``.  The snapshot is a
     per-chunk delta (the child registry is drained after each chunk) so
     the parent can merge pool snapshots without double counting.
     """
+    n, payload, span_id = task
     obs_spans.ensure_recorder()  # pool children: env-driven JSONL sink
-    span_attrs = {"parent_id": parent_span_id} if parent_span_id else None
-    records, batched = run_chunk(
-        [CellConfig.from_dict(d) for d in payload], batch=batch,
-        span_attrs=span_attrs)
+    outcome = _timed_chunk(
+        [CellConfig.from_dict(d) for d in payload], batch, span_id)
     snap: dict | None = None
     if obs_metrics.enabled():
         snap = obs_metrics.snapshot()
         obs_metrics.reset()
-    return records, batched, snap
+    return (n, *outcome, snap)
+
+
+def run_inline(chunks, *, batch: str | None = None):
+    """Runner: execute each claimed chunk here, as it is claimed."""
+    for chunk in chunks:
+        yield chunk, (*_timed_chunk(chunk.cells, batch, chunk.span_id,
+                                    chunk.abort), None)
+
+
+def run_pooled(chunks, *, workers: int, batch: str | None = None):
+    """Runner: every claimed chunk goes to a pool of ``workers`` forked
+    processes; outcomes come back in completion order."""
+    by_id = {chunk.id: chunk for chunk in chunks}
+    tasks = [(n, [c.to_dict() for c in chunk.cells], chunk.span_id)
+             for n, chunk in by_id.items()]
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    with ctx.Pool(processes=workers) as pool:
+        for n, *outcome in pool.imap_unordered(
+                functools.partial(_run_chunk, batch=batch), tasks):
+            yield by_id.pop(n), outcome
+
+
+# ---------------------------------------------------------------------------
+# queues: where chunks come from and where their records go
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Chunk:
+    """One claimed unit of work, as :func:`drain` sees it."""
+
+    id: int
+    cells: list[CellConfig]
+    #: Queue-specific chunk span attrs (attempt, stolen_from, ...).
+    attrs: dict[str, Any] = field(default_factory=dict)
+    claim_s: float = 0.0
+    #: Claimed cells dropped because the store already holds them.
+    skipped: int = 0
+    abort: Callable[[], bool] | None = None
+    span_id: str | None = None
+
+
+class LocalQueue:
+    """The queue of serial and pool runs: a list of chunks in memory.
+
+    Commits go through ``store.append_many``, so every store backend
+    works; nothing is leased, so release is a no-op and an interrupted
+    run resumes from the store.  ``records`` keeps what was committed.
+    """
+
+    def __init__(self, store: ResultStore,
+                 chunks: Iterable[list[CellConfig]]) -> None:
+        self.store = store
+        self.records: list[dict[str, Any]] = []
+        self._chunks = enumerate(chunks)
+
+    def claim(self) -> Chunk | None:
+        n, cells = next(self._chunks, (None, None))
+        return None if cells is None else Chunk(n, cells)
+
+    def complete(self, chunk: Chunk, records, **telemetry) -> None:
+        self.store.append_many(records)
+        self.records.extend(records)
+
+    def release(self, chunk: Chunk, *, to_pending: bool = True) -> None:
+        pass
+
+    def publish(self, report: "WorkerReport") -> None:
+        record = getattr(self.store, "record_metrics_snapshot", None)
+        if report.metrics and record is not None:
+            record(report.worker_id, report.metrics)
+
+
+# ---------------------------------------------------------------------------
+# the loop
+# ---------------------------------------------------------------------------
+
+@dataclass
+class WorkerReport:
+    """What one :func:`drain` (a run, or one worker's session) did."""
+
+    worker_id: str
+    chunks_done: int = 0
+    cells_done: int = 0
+    cells_failed: int = 0
+    cells_skipped: int = 0
+    chunks_stolen: int = 0
+    leases_lost: int = 0
+    cells_batched: int = 0
+    elapsed_s: float = 0.0
+    #: Merged metrics snapshot (None unless metrics enabled): this
+    #: process's registry plus every pool child's per-chunk snapshot.
+    metrics: dict[str, dict] | None = field(default=None, repr=False)
+
+    def summary(self) -> str:
+        batched = (f" batched={self.cells_batched}"
+                   if self.cells_batched else "")
+        return (
+            f"worker {self.worker_id}: chunks={self.chunks_done} "
+            f"cells={self.cells_done} failed={self.cells_failed} "
+            f"skipped={self.cells_skipped}{batched} "
+            f"stolen={self.chunks_stolen} "
+            f"leases-lost={self.leases_lost} in {self.elapsed_s:.1f}s"
+        )
+
+
+def drain(
+    queue,
+    runner: Callable,
+    report: WorkerReport,
+    *,
+    say: Callable[[str], None] = _log.debug,
+    progress: Callable[[int], None] | None = None,
+    max_chunks: int | None = None,
+) -> WorkerReport:
+    """Claim → run → commit until ``queue`` has nothing left to claim.
+
+    ``queue`` hands out :class:`Chunk` objects (``claim()``, ``None``
+    when drained), commits their records (``complete``; raising
+    :class:`LeaseLost` discards the chunk), takes back held chunks when
+    the loop fails (``release``) and persists metrics (``publish``).
+    ``runner(chunks)`` yields ``(chunk, (records, batched, start_s,
+    run_s, snapshot))`` per chunk: :func:`run_inline` or
+    :func:`run_pooled`.  ``max_chunks`` bounds the committed chunks.
+
+    Observability (no-ops unless enabled): the session is one
+    ``campaign`` span; each chunk a ``chunk`` span covering claim →
+    execute → commit with ``claim_s``/``commit_s`` attrs (what
+    ``campaign trace --critical-path`` attributes wall clock to), its
+    cells nested inside.  Spans and metrics are published after every
+    committed chunk, so ``campaign status`` sees a live fleet.
+    """
+    campaign = queue.store.campaign or ""
+    rec = obs_spans.ensure_recorder(store=queue.store, campaign=campaign,
+                                    worker=report.worker_id)
+    held: dict[int, Chunk] = {}
+    pooled: list[dict] = []
+    started = time.perf_counter()
+
+    def claims():
+        while max_chunks is None or report.chunks_done < max_chunks:
+            chunk = queue.claim()
+            if chunk is None:
+                return
+            chunk.span_id = obs_spans.new_span_id()
+            report.chunks_stolen += "stolen_from" in chunk.attrs
+            report.cells_skipped += chunk.skipped
+            held[chunk.id] = chunk
+            yield chunk
+
+    session = (rec.span("campaign", campaign or "campaign",
+                        worker_id=report.worker_id)
+               if rec is not None else nullcontext())
+    try:
+        with session:
+            for chunk, outcome in runner(claims()):
+                records, batched, start_s, run_s, snap = outcome
+                pooled.append(snap)
+                rate = len(records) / run_s if records and run_s > 0 else None
+                attrs = dict(chunk.attrs, chunk_id=chunk.id)
+                commit_t0 = time.perf_counter()
+                try:
+                    queue.complete(chunk, records, batched=batched > 0,
+                                   cells_per_s=rate)
+                    attrs.update(cells=len(records), batched=batched)
+                except LeaseLost as exc:
+                    attrs["lease_lost"] = True
+                    report.leases_lost += 1
+                    say(f"chunk {chunk.id}: {exc}; discarding")
+                commit_s = time.perf_counter() - commit_t0
+                del held[chunk.id]
+                if rec is not None:
+                    attrs.update(claim_s=round(chunk.claim_s, 6),
+                                 commit_s=round(commit_s, 6))
+                    rec.emit("chunk",
+                             f"chunk[{len(chunk.cells) + chunk.skipped}]",
+                             span_id=chunk.span_id,
+                             start_s=start_s - chunk.claim_s,
+                             elapsed_s=chunk.claim_s + run_s + commit_s,
+                             attrs=attrs)
+                if "lease_lost" in attrs:
+                    continue
+                report.chunks_done += 1
+                report.cells_done += len(records)
+                report.cells_failed += sum(1 for r in records if "error" in r)
+                report.cells_batched += batched
+                queue.publish(report)
+                obs_spans.flush()
+                if progress is not None:
+                    progress(report.cells_done)
+                say(f"chunk {chunk.id}: done ({len(records)} cells"
+                    + (f", {batched} batched" if batched else "")
+                    + (f", {rate:.0f} cells/s" if rate else "") + ")")
+    except BaseException as exc:
+        # Ctrl-C hands held chunks straight back, so a fleet does not
+        # wait a lease TTL for them.  Any other failure only stops their
+        # heartbeat: the lease ages out and a peer steals the chunk with
+        # the attempt counted, so a chunk that keeps failing is parked.
+        interrupted = isinstance(exc, (KeyboardInterrupt, SystemExit))
+        for chunk in held.values():
+            queue.release(chunk, to_pending=interrupted)
+            say(f"chunk {chunk.id}: {type(exc).__name__}; "
+                + ("released" if interrupted else "left to its lease"))
+        raise
+    report.elapsed_s = time.perf_counter() - started
+    if obs_metrics.enabled():
+        report.metrics = obs_metrics.merge_snapshots(
+            [obs_metrics.snapshot(), *pooled])
+    queue.publish(report)
+    obs_spans.flush()
+    return report
 
 
 @dataclass
@@ -340,30 +547,39 @@ def chunk_cells(items: Sequence[Any], size: int) -> list[list[Any]]:
     return [list(items[i:i + size]) for i in range(0, len(items), size)]
 
 
-def _serial_groups(
-    cells: Sequence[CellConfig], batch: str | None
-) -> Iterable[list[CellConfig]]:
-    """Group a serial run's cells for :func:`run_chunk`.
+def prepare_cells(
+    cells: Iterable[CellConfig],
+    *,
+    debug_invariants: bool | None = None,
+    batch: str | None = None,
+) -> list[CellConfig]:
+    """Apply a run's cell overrides and refuse what cannot run.
 
-    Runs of batch-bound cells coalesce (up to the vector width) so the
-    serial path vectorizes too; scalar cells stay singletons, preserving
-    the per-cell progress granularity serial runs always had.
+    The gate serial, pool and distributed runs all pass before any cell
+    is executed or enqueued.  ``debug_invariants`` (``None`` = leave each
+    cell's flag alone) is applied here because it is part of the cell
+    key.  ``batch="on"`` is refused unless NumPy is importable and every
+    cell is batch-eligible.
     """
-    group: list[CellConfig] = []
-    width = batch_width()
-    for cell in cells:
-        if _wants_batch(cell, batch):
-            group.append(cell)
-            if len(group) >= width:
-                yield group
-                group = []
-        else:
-            if group:
-                yield group
-                group = []
-            yield [cell]
-    if group:
-        yield group
+    cells = list(cells)
+    if debug_invariants is not None:
+        cells = [replace(c, debug_invariants=debug_invariants) for c in cells]
+    if batch is not None and batch not in BATCH_MODES:
+        raise ConfigurationError(
+            f"batch must be one of {BATCH_MODES}, got {batch!r}")
+    if batch == "on":
+        if not numpy_available():
+            raise ConfigurationError(
+                "--batch on requires NumPy, which is not importable here; "
+                "use --batch auto for a scalar fallback")
+        ineligible = [r for r in map(batch_ineligible_reason, cells)
+                      if r is not None]
+        if ineligible:
+            raise ConfigurationError(
+                f"--batch on: {len(ineligible)} cell(s) are not "
+                f"batch-eligible (first: {ineligible[0]}); use --batch auto "
+                "to run them through the scalar core")
+    return cells
 
 
 def run_cells(
@@ -386,10 +602,11 @@ def run_cells(
     and refuses up front if NumPy is missing or any cell is ineligible.
     Routing never changes store keys or record contents.
 
-    ``workers=None`` uses every CPU; ``workers<=1`` runs serially in-process
-    (same records, useful under debuggers and in tests).  Results stream
-    into ``store`` chunk by chunk, so interrupting and re-invoking with the
-    same cells resumes where the run stopped.
+    ``workers=None`` uses every CPU; ``workers<=1`` runs the chunks
+    in-process (same chunks and records, useful under debuggers and in
+    tests).  Either way a :class:`LocalQueue` feeds :func:`drain`, so
+    results stream into ``store`` chunk by chunk and re-invoking with the
+    same cells resumes where an interrupted run stopped.
 
     Cells whose only stored outcome is an error record are skipped unless
     ``retry_failed``: re-driving failures is an explicit decision (a fleet
@@ -401,40 +618,20 @@ def run_cells(
     campaigns default the audit off, so passing ``True`` is the "paranoid
     sweep" switch (note it changes non-default cells' store keys).
     """
-    cells = list(cells)
-    if debug_invariants is not None:
-        cells = [replace(c, debug_invariants=debug_invariants) for c in cells]
+    cells = prepare_cells(cells, debug_invariants=debug_invariants,
+                          batch=batch)
     for cell in cells:
         validate_cell(cell)
-    if batch is not None and batch not in BATCH_MODES:
-        raise ConfigurationError(
-            f"batch must be one of {BATCH_MODES}, got {batch!r}")
-    if batch == "on":
-        if not numpy_available():
-            raise ConfigurationError(
-                "--batch on requires NumPy, which is not importable here; "
-                "use --batch auto for a scalar fallback")
-        ineligible = [(c, batch_ineligible_reason(c)) for c in cells]
-        ineligible = [(c, r) for c, r in ineligible if r is not None]
-        if ineligible:
-            cell, reason = ineligible[0]
-            raise ConfigurationError(
-                f"--batch on: {len(ineligible)} cell(s) are not "
-                f"batch-eligible (first: {reason}); use --batch auto to "
-                "run them through the scalar core")
     start = time.perf_counter()
     skip = set(store.completed_keys())
     if not retry_failed:
         skip |= store.error_keys()
     pending = [c for c in cells if c.key() not in skip]
-    skipped = len(cells) - len(pending)
 
     if pending and store.supports_leases:
         # Writing past the lease barrier while a fleet drains the same
         # campaign could record a cell twice (a worker's chunk may hold
         # a pending cell this run would also execute).  Refuse loudly.
-        from .distributed.queue import has_live_chunks  # lazy: no cycle
-
         if has_live_chunks(store):
             raise ConfigurationError(
                 f"campaign {store.campaign or '?'!r} has pending or leased "
@@ -446,77 +643,29 @@ def run_cells(
     if workers is None:
         workers = multiprocessing.cpu_count()
     workers = max(1, min(workers, len(pending) or 1))
-
-    records: list[dict[str, Any]] = []
-    completed = 0
-    batched = 0
-    pool_snaps: list[dict] = []
-
-    def consume(chunk_records: list[dict[str, Any]]) -> None:
-        nonlocal completed
-        store.append_many(chunk_records)
-        records.extend(chunk_records)
-        completed += len(chunk_records)
-        if progress is not None:
-            progress(completed, len(pending))
-
-    rec = obs_spans.ensure_recorder(store=store,
-                                    campaign=store.campaign or "")
-    campaign_ctx = (
-        rec.span("campaign", store.campaign or "campaign",
-                 cells=len(pending), mode="pool")
-        if rec is not None else nullcontext()
-    )
-    all_batchable = bool(pending) and all(
-        _wants_batch(c, batch) for c in pending)
-    with campaign_ctx as campaign_span:
-        if workers <= 1 or len(pending) <= 1:
-            workers = 1
-            for group in _serial_groups(pending, batch):
-                chunk_records, n_batched = run_chunk(group, batch=batch)
-                batched += n_batched
-                consume(chunk_records)
-        else:
-            if chunk_size is None:
-                chunk_size = default_chunk_size(
-                    len(pending), workers, batch=all_batchable)
-            chunks = chunk_cells([c.to_dict() for c in pending], chunk_size)
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else None)
-            runner = functools.partial(
-                _run_chunk, batch=batch,
-                parent_span_id=(campaign_span.span_id
-                                if campaign_span is not None else None))
-            with ctx.Pool(processes=workers) as pool:
-                for chunk_records, n_batched, snap in pool.imap_unordered(
-                        runner, chunks):
-                    batched += n_batched
-                    if snap:
-                        pool_snaps.append(snap)
-                    consume(chunk_records)
-    if rec is not None:
-        rec.flush()
-
-    run_metrics: dict[str, dict] | None = None
-    if obs_metrics.enabled():
-        run_metrics = obs_metrics.merge_snapshots(
-            [obs_metrics.snapshot(), *pool_snaps])
-        record_fn = getattr(store, "record_metrics_snapshot", None)
-        if record_fn is not None:
-            record_fn(f"run-{os.getpid()}", run_metrics)
-
-    failed = sum(1 for r in records if "error" in r)
+    if chunk_size is None:
+        chunk_size = default_chunk_size(
+            len(pending), workers,
+            batch=bool(pending) and all(_wants_batch(c, batch)
+                                        for c in pending))
+    queue = LocalQueue(store, chunk_cells(pending, chunk_size))
+    runner = (functools.partial(run_inline, batch=batch) if workers == 1
+              else functools.partial(run_pooled, workers=workers,
+                                     batch=batch))
+    report = drain(
+        queue, runner, WorkerReport(worker_id=f"run-{os.getpid()}"),
+        progress=(None if progress is None
+                  else lambda done: progress(done, len(pending))))
     return CampaignRun(
         total=len(cells),
-        skipped=skipped,
-        executed=len(records),
-        failed=failed,
+        skipped=len(cells) - len(pending),
+        executed=report.cells_done,
+        failed=report.cells_failed,
         elapsed_s=time.perf_counter() - start,
         workers=workers,
-        batched=batched,
-        records=records,
-        metrics=run_metrics,
+        batched=report.cells_batched,
+        records=queue.records,
+        metrics=report.metrics,
     )
 
 
@@ -545,24 +694,14 @@ def run_campaign(
     local worker processes drain them — the same queue any number of
     extra hosts can join mid-run with ``python -m repro campaign worker``.
     """
-    if distributed:
-        from .distributed.queue import DEFAULT_LEASE_TTL_S
-        from .distributed.status import run_distributed
+    options = dict(workers=workers, chunk_size=chunk_size, progress=progress,
+                   debug_invariants=debug_invariants,
+                   retry_failed=retry_failed, batch=batch)
+    if not distributed:
+        return run_cells(spec.cells(), open_store(store, campaign=spec.name),
+                         **options)
+    from .distributed.status import run_distributed
 
-        return run_distributed(
-            spec, store,
-            workers=workers, chunk_size=chunk_size,
-            lease_ttl_s=(lease_ttl_s if lease_ttl_s is not None
-                         else DEFAULT_LEASE_TTL_S),
-            retry_failed=retry_failed,
-            debug_invariants=debug_invariants,
-            progress=progress,
-            batch=batch,
-        )
-    store = open_store(store, campaign=spec.name)
-    return run_cells(
-        spec.cells(), store,
-        workers=workers, chunk_size=chunk_size, progress=progress,
-        debug_invariants=debug_invariants, retry_failed=retry_failed,
-        batch=batch,
-    )
+    if lease_ttl_s is not None:
+        options["lease_ttl_s"] = lease_ttl_s
+    return run_distributed(spec, store, **options)

@@ -77,12 +77,14 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
 from .analysis.render import watch
 from .campaigns.aggregate import aggregate_records, render_rows
-from .campaigns.executor import run_cells
+from .campaigns.distributed.queue import DEFAULT_LEASE_TTL_S, DEFAULT_MAX_ATTEMPTS
+from .campaigns.executor import prepare_cells, run_cells
 from .campaigns.presets import DEFAULT_SPEC, SPECS, get_spec, load_spec
 from .campaigns.registry import (
     ADVERSARIES,
@@ -104,7 +106,7 @@ from .campaigns.stores import (
 from .core.errors import ConfigurationError
 from .obs import expo as obs_expo
 from .obs import logs as obs_logs
-from .obs import metrics as obs_metrics
+from .obs import spans as obs_spans
 from .obs.history import add_bench_parsers, bench_main
 from .theory.tables import render_map
 
@@ -161,70 +163,38 @@ def make_parser() -> argparse.ArgumentParser:
     for verb, help_text in (
         ("run", "expand a sweep spec and execute every pending cell"),
         ("resume", "continue an interrupted campaign from its store"),
+        ("enqueue", "persist a spec's pending cells as claimable chunks "
+                    "(multi-host)"),
     ):
         p = csub.add_parser(verb, help=help_text)
-        p.add_argument("--spec", default=DEFAULT_SPEC, metavar="NAME",
-                       help=f"named spec (default: {DEFAULT_SPEC}; "
-                            f"see 'campaign list')")
-        p.add_argument("--spec-file", default=None, metavar="PATH",
-                       help="JSON/YAML spec file (overrides --spec)")
-        p.add_argument("--store", default=None, metavar="URI",
-                       help="result store: a path, jsonl:PATH or sqlite:PATH "
-                            "(default: results/<spec>.jsonl)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: all CPUs; 1 = serial)")
+        enqueue = verb == "enqueue"
+        _add_store_args(p, sqlite=enqueue)
         p.add_argument("--chunk-size", type=int, default=None,
                        help="cells per work unit (default: auto)")
         p.add_argument("--limit", type=int, default=None,
-                       help="only run the first LIMIT cells of the expansion")
-        p.add_argument("--no-report", action="store_true",
-                       help="skip the aggregate table after the run")
+                       help="only use the first LIMIT cells of the expansion")
         p.add_argument("--debug-invariants", action="store_true",
                        help="run every cell with the per-round engine audit "
-                            "on (campaigns default it off for throughput)")
+                            "on (campaigns default it off for throughput; "
+                            "applied at keying time)")
         p.add_argument("--retry-failed", action="store_true",
                        help="also re-run cells whose only stored outcome is "
                             "an error record (default: failures are skipped "
                             "like completed cells)")
+        if enqueue:
+            continue
+        p.add_argument("--workers", type=int, default=None,
+                       help="worker processes (default: all CPUs; 1 = serial)")
+        p.add_argument("--no-report", action="store_true",
+                       help="skip the aggregate table after the run")
         p.add_argument("--distributed", action="store_true",
                        help="execute through the lease-based work queue: "
-                            "enqueue pending cells in the (SQLite) store, "
+                            "enqueue pending cells in the SQLite store "
+                            "(default: results/<spec>.db), "
                             "spawn --workers local worker processes, and let "
                             "any extra 'campaign worker' processes on other "
                             "hosts join the same queue")
-        p.add_argument("--lease-ttl", type=float, default=None, metavar="S",
-                       help="distributed lease time-to-live in seconds: a "
-                            "worker silent this long is presumed dead and "
-                            "its chunk is stolen (default: 30)")
-        p.add_argument("--batch", choices=("auto", "on", "off"), default=None,
-                       help="vectorized batch execution: auto routes "
-                            "eligible cells through the lockstep NumPy core "
-                            "(scalar fallback otherwise), on requires it, "
-                            "off forces the scalar path; never changes "
-                            "results or store keys (default: auto)")
-        _add_obs_flags(p)
-
-    p = csub.add_parser(
-        "enqueue",
-        help="persist a spec's pending cells as claimable chunks (multi-host)")
-    p.add_argument("--spec", default=DEFAULT_SPEC, metavar="NAME",
-                   help=f"named spec (default: {DEFAULT_SPEC})")
-    p.add_argument("--spec-file", default=None, metavar="PATH",
-                   help="JSON/YAML spec file (overrides --spec)")
-    p.add_argument("--store", default=None, metavar="URI",
-                   help="SQLite result store hosting the queue "
-                        "(default: sqlite:results/<spec>.db)")
-    p.add_argument("--chunk-size", type=int, default=None,
-                   help="cells per claimable chunk (default: auto)")
-    p.add_argument("--limit", type=int, default=None,
-                   help="only enqueue the first LIMIT cells of the expansion")
-    p.add_argument("--retry-failed", action="store_true",
-                   help="also enqueue cells whose only stored outcome is an "
-                        "error record")
-    p.add_argument("--debug-invariants", action="store_true",
-                   help="enqueue every cell with the per-round engine audit "
-                        "on (applied here, at keying time — workers execute "
-                        "chunks exactly as enqueued)")
+        _add_fleet_args(p)
 
     p = csub.add_parser(
         "worker",
@@ -235,53 +205,34 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--campaign", required=True, metavar="NAME",
                    help="campaign tag the chunks were enqueued under "
                         "(the spec name)")
-    p.add_argument("--lease-ttl", type=float, default=None, metavar="S",
-                   help="lease time-to-live in seconds (default: 30); must "
-                        "match the fleet's")
     p.add_argument("--poll", type=float, default=0.5, metavar="S",
                    help="seconds between claim attempts when empty-handed")
     p.add_argument("--max-chunks", type=int, default=None,
                    help="exit after completing this many chunks")
-    p.add_argument("--max-attempts", type=int, default=None,
+    p.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS,
                    help="park a chunk as failed after this many claim "
                         "attempts instead of stealing it again "
-                        "(default: 5; poison-chunk protection)")
+                        "(default: %(default)s; poison-chunk protection)")
     p.add_argument("--worker-id", default=None,
                    help="fleet-unique identity (default: <host>-<pid>)")
-    p.add_argument("--batch", choices=("auto", "on", "off"), default=None,
-                   help="vectorized batch execution for claimed chunks "
-                        "(default: auto; routing never changes results, so "
-                        "a mixed fleet is fine)")
-    _add_obs_flags(p)
+    _add_fleet_args(p)
 
     p = csub.add_parser(
         "status", help="live fleet telemetry for a distributed campaign")
-    p.add_argument("--spec", default=DEFAULT_SPEC, metavar="NAME",
-                   help="spec name used to locate the default store")
-    p.add_argument("--spec-file", default=None, metavar="PATH",
-                   help="JSON/YAML spec file (overrides --spec)")
-    p.add_argument("--store", default=None, metavar="URI",
-                   help="SQLite result store hosting the queue "
-                        "(default: sqlite:results/<spec>.db)")
-    p.add_argument("--campaign", default=None, metavar="NAME",
-                   help="campaign tag (default: the spec's name)")
+    _add_store_args(p, sqlite=True, campaign=True)
     p.add_argument("--watch", action="store_true",
                    help="re-render every --interval seconds until the queue "
                         "finishes")
     p.add_argument("--interval", type=float, default=2.0, metavar="S",
                    help="refresh period for --watch (default: 2)")
-    p.add_argument("--lease-ttl", type=float, default=None, metavar="S",
+    p.add_argument("--lease-ttl", type=float, default=DEFAULT_LEASE_TTL_S,
+                   metavar="S",
                    help="lease time-to-live used to classify workers/leases "
-                        "as dead (default: 30); must match the fleet's")
+                        "as dead (default: %(default)s); must match the "
+                        "fleet's")
 
     p = csub.add_parser("report", help="aggregate a result store into table rows")
-    p.add_argument("--spec", default=DEFAULT_SPEC, metavar="NAME",
-                   help="spec name used to locate the default store")
-    p.add_argument("--spec-file", default=None, metavar="PATH",
-                   help="JSON/YAML spec file (overrides --spec)")
-    p.add_argument("--store", default=None, metavar="URI",
-                   help="result store: a path, jsonl:PATH or sqlite:PATH "
-                        "(default: results/<spec>.jsonl)")
+    _add_store_args(p)
     p.add_argument("--by", default="label,algorithm,ring_size",
                    help="comma-separated config dimensions to group by")
     p.add_argument("--fit", action="store_true",
@@ -302,36 +253,17 @@ def make_parser() -> argparse.ArgumentParser:
     p = csub.add_parser(
         "metrics",
         help="merged fleet metrics from the store's worker snapshots")
-    p.add_argument("--spec", default=DEFAULT_SPEC, metavar="NAME",
-                   help="spec name used to locate the default store")
-    p.add_argument("--spec-file", default=None, metavar="PATH",
-                   help="JSON/YAML spec file (overrides --spec)")
-    p.add_argument("--store", default=None, metavar="URI",
-                   help="SQLite result store holding the telemetry tables "
-                        "(default: sqlite:results/<spec>.db)")
-    p.add_argument("--campaign", default=None, metavar="NAME",
-                   help="campaign tag (default: the spec's name)")
+    _add_store_args(p, sqlite=True, campaign=True, out=True)
     p.add_argument("--format", choices=("table", "json", "prom"),
                    default="table",
                    help="table: aligned human report; json: summarised "
                         "snapshot; prom: Prometheus textfile exposition "
                         "(default: table)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the report to PATH instead of stdout "
-                        "(e.g. a node_exporter textfile collector dir)")
 
     p = csub.add_parser(
         "trace",
         help="trace analytics over recorded campaign→chunk→cell spans")
-    p.add_argument("--spec", default=DEFAULT_SPEC, metavar="NAME",
-                   help="spec name used to locate the default store")
-    p.add_argument("--spec-file", default=None, metavar="PATH",
-                   help="JSON/YAML spec file (overrides --spec)")
-    p.add_argument("--store", default=None, metavar="URI",
-                   help="SQLite result store holding the spans table "
-                        "(default: sqlite:results/<spec>.db)")
-    p.add_argument("--campaign", default=None, metavar="NAME",
-                   help="campaign tag (default: the spec's name)")
+    _add_store_args(p, sqlite=True, campaign=True, out=True)
     p.add_argument("--jsonl", default=None, metavar="PATH",
                    help="read spans from a REPRO_TRACE_JSONL file instead "
                         "of the store (works with any backend)")
@@ -348,42 +280,22 @@ def make_parser() -> argparse.ArgumentParser:
                    help="text: human report; json: the requested analyses "
                         "as one JSON object; chrome: Chrome trace-event "
                         "JSON for ui.perfetto.dev (default: text)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the report to PATH instead of stdout")
 
     p = csub.add_parser(
         "profile",
         help="phase-attribution profile from the fleet's metrics snapshots")
-    p.add_argument("--spec", default=DEFAULT_SPEC, metavar="NAME",
-                   help="spec name used to locate the default store")
-    p.add_argument("--spec-file", default=None, metavar="PATH",
-                   help="JSON/YAML spec file (overrides --spec)")
-    p.add_argument("--store", default=None, metavar="URI",
-                   help="SQLite result store holding the telemetry tables "
-                        "(default: sqlite:results/<spec>.db)")
-    p.add_argument("--campaign", default=None, metavar="NAME",
-                   help="campaign tag (default: the spec's name)")
+    _add_store_args(p, sqlite=True, campaign=True, out=True)
     p.add_argument("--format", choices=("table", "json", "folded"),
                    default="table",
                    help="table: aligned human report; json: phase/route "
                         "rows; folded: collapsed stacks for speedscope/"
                         "flamegraph tools (default: table)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the profile to PATH instead of stdout "
-                        "(e.g. profile.folded for speedscope)")
 
     p = csub.add_parser(
         "fsck",
         help="validate a result store's integrity (torn lines, orphaned "
              "leases, duplicate keys, chunk/span consistency)")
-    p.add_argument("--spec", default=DEFAULT_SPEC, metavar="NAME",
-                   help="spec name used to locate the default store")
-    p.add_argument("--spec-file", default=None, metavar="PATH",
-                   help="JSON/YAML spec file (overrides --spec)")
-    p.add_argument("--store", default=None, metavar="URI",
-                   help="result store: a path, jsonl:PATH or sqlite:PATH "
-                        "(default: results/<spec>.jsonl, falling back to "
-                        "results/<spec>.db)")
+    _add_store_args(p)
     p.add_argument("--quarantine", action="store_true",
                    help="repair what can be repaired: move torn JSONL lines "
                         "to a .quarantine sidecar, drop orphaned leases, "
@@ -391,13 +303,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = csub.add_parser(
         "export", help="export a result store as a columnar file")
-    p.add_argument("--spec", default=DEFAULT_SPEC, metavar="NAME",
-                   help="spec name used to locate the default store")
-    p.add_argument("--spec-file", default=None, metavar="PATH",
-                   help="JSON/YAML spec file (overrides --spec)")
-    p.add_argument("--store", default=None, metavar="URI",
-                   help="result store: a path, jsonl:PATH or sqlite:PATH "
-                        "(default: results/<spec>.jsonl)")
+    _add_store_args(p)
     p.add_argument("--out", required=True, metavar="PATH",
                    help="destination file (.csv, or .parquet with pyarrow)")
     p.add_argument("--format", choices=("csv", "parquet"), default=None,
@@ -413,8 +319,45 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_obs_flags(p: argparse.ArgumentParser) -> None:
-    """``--metrics/--trace/--trace-jsonl`` for verbs that execute cells."""
+def _add_store_args(p: argparse.ArgumentParser, *, sqlite: bool = False,
+                    campaign: bool = False, out: bool = False) -> None:
+    """``--spec``/``--spec-file``/``--store`` (the store defaults to one
+    named after the spec), plus ``--campaign`` and ``--out`` on request."""
+    p.add_argument("--spec", default=DEFAULT_SPEC, metavar="NAME",
+                   help=f"named spec (default: {DEFAULT_SPEC}; see "
+                        "'campaign list'); also names the default store")
+    p.add_argument("--spec-file", default=None, metavar="PATH",
+                   help="JSON/YAML spec file (overrides --spec)")
+    p.add_argument("--store", default=None, metavar="URI", help=(
+        "SQLite result store (default: sqlite:results/<campaign>.db)"
+        if sqlite else
+        "result store: a path, jsonl:PATH or sqlite:PATH (default: "
+        "results/<spec>.jsonl, or results/<spec>.db when only that "
+        "exists)"))
+    if campaign:
+        p.add_argument("--campaign", default=None, metavar="NAME",
+                       help="campaign tag (default: the spec's name)")
+    if out:
+        p.add_argument("--out", default=None, metavar="PATH",
+                       help="write the report to PATH instead of stdout")
+
+
+def _add_fleet_args(p: argparse.ArgumentParser) -> None:
+    """Lease, routing and observability flags of the verbs that execute
+    cells (``run``/``resume``/``worker``)."""
+    p.add_argument("--lease-ttl", type=float, default=DEFAULT_LEASE_TTL_S,
+                   metavar="S",
+                   help="distributed lease time-to-live in seconds: a "
+                        "worker silent this long is presumed dead and its "
+                        "chunk is stolen (default: %(default)s; must match "
+                        "the fleet's)")
+    p.add_argument("--batch", choices=("auto", "on", "off"), default=None,
+                   help="vectorized batch execution: auto routes "
+                        "eligible cells through the lockstep NumPy core "
+                        "(scalar fallback otherwise), on requires it, "
+                        "off forces the scalar path; never changes "
+                        "results or store keys, so a mixed fleet is fine "
+                        "(default: auto)")
     p.add_argument("--metrics", action="store_true",
                    help="record counters/histograms (queue claim latency, "
                         "engine phase timings, batch share) and print a "
@@ -458,45 +401,72 @@ def _campaign_spec(args):
     return get_spec(args.spec)
 
 
-def _campaign_store(args, spec, *, distributed: bool = False) -> ResultStore:
-    """The command's store: JSONL by default, SQLite for distributed verbs
-    (the lease queue lives in the same database as the results).
+class _NoStore(Exception):
+    """The verb's store does not exist (logged; the command exits 1)."""
 
-    When no ``--store`` is given and the JSONL default does not exist
-    but the distributed default (``results/<spec>.db``) does, read
-    commands fall back to it — so ``campaign report`` finds the results
-    of a ``campaign run --distributed`` without repeating the URI.
+
+def _store(args, spec, *, sqlite: bool = False) -> ResultStore:
+    """The verb's store: ``--store``, else the default under ``results/``.
+
+    Verbs that need SQLite (the lease queue and telemetry tables live in
+    the results database) default to ``results/<campaign>.db``; the rest
+    to ``results/<spec>.jsonl``, falling back to an existing ``.db`` so
+    ``campaign report`` finds a ``--distributed`` run's results without
+    repeating the URI.
     """
+    campaign = getattr(args, "campaign", None) or spec.name
     if args.store:
-        return open_store(args.store, campaign=spec.name)
-    jsonl_default = Path("results") / f"{spec.name}.jsonl"
-    db_default = Path("results") / f"{spec.name}.db"
-    target = db_default if distributed else jsonl_default
-    if not distributed and not jsonl_default.exists() and db_default.exists():
-        target = db_default
-    return open_store(target, campaign=spec.name)
+        return open_store(args.store, campaign=campaign)
+    target = Path("results") / f"{campaign}.db"
+    jsonl = target.with_suffix(".jsonl")
+    if not sqlite and (jsonl.exists() or not target.exists()):
+        target = jsonl
+    return open_store(target, campaign=campaign)
 
 
-def _lease_ttl(args) -> float:
-    from .campaigns.distributed import DEFAULT_LEASE_TTL_S
+def _existing_store(args, spec, *, sqlite: bool = False) -> ResultStore:
+    """:func:`_store`, refusing (:class:`_NoStore`) one that does not exist."""
+    store = _store(args, spec, sqlite=sqlite)
+    if not store.exists():
+        raise _NoStore(f"no result store at {store.path}")
+    return store
 
-    ttl = getattr(args, "lease_ttl", None)
-    return ttl if ttl is not None else DEFAULT_LEASE_TTL_S
+
+def _write_or_print(args, text: str, what: str) -> int:
+    """Write a report to ``--out`` (logging it) or print it to stdout."""
+    if args.out:
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        _log.info("wrote %s to %s", what, args.out)
+    else:
+        print(text)
+    return 0
 
 
-def _apply_obs_flags(args) -> None:
-    """Export the observability flags as environment variables.
+@contextmanager
+def _obs_env(args):
+    """Export the observability flags as environment variables while one
+    command runs.
 
     The env — not in-process state — is the contract: pool children and
     spawned local workers inherit it, and multi-host workers accept the
-    same variables directly.
+    same variables directly.  On the way out the previous values come
+    back and the span recorder these variables installed is closed, so
+    an in-process caller (tests, embedding) sees nothing leak.
     """
-    if getattr(args, "metrics", False):
-        os.environ["REPRO_METRICS"] = "1"
-    if getattr(args, "trace", False):
-        os.environ["REPRO_TRACE"] = "1"
-    if getattr(args, "trace_jsonl", None):
-        os.environ["REPRO_TRACE_JSONL"] = args.trace_jsonl
+    wanted = {name: value for name, value in (
+        ("REPRO_METRICS", "1" if getattr(args, "metrics", False) else None),
+        ("REPRO_TRACE", "1" if getattr(args, "trace", False) else None),
+        ("REPRO_TRACE_JSONL", getattr(args, "trace_jsonl", None)),
+    ) if value}
+    saved = dict(os.environ)
+    os.environ.update(wanted)
+    try:
+        yield
+    finally:
+        if wanted.keys() & {"REPRO_TRACE", "REPRO_TRACE_JSONL"}:
+            obs_spans.close_recorder()
+        os.environ.clear()
+        os.environ.update(saved)
 
 
 class _Milestones:
@@ -524,281 +494,240 @@ def _print_metrics(snapshot, title: str) -> None:
         print(obs_expo.render_table(snapshot, title=title))
 
 
-def campaign_main(args) -> int:
-    if args.campaign_command == "list":
-        for name in sorted(SPECS):
-            spec = SPECS[name]()
-            print(f"{name:<16} {spec.size():>4} cells  {spec.description}")
-        return 0
+# -- campaign verbs: one function each, dispatched by _CAMPAIGN_VERBS ------
 
-    if args.campaign_command == "worker":
-        # Workers need no spec: chunks carry fully serialised cells.
-        from .campaigns.distributed import run_worker
+def _campaign_list(args, spec) -> int:
+    for name in sorted(SPECS):
+        named = SPECS[name]()
+        print(f"{name:<16} {named.size():>4} cells  {named.description}")
+    return 0
 
-        _apply_obs_flags(args)
-        target = args.store or f"sqlite:results/{args.campaign}.db"
-        try:
-            report = run_worker(
-                target,
-                campaign=args.campaign,
-                worker_id=args.worker_id,
-                lease_ttl_s=_lease_ttl(args),
-                poll_s=args.poll,
-                max_chunks=args.max_chunks,
-                **({"max_attempts": args.max_attempts}
-                   if args.max_attempts is not None else {}),
-                progress=_log.info,
-                batch=args.batch,
-            )
-        except KeyboardInterrupt:
-            # run_worker released any held chunk on the way out.
-            _log.warning("worker interrupted; held lease released")
-            return 130
-        print(report.summary())
-        _print_metrics(report.metrics,
-                       title=f"metrics — worker {report.worker_id}")
-        return 0
 
-    spec = _campaign_spec(args)
-
-    if args.campaign_command == "enqueue":
-        from .campaigns.distributed import enqueue_campaign
-
-        store = _campaign_store(args, spec, distributed=True)
-        cells = spec.cell_list()
-        if args.limit is not None:
-            cells = cells[:args.limit]
-        if args.debug_invariants:
-            from dataclasses import replace
-
-            cells = [replace(c, debug_invariants=True) for c in cells]
-        _, report = enqueue_campaign(
-            spec, store, cells=cells,
-            chunk_size=args.chunk_size, retry_failed=args.retry_failed,
-        )
-        print(f"campaign {spec.name}: {report.summary()} -> {store.uri()}")
-        return 0
-
-    if args.campaign_command == "status":
-        from .campaigns.distributed import (
-            fleet_status,
-            render_status,
-            watch_status,
-        )
-
-        campaign = args.campaign or spec.name
-        target = args.store or Path("results") / f"{campaign}.db"
-        store = open_store(target, campaign=campaign)
-        if not store.exists():
-            _log.error("no result store at %s", store.path)
-            return 1
-        ttl = _lease_ttl(args)
-        if args.watch:
-            try:
-                watch_status(store, lease_ttl_s=ttl, interval_s=args.interval)
-            except KeyboardInterrupt:
-                # the promised UX: Ctrl-C stops the watch, not the fleet
-                _log.warning("watch stopped (the fleet keeps running)")
-                return 130
-        else:
-            print(render_status(fleet_status(store, lease_ttl_s=ttl)))
-        return 0
-
-    if args.campaign_command == "metrics":
-        from .campaigns.distributed import store_metrics
-
-        campaign = args.campaign or spec.name
-        target = args.store or Path("results") / f"{campaign}.db"
-        store = open_store(target, campaign=campaign)
-        if not store.exists():
-            _log.error("no result store at %s", store.path)
-            return 1
-        merged, fleet = store_metrics(store)
-        if args.format == "json":
-            text = json.dumps(obs_expo.to_json(merged, fleet),
-                              indent=2, sort_keys=True)
-        elif args.format == "prom":
-            text = obs_expo.prometheus_text(
-                merged, labels={"campaign": campaign})
-        else:
-            text = obs_expo.render_table(
-                merged, fleet=fleet,
-                title=f"campaign {campaign} — metrics ({store.uri()})")
-        if args.out:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
-            _log.info("wrote %s metrics to %s", args.format, args.out)
-        else:
-            print(text)
-        return 0
-
-    if args.campaign_command == "trace":
-        from .obs import analyze as obs_analyze
-
-        campaign = args.campaign or spec.name
-        if args.jsonl:
-            spans = obs_analyze.load_spans(args.jsonl,
-                                           campaign=args.campaign)
-        else:
-            target = args.store or Path("results") / f"{campaign}.db"
-            store = open_store(target, campaign=campaign)
-            if not store.exists():
-                _log.error("no result store at %s", store.path)
-                return 1
-            if not hasattr(store, "spans"):
-                raise ConfigurationError(
-                    f"store backend {type(store).__name__} ({store.uri()}) "
-                    "has no spans table — use a SQLite store "
-                    "(--store sqlite:PATH) or --jsonl PATH")
-            spans = obs_analyze.load_spans(store)
-        if not spans:
-            _log.error("no spans recorded for campaign %r — run the fleet "
-                       "with --trace (or --trace-jsonl)", campaign)
-            return 1
-        if args.format == "chrome":
-            text = json.dumps(obs_analyze.chrome_trace(spans))
-        elif args.format == "json":
-            views: dict = {"spans": len(spans)}
-            if args.critical_path or not args.stragglers:
-                views["critical_path"] = obs_analyze.critical_path(spans)
-            if args.stragglers:
-                views["stragglers"] = obs_analyze.stragglers(spans)
-            text = json.dumps(views, indent=2, sort_keys=True)
-        else:
-            sections = []
-            if args.timeline:
-                sections.append(obs_analyze.render_timeline(spans))
-            if args.critical_path:
-                sections.append(obs_analyze.render_critical_path(
-                    obs_analyze.critical_path(spans)))
-            if args.stragglers:
-                sections.append(obs_analyze.render_stragglers(
-                    obs_analyze.stragglers(spans)))
-            if not sections:
-                sections.append(obs_analyze.render_tree(spans))
-            text = "\n\n".join(sections)
-        if args.out:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
-            _log.info("wrote %s trace report to %s", args.format, args.out)
-        else:
-            print(text)
-        return 0
-
-    if args.campaign_command == "profile":
-        from .campaigns.distributed import store_metrics
-        from .obs import profile as obs_profile
-
-        campaign = args.campaign or spec.name
-        target = args.store or Path("results") / f"{campaign}.db"
-        store = open_store(target, campaign=campaign)
-        if not store.exists():
-            _log.error("no result store at %s", store.path)
-            return 1
-        merged, _fleet = store_metrics(store)
-        if args.format == "json":
-            text = json.dumps(obs_profile.profile_data(merged),
-                              indent=2, sort_keys=True)
-        elif args.format == "folded":
-            text = obs_profile.folded_stacks(merged)
-        else:
-            text = obs_profile.render_profile(
-                merged,
-                title=f"campaign {campaign} — profile ({store.uri()})")
-        if args.out:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
-            _log.info("wrote %s profile to %s", args.format, args.out)
-        else:
-            print(text)
-        return 0
-
-    if args.campaign_command == "fsck":
-        from .resilience import fsck_store
-
-        store = _campaign_store(args, spec)
-        if not store.exists():
-            _log.error("no result store at %s", store.path)
-            return 1
-        report = fsck_store(store, quarantine=args.quarantine)
-        print(report.render())
-        return 0 if report.ok else 1
-
-    if args.campaign_command == "report":
-        store = _campaign_store(args, spec)
-        if not store.exists():
-            _log.error("no result store at %s", store.path)
-            return 1
-        by = tuple(d.strip() for d in args.by.split(",") if d.strip())
-        query = store.query()
-        if args.fit or args.scatter:
-            # one store scan feeds the aggregate table, fits and scatter
-            records = list(query.records())
-            rows = aggregate_records(records, by=by)
-        else:
-            records = None
-            rows = query.table(by=by)
-        print(render_rows(rows, title=f"campaign {spec.name} ({store.uri()})"))
-        if args.fit:
-            print()
-            print(render_fit_rows(
-                fit_rows(query, records=records, reduce=args.reduce),
-                title="complexity-shape fits over ring_size "
-                      f"({args.reduce} per size; best of "
-                      "linear/nlogn/quadratic)"))
-        if args.scatter:
-            print()
-            print(render_scatter(
-                records, by=by,
-                title="per-seed scatter (one row per stored record)"))
-        if args.errors:
-            print()
-            print(render_error_rows(
-                query.errors(),
-                title="errored cells (only outcome is an error record; "
-                      "re-drive with 'campaign resume --retry-failed')"))
-        return 0
-
-    if args.campaign_command == "export":
-        store = _campaign_store(args, spec)
-        if not store.exists():
-            _log.error("no result store at %s", store.path)
-            return 1
-        result = export_store(store, args.out, format=args.format)
-        print(result.summary())
-        return 0
-
-    # run / resume
-    _apply_obs_flags(args)
-    store = _campaign_store(args, spec, distributed=args.distributed)
+def _campaign_run(args, spec) -> int:
+    """``run`` and ``resume``: the pool/serial or ``--distributed`` path."""
+    store = _store(args, spec, sqlite=args.distributed)
     if args.campaign_command == "resume" and not store.exists():
-        _log.error("nothing to resume: no store at %s", store.path)
-        return 1
-    cells = spec.cell_list()
-    if args.limit is not None:
-        cells = cells[:args.limit]
+        raise _NoStore(f"nothing to resume: no store at {store.path}")
+    cells = spec.cell_list()[:args.limit]
     mode = " [distributed]" if args.distributed else ""
     print(f"campaign {spec.name}: {len(cells)} cells -> {store.uri()}{mode}")
-    debug = True if args.debug_invariants else None
+    options = dict(
+        workers=args.workers, chunk_size=args.chunk_size,
+        progress=_Milestones(), retry_failed=args.retry_failed,
+        debug_invariants=True if args.debug_invariants else None,
+        batch=args.batch)
     if args.distributed:
         from .campaigns.distributed import run_distributed
 
-        run = run_distributed(
-            spec, store, cells=cells,
-            workers=args.workers, chunk_size=args.chunk_size,
-            lease_ttl_s=_lease_ttl(args), retry_failed=args.retry_failed,
-            debug_invariants=debug, progress=_Milestones(),
-            batch=args.batch,
-        )
+        run = run_distributed(spec, store, cells=cells,
+                              lease_ttl_s=args.lease_ttl, **options)
     else:
-        run = run_cells(
-            cells, store,
-            workers=args.workers, chunk_size=args.chunk_size,
-            progress=_Milestones(), debug_invariants=debug,
-            retry_failed=args.retry_failed, batch=args.batch,
-        )
+        run = run_cells(cells, store, **options)
     print(run.summary())
     _print_metrics(run.metrics, title=f"metrics — campaign {spec.name}")
     if not args.no_report:
         print(render_rows(store.query().table(), title=f"campaign {spec.name}"))
     return 1 if run.failed else 0
+
+
+def _campaign_worker(args, spec) -> int:
+    # Workers need no spec: chunks carry fully serialised cells.
+    from .campaigns.distributed import run_worker
+
+    try:
+        report = run_worker(
+            _store(args, spec, sqlite=True),
+            campaign=args.campaign,
+            worker_id=args.worker_id,
+            lease_ttl_s=args.lease_ttl,
+            poll_s=args.poll,
+            max_chunks=args.max_chunks,
+            max_attempts=args.max_attempts,
+            progress=_log.info,
+            batch=args.batch,
+        )
+    except KeyboardInterrupt:
+        # run_worker released any held chunk on the way out.
+        _log.warning("worker interrupted; held lease released")
+        return 130
+    print(report.summary())
+    _print_metrics(report.metrics, title=f"metrics — worker {report.worker_id}")
+    return 0
+
+
+def _campaign_enqueue(args, spec) -> int:
+    from .campaigns.distributed import enqueue_campaign
+
+    store = _store(args, spec, sqlite=True)
+    cells = prepare_cells(
+        spec.cell_list()[:args.limit],
+        debug_invariants=True if args.debug_invariants else None)
+    _, report = enqueue_campaign(
+        spec, store, cells=cells,
+        chunk_size=args.chunk_size, retry_failed=args.retry_failed,
+    )
+    print(f"campaign {spec.name}: {report.summary()} -> {store.uri()}")
+    return 0
+
+
+def _campaign_status(args, spec) -> int:
+    from .campaigns.distributed import fleet_status, render_status, watch_status
+
+    store = _existing_store(args, spec, sqlite=True)
+    if not args.watch:
+        print(render_status(fleet_status(store, lease_ttl_s=args.lease_ttl)))
+        return 0
+    try:
+        watch_status(store, lease_ttl_s=args.lease_ttl,
+                     interval_s=args.interval)
+    except KeyboardInterrupt:
+        # the promised UX: Ctrl-C stops the watch, not the fleet
+        _log.warning("watch stopped (the fleet keeps running)")
+        return 130
+    return 0
+
+
+def _campaign_metrics(args, spec) -> int:
+    """``metrics`` and ``profile``: views of the merged fleet snapshots."""
+    from .campaigns.distributed import store_metrics
+    from .obs import profile as obs_profile
+
+    store = _existing_store(args, spec, sqlite=True)
+    merged, fleet = store_metrics(store)
+    verb = args.campaign_command
+    title = f"campaign {store.campaign} — {verb} ({store.uri()})"
+    if args.format == "json":
+        text = json.dumps(obs_expo.to_json(merged, fleet) if verb == "metrics"
+                          else obs_profile.profile_data(merged),
+                          indent=2, sort_keys=True)
+    elif args.format == "prom":
+        text = obs_expo.prometheus_text(
+            merged, labels={"campaign": store.campaign})
+    elif args.format == "folded":
+        text = obs_profile.folded_stacks(merged)
+    elif verb == "metrics":
+        text = obs_expo.render_table(merged, fleet=fleet, title=title)
+    else:
+        text = obs_profile.render_profile(merged, title=title)
+    return _write_or_print(args, text, f"{args.format} {verb}")
+
+
+def _campaign_trace(args, spec) -> int:
+    from .obs import analyze as obs_analyze
+
+    if args.jsonl:
+        spans = obs_analyze.load_spans(args.jsonl, campaign=args.campaign)
+    else:
+        store = _existing_store(args, spec, sqlite=True)
+        if not hasattr(store, "spans"):
+            raise ConfigurationError(
+                f"store backend {type(store).__name__} ({store.uri()}) "
+                "has no spans table — use a SQLite store "
+                "(--store sqlite:PATH) or --jsonl PATH")
+        spans = obs_analyze.load_spans(store)
+    if not spans:
+        _log.error("no spans recorded for campaign %r — run the fleet "
+                   "with --trace (or --trace-jsonl)",
+                   args.campaign or spec.name)
+        return 1
+    if args.format == "chrome":
+        text = json.dumps(obs_analyze.chrome_trace(spans))
+    elif args.format == "json":
+        views: dict = {"spans": len(spans)}
+        if args.critical_path or not args.stragglers:
+            views["critical_path"] = obs_analyze.critical_path(spans)
+        if args.stragglers:
+            views["stragglers"] = obs_analyze.stragglers(spans)
+        text = json.dumps(views, indent=2, sort_keys=True)
+    else:
+        sections = []
+        if args.timeline:
+            sections.append(obs_analyze.render_timeline(spans))
+        if args.critical_path:
+            sections.append(obs_analyze.render_critical_path(
+                obs_analyze.critical_path(spans)))
+        if args.stragglers:
+            sections.append(obs_analyze.render_stragglers(
+                obs_analyze.stragglers(spans)))
+        if not sections:
+            sections.append(obs_analyze.render_tree(spans))
+        text = "\n\n".join(sections)
+    return _write_or_print(args, text, f"{args.format} trace report")
+
+
+def _campaign_fsck(args, spec) -> int:
+    from .resilience import fsck_store
+
+    report = fsck_store(_existing_store(args, spec),
+                        quarantine=args.quarantine)
+    print(report.render())
+    return 0 if report.ok else 1
+
+
+def _campaign_report(args, spec) -> int:
+    store = _existing_store(args, spec)
+    by = tuple(d.strip() for d in args.by.split(",") if d.strip())
+    query = store.query()
+    if args.fit or args.scatter:
+        # one store scan feeds the aggregate table, fits and scatter
+        records = list(query.records())
+        rows = aggregate_records(records, by=by)
+    else:
+        records = None
+        rows = query.table(by=by)
+    print(render_rows(rows, title=f"campaign {spec.name} ({store.uri()})"))
+    if args.fit:
+        print()
+        print(render_fit_rows(
+            fit_rows(query, records=records, reduce=args.reduce),
+            title="complexity-shape fits over ring_size "
+                  f"({args.reduce} per size; best of "
+                  "linear/nlogn/quadratic)"))
+    if args.scatter:
+        print()
+        print(render_scatter(
+            records, by=by,
+            title="per-seed scatter (one row per stored record)"))
+    if args.errors:
+        print()
+        print(render_error_rows(
+            query.errors(),
+            title="errored cells (only outcome is an error record; "
+                  "re-drive with 'campaign resume --retry-failed')"))
+    return 0
+
+
+def _campaign_export(args, spec) -> int:
+    print(export_store(_existing_store(args, spec), args.out,
+                       format=args.format).summary())
+    return 0
+
+
+_CAMPAIGN_VERBS = {
+    "list": _campaign_list,
+    "run": _campaign_run,
+    "resume": _campaign_run,
+    "worker": _campaign_worker,
+    "enqueue": _campaign_enqueue,
+    "status": _campaign_status,
+    "metrics": _campaign_metrics,
+    "trace": _campaign_trace,
+    "profile": _campaign_metrics,
+    "fsck": _campaign_fsck,
+    "report": _campaign_report,
+    "export": _campaign_export,
+}
+
+
+def campaign_main(args) -> int:
+    # `list` and `worker` take no spec (chunks carry serialised cells).
+    spec = _campaign_spec(args) if hasattr(args, "spec") else None
+    try:
+        with _obs_env(args):
+            return _CAMPAIGN_VERBS[args.campaign_command](args, spec)
+    except _NoStore as exc:
+        _log.error("%s", exc)
+        return 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -24,7 +24,7 @@ Submodules:
 * :mod:`repro.obs.profile` — phase-attribution profiles and speedscope
   folded stacks from metrics snapshots (``campaign profile``).
 * :mod:`repro.obs.validate` — span-trace schema/hierarchy validation
-  (``scripts/check_spans.py`` shims here).
+  (``python -m repro.obs.validate TRACE.jsonl`` as a script).
 * :mod:`repro.obs.history` — bench-history time series and regression
   guard (``python -m repro bench record|check``).
 

@@ -17,10 +17,11 @@ campaign — surfaced by ``python -m repro campaign trace``:
 * :func:`chrome_trace` — the whole tree as Chrome trace-event JSON
   (``ui.perfetto.dev`` / ``chrome://tracing`` open it directly).
 
-Attribution model.  The distributed worker owns each chunk span end to
-end (claim → execute → commit) and stamps ``claim_s`` / ``commit_s`` /
-``queue_wait_s`` attrs on it, so for one worker session (a ``campaign``
-span):
+Attribution model.  The execution loop
+(:func:`repro.campaigns.executor.drain`) owns each chunk span end to end
+(claim → execute → commit) and stamps ``claim_s`` / ``commit_s`` attrs
+on it (distributed workers add ``queue_wait_s``), so for one worker
+session (a ``campaign`` span):
 
 * ``claim``   = Σ chunk ``claim_s`` (queue transaction time),
 * ``commit``  = Σ chunk ``commit_s`` (the exactly-once completion txn),
@@ -32,9 +33,9 @@ Summed, the four buckets reproduce each session's elapsed time exactly,
 so ``coverage`` (attributed seconds / Σ session seconds) is ~1.0 on a
 clean trace and drops only when sessions are missing (a crashed worker
 never closes its span) — the CI lane asserts ≥ 0.9.  Pool-mode
-campaigns have no claim/commit phases and overlap chunks freely inside
-one session; their chunks attribute wholly to ``execute`` and the
-summary reports the parallelism factor instead.
+campaigns overlap chunks freely inside one session (their claim is a
+list pop, their commit the parent's append), so the summary reports the
+parallelism factor as well.
 
 The small helpers at the bottom (:func:`median`,
 :func:`straggler_hint`) are shared with ``campaign status --watch``,

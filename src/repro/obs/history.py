@@ -14,9 +14,6 @@ default fraction absorbs CI-runner noise and the smoke-vs-full spread
 while still catching the 2x cliffs that matter.  Entries whose bench
 ``mode`` differs from the latest entry's are still compared — mode is
 recorded so a human reading the file can see why a value moved.
-
-``benchmarks/history.py`` is a thin shim over :func:`main` for people
-who reach for the benchmarks directory first.
 """
 
 from __future__ import annotations
@@ -161,7 +158,7 @@ def check(history_path: Path | str, *, fraction: float = 0.7,
 
 
 # --------------------------------------------------------------------------
-# CLI (python -m repro bench record|check; benchmarks/history.py shims here)
+# CLI (python -m repro bench record|check)
 # --------------------------------------------------------------------------
 
 def add_bench_parsers(sub) -> None:

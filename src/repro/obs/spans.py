@@ -10,8 +10,8 @@ store with the process that produced it.
 Hierarchy (``kind`` vocabulary)::
 
     campaign            one run/worker session of a campaign
-      └─ chunk          one run_chunk call (a claimed chunk, when
-                        distributed; a pool/serial chunk otherwise)
+      └─ chunk          one claimed chunk: claim → execute → commit
+                        (every mode runs the same loop)
            └─ cell      one executed cell (route=batch|scalar)
 
 Spans are emitted to one or more sinks when they close:
@@ -79,10 +79,10 @@ class SpanRecorder:
     """Builds the span tree for one process and emits closed spans.
 
     The parent of a new span defaults to the innermost open span in
-    this recorder (an explicit ``parent_id`` attr wins, which is how a
-    pool child chunk links to the campaign span living in the parent
-    process).  The stack is per-recorder and the recorder is used from
-    one thread, matching how the executor and worker loops run.
+    this recorder (an explicit ``parent_id`` attr wins; :meth:`within`
+    is how a pool child's cells link to the chunk span the parent
+    process emits).  The stack is per-recorder and the recorder is used
+    from one thread, matching how the execution loop runs.
     """
 
     def __init__(self, sinks: list[Callable[[dict], None]], *,
@@ -118,6 +118,17 @@ class SpanRecorder:
                       parent_id=parent_id, start_s=start_s,
                       elapsed_s=time.perf_counter() - t0,
                       status=handle.status, attrs=handle.attrs)
+
+    @contextmanager
+    def within(self, span_id: str) -> Iterator[None]:
+        """Parent the spans opened inside to ``span_id``: a span its
+        owner emits once it closes (the execution loop's chunk span,
+        which must also cover the commit after its cells ran)."""
+        self._stack.append(span_id)
+        try:
+            yield
+        finally:
+            self._stack.pop()
 
     def emit(self, kind: str, name: str, *, span_id: str | None = None,
              parent_id: str | None = None, start_s: float | None = None,

@@ -1,10 +1,13 @@
 """Span-trace validation: schema, vocabularies, hierarchy, duplicates.
 
-The importable form of what used to live only in
-``scripts/check_spans.py`` (now a thin shim): every check the CI
-observability lane runs over a ``REPRO_TRACE_JSONL`` file is available
-to library callers too — ``campaign trace`` validates the spans it is
-about to analyse, and the unit tests exercise each rule directly.
+Every check the CI observability lane runs over a ``REPRO_TRACE_JSONL``
+file, available to library callers too — ``campaign trace`` validates
+the spans it is about to analyse, and the unit tests exercise each rule
+directly.  As a script::
+
+    python -m repro.obs.validate spans.jsonl [--require-kinds campaign,chunk,cell]
+
+exits 1 on any problem (printed to stderr), 2 when the file is missing.
 
 Two entry points:
 
@@ -23,7 +26,9 @@ itself an error.
 
 from __future__ import annotations
 
+import argparse
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -130,3 +135,33 @@ def check_spans(path: Path, require_kinds: Sequence[str] = ()) -> list[str]:
     problems.extend(check_span_records(records, require_kinds))
     # File callers historically read "line N: ..." with no extra prefix.
     return [p.replace("span line ", "line ") for p in problems]
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Validate one trace file; the exit status is the verdict."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.obs.validate",
+        description="Validate a span trace JSONL file.")
+    parser.add_argument("trace", type=Path, help="span JSONL file")
+    parser.add_argument("--require-kinds", default="", metavar="K1,K2",
+                        help="comma-separated span kinds that must appear "
+                             "at least once (e.g. campaign,chunk,cell)")
+    args = parser.parse_args(argv)
+    if not args.trace.exists():
+        print(f"no trace file at {args.trace}", file=sys.stderr)
+        return 2
+    require = [k.strip() for k in args.require_kinds.split(",") if k.strip()]
+    problems = check_spans(args.trace, require)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    if problems:
+        return 1
+    spans = sum(1 for line in args.trace.read_text().splitlines()
+                if line.strip())
+    print(f"trace valid: {spans} spans"
+          + (f" (kinds required: {', '.join(require)})" if require else ""))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

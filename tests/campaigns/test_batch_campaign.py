@@ -27,6 +27,7 @@ from repro.campaigns.distributed import (
     enqueue_campaign,
     fleet_status,
     render_status,
+    run_distributed,
     run_worker,
 )
 from repro.campaigns.executor import (
@@ -209,6 +210,32 @@ class TestStrictMode:
         cells = [eligible_spec().cell_list()[0], scalar_only_cell()]
         with pytest.raises(ConfigurationError, match="not batch-eligible"):
             run_cells(cells, JsonlStore(tmp_path / "r.jsonl"), batch="on")
+
+    @needs_numpy
+    def test_on_refuses_distributed_runs_before_enqueue(self, tmp_path):
+        """The refusal sits where serial, pool and distributed runs all
+        pass: a --distributed run must not enqueue (let alone run
+        scalar) the cells --batch on cannot vectorize."""
+        spec = eligible_spec()
+        cells = spec.cell_list() + [scalar_only_cell()]
+        store = SqliteStore(tmp_path / "r.db", campaign=spec.name)
+        with pytest.raises(ConfigurationError, match="not batch-eligible"):
+            run_distributed(spec, store, cells=cells, workers=1,
+                            lease_ttl_s=10, batch="on")
+        assert not WorkQueue(store).ever_enqueued()
+        assert len(store) == 0
+
+    @needs_numpy
+    @pytest.mark.parametrize("mode", [[], ["--distributed"]])
+    def test_cli_on_refusal_is_the_same_in_every_mode(self, tmp_path, mode,
+                                                      capsys):
+        from repro.cli import main
+
+        code = main(["campaign", "run", "--spec", "faults-smoke",
+                     "--batch", "on", "--workers", "1", "--no-report",
+                     "--store", f"sqlite:{tmp_path}/faults.db", *mode])
+        assert code == 2
+        assert "27 cell(s) are not batch-eligible" in capsys.readouterr().err
 
     def test_on_without_numpy_is_an_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)

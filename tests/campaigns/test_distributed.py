@@ -527,6 +527,32 @@ class TestReviewRegressions:
         assert counts.pending == 1 and counts.leased == 0
         assert len(queue.store) == 0           # nothing recorded
 
+    def test_failure_keeps_lease_but_stops_heartbeat(self, tmp_path,
+                                                     monkeypatch):
+        """Any failure but Ctrl-C leaves the chunk leased, so the steal
+        counts an attempt toward poison parking — and the heartbeat
+        stops, so the lease does age out for a peer to steal."""
+        from repro.campaigns.distributed import worker as worker_mod
+
+        spec = fast_spec(seeds=(0,), sizes=(6,))
+        queue = make_queue(tmp_path, spec, lease_ttl_s=0.3)
+        queue.enqueue(spec.cell_list(), chunk_size=100)
+
+        def broken(cell):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(
+            worker_mod.executor_module, "execute_cell", broken)
+        with pytest.raises(RuntimeError):
+            run_worker(queue.store, worker_id="w", lease_ttl_s=0.3,
+                       poll_s=0.01, batch="off")
+        assert queue.counts().leased == 1
+        time.sleep(0.5)                        # > TTL with no heartbeat
+        vulture = WorkQueue(SqliteStore(queue.store.path, campaign=spec.name),
+                            lease_ttl_s=0.3)
+        stolen = vulture.claim("vulture")
+        assert stolen is not None and stolen.attempt == 2
+
     def test_worker_waits_for_first_enqueue(self, tmp_path):
         """Fleet bring-up: a worker started before any enqueue must wait
         for chunks, not exit 0 and strand the campaign."""

@@ -119,6 +119,31 @@ class TestRunCells:
         )
         assert seen[-1] == (6, 6)
 
+    def test_serial_runs_chunk_like_a_one_worker_pool(self, tmp_path,
+                                                      monkeypatch):
+        """Serial runs share the pool's chunking: default_chunk_size with
+        one worker, one run_chunk call and one store commit per chunk."""
+        cells = small_spec(seeds=range(10)).cell_list()     # 20 cells
+        chunks, commits = [], []
+        real_chunk = executor_mod.run_chunk
+        store = ResultStore(tmp_path / "r.jsonl")
+        real_append = store.append_many
+
+        def counting_chunk(group, **kwargs):
+            chunks.append(len(group))
+            return real_chunk(group, **kwargs)
+
+        def counting_append(records):
+            commits.append(len(records))
+            return real_append(records)
+
+        monkeypatch.setattr(executor_mod, "run_chunk", counting_chunk)
+        monkeypatch.setattr(store, "append_many", counting_append)
+        run_cells(cells, store, workers=1, batch="off")
+        size = executor_mod.default_chunk_size(len(cells), 1)
+        expected = [len(c) for c in executor_mod.chunk_cells(cells, size)]
+        assert chunks == commits == expected == [5, 5, 5, 5]
+
     def test_rejects_unknown_names_before_running(self, tmp_path):
         bad = CellConfig(algorithm="unconscious", ring_size=6, max_rounds=10,
                          adversary="martian")

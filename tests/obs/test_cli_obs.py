@@ -61,6 +61,22 @@ class TestProgressLogging:
         assert "repro.cli" in captured.err
         assert "6/6 cells (100%)" in captured.err
 
+    def test_obs_flags_do_not_outlive_the_command(self, tmp_path):
+        """The flags reach worker processes through the env, but only
+        while the command runs: nothing leaks into the caller."""
+        import os
+
+        def repro_env():
+            return {k: v for k, v in os.environ.items()
+                    if k.startswith("REPRO_")}
+
+        before = repro_env()
+        assert main([*RUN, "--no-report", "--metrics", "--trace-jsonl",
+                     "spans.jsonl"]) == 0
+        assert (tmp_path / "spans.jsonl").exists()
+        assert repro_env() == before
+        assert obs_spans.recorder() is None
+
     def test_quiet_suppresses_progress_keeps_results(self, capsys):
         assert main(["--quiet", *RUN]) == 0
         captured = capsys.readouterr()

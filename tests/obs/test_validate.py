@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.obs.spans import SPAN_SCHEMA
-from repro.obs.validate import check_span_records, check_spans
+from repro.obs.validate import check_span_records, check_spans, main
 
 
 def span(span_id="s1", *, kind="campaign", parent=None, **overrides):
@@ -94,3 +94,22 @@ class TestFile:
         problems = check_spans(path)
         assert any(p.startswith("line 1: not JSON") for p in problems)
         assert any(p.startswith("line 2: schema") for p in problems)
+
+
+class TestScript:
+    """``python -m repro.obs.validate`` — the CI observability lane's check."""
+
+    def test_valid_trace_exits_0(self, tmp_path, capsys):
+        path = tmp_path / "spans.jsonl"
+        path.write_text("\n".join(json.dumps(s) for s in valid_trace()))
+        assert main([str(path), "--require-kinds", "campaign,chunk,cell"]) == 0
+        assert "trace valid: 3 spans" in capsys.readouterr().out
+
+    def test_problems_exit_1_on_stderr(self, tmp_path, capsys):
+        path = tmp_path / "spans.jsonl"
+        path.write_text(json.dumps(span("a", kind="campaign")) + "\n")
+        assert main([str(path), "--require-kinds", "cell"]) == 1
+        assert "no 'cell' span" in capsys.readouterr().err
+
+    def test_missing_file_exits_2(self, tmp_path):
+        assert main([str(tmp_path / "absent.jsonl")]) == 2
