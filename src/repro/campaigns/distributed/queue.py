@@ -100,6 +100,9 @@ class Claim:
 
     chunk_id: int
     cells: tuple[dict[str, Any], ...]
+    #: The cells' content-hash keys, parallel to :attr:`cells` (stored
+    #: at enqueue, so the worker's dedupe never re-hashes a cell).
+    cell_keys: tuple[str, ...]
     attempt: int
     stolen_from: str | None = None
     #: When the chunk was enqueued — lets the worker stamp the chunk
@@ -442,12 +445,12 @@ class WorkQueue:
         def body(conn):
             self._touch_worker(conn, worker_id, now)
             row = conn.execute(
-                "SELECT id, cells, created_at FROM chunks "
+                "SELECT id, cells, cell_keys, created_at FROM chunks "
                 "WHERE campaign_key = ? AND state = 'pending' "
                 "ORDER BY id LIMIT 1", (self.campaign,),
             ).fetchone()
             if row is not None:
-                chunk_id, payload, created_at = row
+                chunk_id, payload, keys, created_at = row
                 conn.execute(
                     "UPDATE chunks SET state = 'leased' WHERE id = ?",
                     (chunk_id,))
@@ -455,11 +458,11 @@ class WorkQueue:
                     "INSERT INTO leases (chunk_id, worker_id, heartbeat, "
                     "acquired_at, attempt) VALUES (?, ?, ?, ?, 1)",
                     (chunk_id, worker_id, now, now))
-                return chunk_id, payload, 1, None, created_at
+                return chunk_id, payload, keys, 1, None, created_at
             while True:
                 row = conn.execute(
-                    "SELECT c.id, c.cells, l.worker_id, l.attempt, "
-                    "c.created_at "
+                    "SELECT c.id, c.cells, c.cell_keys, l.worker_id, "
+                    "l.attempt, c.created_at "
                     "FROM chunks c JOIN leases l ON l.chunk_id = c.id "
                     "WHERE c.campaign_key = ? AND c.state = 'leased' "
                     "AND l.heartbeat < ? ORDER BY l.heartbeat LIMIT 1",
@@ -467,7 +470,8 @@ class WorkQueue:
                 ).fetchone()
                 if row is None:
                     return None
-                chunk_id, payload, stolen_from, previous, created_at = row
+                (chunk_id, payload, keys, stolen_from, previous,
+                 created_at) = row
                 if previous >= self.max_attempts:
                     # A chunk that has burned through its attempts is
                     # poison (its cells likely kill the worker process
@@ -487,14 +491,15 @@ class WorkQueue:
                     "UPDATE leases SET worker_id = ?, heartbeat = ?, "
                     "acquired_at = ?, attempt = ? WHERE chunk_id = ?",
                     (worker_id, now, now, attempt, chunk_id))
-                return chunk_id, payload, attempt, stolen_from, created_at
+                return (chunk_id, payload, keys, attempt, stolen_from,
+                        created_at)
 
         claimed = self._txn("queue.claim", body)
         if claimed is None:
             if reg is not None:
                 reg.counter("queue.idle_polls").inc()
             return None
-        chunk_id, payload, attempt, stolen_from, created_at = claimed
+        chunk_id, payload, keys, attempt, stolen_from, created_at = claimed
         self._last_idle_touch = now  # the claim transaction touched us
         if reg is not None:
             reg.counter("queue.claims").inc()
@@ -504,6 +509,7 @@ class WorkQueue:
         return Claim(
             chunk_id=chunk_id,
             cells=tuple(json.loads(payload)),
+            cell_keys=tuple(json.loads(keys)),
             attempt=attempt,
             stolen_from=stolen_from,
             created_at=created_at,

@@ -18,6 +18,7 @@ of the fleet.  Multi-host is the same thing minus the spawn: run
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import sys
 import time
@@ -403,9 +404,14 @@ def run_distributed(
     for proc in procs:
         proc.start()
     try:
-        while any(p.is_alive() for p in procs) and not queue.finished():
+        while not queue.finished():
+            live = [p.sentinel for p in procs if p.is_alive()]
+            if not live:
+                break
             report_progress()
-            time.sleep(poll_s)
+            # Wakes the moment a worker exits, so the run ends with the
+            # last of them instead of up to one poll later.
+            multiprocessing.connection.wait(live, timeout=poll_s)
     finally:
         for proc in procs:
             proc.join(timeout=max(2 * lease_ttl_s, 10.0))

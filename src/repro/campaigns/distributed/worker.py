@@ -16,7 +16,10 @@ lives in the queue it drains, :class:`LeasedQueue`:
    the lease every quarter-TTL *while cells compute*, so a single cell
    slower than the TTL cannot get a healthy worker's chunk stolen — and
    drops cells whose key already completed (protects against
-   re-enqueues racing a finish);
+   re-enqueues racing a finish).  That check reads the keys the chunk
+   stored at enqueue and asks the store about just those, in one
+   indexed lookup (``completed_keys(among=...)``): its cost is the
+   chunk's size, not the store's, and no cell is re-hashed;
 2. ``complete`` stops the keeper; a lost lease (a heartbeat came back
    ``False``) discards the chunk — the thief records it — otherwise
    records and chunk retirement commit atomically, or
@@ -152,14 +155,14 @@ class LeasedQueue:
             attrs["queue_wait_s"] = round(
                 max(0.0, time.time() - claim.created_at), 6)
         # A re-enqueue may race a finishing worker; never re-record a
-        # completed cell.  invalidate_caches() makes this one indexed
-        # query against the current truth, not a stale snapshot.
-        self.store.invalidate_caches()
-        done = self.store.completed_keys()
-        cells = [CellConfig.from_dict(d) for d in claim.cells]
-        todo = [c for c in cells if c.key() not in done]
+        # completed cell.  The lookup reads the store fresh, not a
+        # cached snapshot.
+        done = self.store.completed_keys(among=claim.cell_keys)
+        todo = [CellConfig.from_dict(cell)
+                for cell, key in zip(claim.cells, claim.cell_keys)
+                if key not in done]
         return Chunk(claim.chunk_id, todo, attrs, claim_s=claim_s,
-                     skipped=len(cells) - len(todo),
+                     skipped=len(claim.cells) - len(todo),
                      abort=self._keepers[claim.chunk_id].lost.is_set)
 
     def complete(self, chunk: Chunk, records, *, batched: bool,

@@ -33,7 +33,9 @@ from __future__ import annotations
 import os
 import re
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterator, Mapping
+from typing import (
+    TYPE_CHECKING, Any, Callable, ClassVar, Collection, Iterator, Mapping,
+)
 
 from ...core.errors import ConfigurationError
 
@@ -121,12 +123,22 @@ class ResultStore:
         """Yield every well-formed record (malformed data skipped)."""
         raise NotImplementedError
 
-    def _load_completed_keys(self) -> set[str]:
-        """One-time scan behind :meth:`completed_keys` (override me)."""
-        return {r["key"] for r in self.records() if "error" not in r}
+    def _load_completed_keys(
+            self, among: Collection[str] | None = None) -> set[str]:
+        """The scan behind :meth:`completed_keys` (override me)."""
+        done = {r["key"] for r in self.records() if "error" not in r}
+        return done if among is None else done.intersection(among)
 
-    def completed_keys(self) -> set[str]:
-        """Keys of cells that finished successfully (cached after first read)."""
+    def completed_keys(self, among: Collection[str] | None = None) -> set[str]:
+        """Keys of cells that finished successfully (cached after first read).
+
+        ``among`` asks only about those keys, and reads the backend fresh
+        every time instead of the cache: the distributed worker's
+        per-chunk "already recorded by a racing run?" check, whose cost
+        must follow the chunk, not the store.
+        """
+        if among is not None:
+            return self._load_completed_keys(among)
         if self._completed is None:
             self._completed = self._load_completed_keys()
         return self._completed

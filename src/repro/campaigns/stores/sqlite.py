@@ -9,7 +9,7 @@ cannot give:
   corrupting each other);
 * **indexed resume** — :meth:`completed_keys` is one indexed
   ``SELECT DISTINCT cell_key ... WHERE ok = 1`` instead of a full-file
-  re-parse;
+  re-parse, and ``completed_keys(among=keys)`` looks up just those keys;
 * **indexed reports** — equality filters on config dimensions are pushed
   down into SQL (``json_extract`` over the stored record), and several
   campaigns can share one database, scoped by the indexed
@@ -26,7 +26,7 @@ import json
 import os
 import sqlite3
 import weakref
-from typing import Any, Iterator, Mapping
+from typing import Any, Collection, Iterator, Mapping
 
 from ...core.errors import ConfigurationError
 from ...resilience.retry import retry
@@ -281,6 +281,15 @@ class SqliteStore(ResultStore):
         self._conn = None
         self._pid = None
 
+    def __del__(self) -> None:
+        # A sqlite3 connection sits in a reference cycle (its statement
+        # cache), so a dropped store's connection would stay open until
+        # the cyclic GC runs — possibly after a fork(), and its close
+        # then resets the WAL under the children's commits.  Close it
+        # with the store instead.
+        if getattr(self, "_conn", None) is not None:
+            self.close()
+
     # -- campaign scoping ---------------------------------------------
 
     def _scope(self) -> tuple[str, list[Any]]:
@@ -314,15 +323,32 @@ class SqliteStore(ResultStore):
             if isinstance(record, dict) and "key" in record:
                 yield record
 
-    def _load_completed_keys(self) -> set[str]:
+    def _load_completed_keys(
+            self, among: Collection[str] | None = None) -> set[str]:
         """A single indexed query — no record parsing at all."""
         if not self.path.exists():
             return set()
-        scope, scope_params = self._scope()
+        sql, params = self._completed_sql(among)
+        return {key for (key,) in self._connect().execute(sql, params)}
+
+    def _completed_sql(
+            self, among: Collection[str] | None) -> tuple[str, list[Any]]:
+        """The query behind :meth:`completed_keys`, with its parameters.
+
+        With ``among`` it probes ``ix_results_cell_key`` once per key.
+        The unary ``+`` on the campaign scope matters: a plain
+        ``campaign_key = ?`` lets the planner pick
+        ``ix_results_campaign_key`` and scan the whole campaign instead.
+        """
+        scope, params = self._scope()
         sql = "SELECT DISTINCT cell_key FROM results WHERE ok = 1"
+        if among is not None:
+            sql += " AND cell_key IN (SELECT value FROM json_each(?))"
+            params = [json.dumps(list(among)), *params]
+            scope = scope and f"+{scope}"
         if scope:
             sql += f" AND {scope}"
-        return {key for (key,) in self._connect().execute(sql, scope_params)}
+        return sql, params
 
     def result_counts(self) -> tuple[int, int]:
         """(total records, error records) for this store's campaign scope.

@@ -40,6 +40,7 @@ from repro.campaigns.distributed import (
     run_worker,
     watch_status,
 )
+from repro.campaigns.distributed.worker import LeasedQueue
 from repro.core.errors import ConfigurationError
 
 CTX = multiprocessing.get_context(
@@ -258,6 +259,81 @@ class TestRunWorker:
         assert queue.store.completed_keys() == {
             c.key() for c in spec.cell_list()}
         assert duplicate_keys(queue.store) == []
+
+
+def record_ok(store, cell):
+    store.append({"key": cell.key(), "config": cell.to_dict(),
+                  "metrics": {"rounds": 1}, "elapsed_s": 0.0})
+
+
+class TestPerChunkDedupe:
+    """The worker drops a claimed chunk's already-completed cells by the
+    keys stored with the chunk, looked up in the store's own scope."""
+
+    @staticmethod
+    def claim_one(queue):
+        worker = LeasedQueue(queue, "w", poll_s=0.01, say=lambda _: None)
+        chunk = worker.claim()
+        worker.release(chunk)            # stop the keeper, hand it back
+        return chunk
+
+    def test_racing_run_recorded_part_of_the_chunk(self, tmp_path):
+        spec = fast_spec()
+        cells = spec.cell_list()
+        queue = make_queue(tmp_path, spec)
+        queue.enqueue(cells, chunk_size=100)
+        raced = {cells[1].key(), cells[4].key()}
+        for cell in cells:
+            if cell.key() in raced:
+                record_ok(queue.store, cell)
+        chunk = self.claim_one(queue)
+        assert chunk.skipped == 2
+        assert [c.key() for c in chunk.cells] == [
+            c.key() for c in cells if c.key() not in raced]
+        report = run_worker(queue.store, worker_id="w", lease_ttl_s=10,
+                            poll_s=0.01)
+        assert report.cells_skipped == 2
+        assert report.cells_done == len(cells) - 2
+        assert duplicate_keys(queue.store) == []
+
+    def test_key_completed_under_another_campaign_is_not_skipped(
+            self, tmp_path):
+        spec = fast_spec()
+        cells = spec.cell_list()
+        queue = make_queue(tmp_path, spec)
+        queue.enqueue(cells, chunk_size=100)
+        other = SqliteStore(tmp_path / "q.db", campaign="another-campaign")
+        for cell in cells:
+            record_ok(other, cell)
+        chunk = self.claim_one(queue)
+        assert chunk.skipped == 0
+        assert [c.key() for c in chunk.cells] == [c.key() for c in cells]
+
+    def test_error_only_cell_is_still_run(self, tmp_path):
+        spec = fast_spec(seeds=(0,))
+        cells = spec.cell_list()
+        queue = make_queue(tmp_path, spec)
+        queue.enqueue(cells, chunk_size=100)
+        queue.store.append({"key": cells[0].key(),
+                            "config": cells[0].to_dict(), "error": "boom"})
+        chunk = self.claim_one(queue)
+        assert chunk.skipped == 0
+        assert cells[0].key() in {c.key() for c in chunk.cells}
+        run_worker(queue.store, worker_id="w", lease_ttl_s=10, poll_s=0.01)
+        assert cells[0].key() in queue.store.completed_keys()
+
+    def test_stolen_claim_keys_line_up_with_its_cells(self, tmp_path):
+        clock = FakeClock()
+        spec = fast_spec()
+        queue = make_queue(tmp_path, spec, lease_ttl_s=10, clock=clock)
+        queue.enqueue(spec.cell_list(), chunk_size=100)
+        first = queue.claim("doomed")
+        clock.advance(11)
+        stolen = queue.claim("vulture")
+        assert stolen.stolen_from == "doomed"
+        assert len(stolen.cells) == len(spec.cell_list())
+        assert stolen.cell_keys == first.cell_keys == tuple(
+            CellConfig.from_dict(d).key() for d in stolen.cells)
 
 
 class TestDistributedAcceptance:

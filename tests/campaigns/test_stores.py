@@ -1,8 +1,10 @@
 """Pluggable store backends: URIs, SQLite, round-trips, concurrency, export."""
 
 import csv
+import gc
 import json
 import multiprocessing
+import os
 import sqlite3
 
 import pytest
@@ -124,6 +126,37 @@ class TestSqliteStore:
         ).fetchall()
         assert any("ix_results_cell_key" in row[-1] for row in plan)
 
+    def test_completed_among_probes_cell_key_index_not_campaign_scan(
+            self, tmp_path):
+        """The worker's per-chunk check must look its keys up, not scan
+        the campaign: with a plain ``campaign_key = ?`` the planner picks
+        ix_results_campaign_key, whose cost grows with the store."""
+        store = SqliteStore(tmp_path / "r.db", campaign="alpha")
+        store.append_many([rec(f"k{i}") for i in range(200)])
+        sql, params = store._completed_sql(["k1", "k2"])
+        plan = " | ".join(row[-1] for row in store._connect().execute(
+            "EXPLAIN QUERY PLAN " + sql, params))
+        assert "ix_results_cell_key" in plan
+        assert "ix_results_campaign_key" not in plan
+
+    @pytest.mark.parametrize("backend", ["sqlite", "jsonl"])
+    def test_completed_among_is_scoped_ok_only_and_fresh(
+            self, tmp_path, backend):
+        path = tmp_path / ("shared.db" if backend == "sqlite" else "r.jsonl")
+        store = open_store(f"{backend}:{path}", campaign="alpha")
+        store.append_many([rec("a"), rec("b"),
+                           {"key": "err", "config": {}, "error": "x"}])
+        if backend == "sqlite":
+            SqliteStore(path, campaign="beta").append(rec("c"))
+        assert store.completed_keys(among=["a", "c", "err", "zz"]) == {"a"}
+        assert store.completed_keys(among=[]) == set()
+        # never served from (or stored into) the cache: an out-of-band
+        # writer is seen at once, and the full set still reloads whole
+        assert store.completed_keys() == {"a", "b"}
+        open_store(f"{backend}:{path}", campaign="alpha").append(rec("d"))
+        assert store.completed_keys(among=["d"]) == {"d"}
+        assert store.completed_keys() == {"a", "b"}
+
     def test_select_pushdown_matches_python_filter(self, tmp_path):
         store = SqliteStore(tmp_path / "r.db")
         store.append_many(
@@ -198,6 +231,29 @@ class TestConcurrency:
         parent.append(rec("parent-2"))         # the parent conn is untouched
         assert SqliteStore(tmp_path / "q.db").completed_keys() == {
             "parent", "parent-2"}
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc to list open files")
+    def test_dropped_store_closes_its_connection(self, tmp_path):
+        """sqlite3 connections are freed only by the cyclic GC; a store
+        must not leave its file open for a later fork() to inherit."""
+        path = tmp_path / "dropped.db"
+
+        def open_files():
+            names = []
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    names.append(os.readlink(f"/proc/self/fd/{fd}"))
+                except OSError:             # the listing's own descriptor
+                    pass
+            return [name for name in names if name.startswith(str(path))]
+
+        gc.disable()
+        try:
+            SqliteStore(path).append(rec("a"))
+            assert open_files() == []
+        finally:
+            gc.enable()
 
     def test_connection_not_shared_across_fork(self, tmp_path):
         """A store instance created pre-fork reopens in the child."""
