@@ -51,8 +51,8 @@ def measure(cell: CellConfig, *, optimized: bool, budget_s: float,
     Engines that run out of live agents are rebuilt mid-measurement so
     short-lived algorithms still yield sustained-throughput numbers.
     ``prepare`` (if given) runs against every freshly built engine —
-    the hook the rule-dispatch before/after measurement uses to toggle
-    ``memoize_dispatch`` on the algorithm.
+    the hook the observability-overhead measurement uses to attach a
+    phase timer.
     """
     def build():
         engine = build_cell_engine(cell, optimized=optimized)
@@ -108,52 +108,14 @@ def worst_case_cells() -> list[tuple[str, CellConfig]]:
     ]
 
 
-def rule_dispatch_entry(budget: float) -> dict:
-    """Before/after for the memoised rule dispatch of ``algorithms/base.py``.
-
-    The workload is the compute-bound regime the ROADMAP names: FSYNC,
-    every agent active every round, no adversary peeks, O(1) Look — so
-    the round loop is dominated by the state-machine driver itself.
-    ``interpretive`` re-derives each state's dispatch from the StateSpec
-    on every Compute (the pre-memoisation behaviour); ``memoized`` reads
-    the per-state table compiled at construction.
-    """
-    config = dict(algorithm="known-bound", ring_size=1000, agents=32,
-                  adversary="none", transport="ns")
-    cell = CellConfig(max_rounds=10**8, **config)
-
-    def set_memo(value):
-        def prepare(engine):
-            engine.algorithm.memoize_dispatch = value
-        return prepare
-
-    memoized = measure(cell, optimized=True, budget_s=budget,
-                       prepare=set_memo(True))
-    interpretive = measure(cell, optimized=True, budget_s=budget,
-                           prepare=set_memo(False))
-    entry = {
-        "config": config,
-        "memoized": memoized,
-        "interpretive": interpretive,
-        "speedup": round(memoized["rounds_per_s"]
-                         / interpretive["rounds_per_s"], 3),
-    }
-    print(f"  rule-dispatch (n=1000, k=32, fsync): "
-          f"{memoized['rounds_per_s']:,.0f} vs "
-          f"{interpretive['rounds_per_s']:,.0f} rounds/s -> "
-          f"{entry['speedup']}x memoized", flush=True)
-    return entry
-
-
 def obs_overhead_entry(budget: float) -> dict:
     """Cost of the observability layer on the headline configuration.
 
-    Disabled instrumentation is free *by construction* — the engine's
-    plain ``step()`` is byte-identical to the pre-observability code and
-    the instrumented twin only exists after ``set_instrument()``
-    (``tests/obs/test_instrumented_step.py`` asserts the twin's
-    equivalence).  This section measures it anyway: ``disabled`` is an
-    A/A re-measurement of the baseline, so its overhead percentage
+    The engine has one ``step()``; with no timer attached its only
+    observability cost is one attribute read per round and a few
+    ``if timer is not None`` branches (``tests/obs/test_instrumented_step.py``
+    asserts a timed run follows the same trajectory).  ``disabled`` is
+    an A/A re-measurement of the baseline, so its overhead percentage
     bounds the *noise floor* the ``--max-obs-overhead`` CI guard runs
     at; ``enabled`` (a live :class:`~repro.obs.metrics.PhaseTimer` on
     every round) is reported for context, not gated.  Measurements
@@ -329,7 +291,6 @@ def run(smoke: bool, budget_s: float | None) -> dict:
         "mode": "smoke" if smoke else "full",
         "headline": headline,
         "sweeps": sweeps,
-        "rule_dispatch": rule_dispatch_entry(max(budget * 4, 1.0)),
         "obs_overhead": obs_overhead_entry(max(budget * 2, 0.5)),
     }
     if not smoke:

@@ -241,17 +241,6 @@ class StateMachineAlgorithm:
     #: that lets one catch event fire twice.  Production value: False.
     eager_entry_rules = False
 
-    #: Perf switch (ROADMAP "Compute-bound regimes"): rule dispatch is
-    #: memoised per state — each state's handlers, direction kind and
-    #: guard list are flattened once at construction
-    #: (:func:`_compile_state`) instead of being re-derived from the
-    #: ``StateSpec`` dataclass on every Compute.  ``False`` restores the
-    #: re-derive-per-Compute behaviour as the measured baseline of the
-    #: ``rule_dispatch`` entry in ``benchmarks/bench_engine_hotpath.py``;
-    #: both paths are behaviourally identical (the golden trace suite
-    #: covers the memoised one).
-    memoize_dispatch = True
-
     def __init__(self) -> None:
         self._states: dict[str, StateSpec] = {}
         for spec in self.build_states():
@@ -289,16 +278,13 @@ class StateMachineAlgorithm:
         ctx = Ctx(snapshot, memory)
         vars = memory.vars
         entered_this_round = False
-        dispatch = self._dispatch if self.memoize_dispatch else None
+        dispatch = self._dispatch
         for _ in range(MAX_CHAIN):
             state_name = vars["state"]
             if state_name == TERMINAL:
                 return TERMINATE
-            if dispatch is not None:
-                entry = dispatch[state_name]
-            else:
-                entry = _compile_state(self._states[state_name])
-            on_enter, custom, keep_esteps, direction, direction_fn, rule_pairs = entry
+            (on_enter, custom, keep_esteps, direction, direction_fn,
+             rule_pairs) = dispatch[state_name]
 
             if not vars["_entered"]:
                 if on_enter is not None:

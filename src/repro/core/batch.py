@@ -12,12 +12,12 @@ edge removals a per-cell vector, and every round a fixed sequence of
 whole-array Look/Compute/Move operations.  Cells that halt simply leave
 the active mask; the survivors keep stepping.
 
-PR 6 covered the narrowest corner (``known-bound``/``unconscious``,
-NS/FSYNC).  The frontier now spans the paper's whole oblivious matrix:
+The frontier spans the paper's whole oblivious matrix:
 
-* **every registry algorithm** — the hand-written kernels remain for the
-  two originals, and :mod:`repro.core.batch_kernels` runs the other nine
-  through a masked columnar twin of ``StateMachineAlgorithm``;
+* **every registry algorithm** — Compute is one driver for all of them:
+  :mod:`repro.core.batch_kernels` runs each algorithm's
+  :class:`~repro.core.batch_kernels.VectorProgram`, a masked columnar
+  twin of its ``StateMachineAlgorithm``;
 * **PT and ET transports** — a PT agent left on a port by the scheduler
   *rides* the edge when it is present (one extra masked traverse per
   round); ET differs from NS only through its scheduler;
@@ -68,7 +68,8 @@ import time
 from typing import TYPE_CHECKING, Sequence
 
 from ..obs import metrics as obs_metrics
-from .batch_kernels import K_ENTER, K_MOVE, K_TERM, Look, build_program
+from .batch_kernels import (
+    K_ENTER, K_MOVE, K_TERM, PROGRAMS, Look, build_program)
 from .errors import ConfigurationError
 from .results import AgentStats, RunResult
 from .sim import MAX_ROUNDS_LIMIT
@@ -96,21 +97,8 @@ BATCH_WIDTH = 256
 #: Upper bound a ``REPRO_BATCH_WIDTH`` override may request.
 MAX_BATCH_WIDTH = 1 << 16
 
-#: Algorithms with a vectorized Compute kernel (bespoke here, or a
-#: :class:`~repro.core.batch_kernels.VectorProgram`).
-BATCH_ALGORITHMS = frozenset({
-    "known-bound",
-    "unconscious",
-    "landmark-chirality",
-    "landmark-no-chirality",
-    "start-from-landmark",
-    "pt-bound",
-    "pt-landmark",
-    "pt-bound-3",
-    "pt-landmark-3",
-    "et-unconscious",
-    "et-exact",
-})
+#: Algorithms with a :class:`~repro.core.batch_kernels.VectorProgram`.
+BATCH_ALGORITHMS = frozenset(PROGRAMS)
 
 #: Adversaries whose edge choice is a function of (round, own RNG) only.
 BATCH_ADVERSARIES = frozenset({"none", "fixed", "periodic", "random"})
@@ -247,12 +235,6 @@ _RF_P = 0.5
 _RF_STARVATION_CAP = 64
 _ETF_PATIENCE = 8
 
-# State codes of the two bespoke kernels.  known-bound:
-# Init/Bounce/Forward (Terminate is an action, not a resident state).
-# unconscious: Init/Reverse/Keep/Bounce/Forward.
-_INIT, _BOUNCE_KB, _FORWARD_KB = 0, 1, 2
-_REVERSE, _KEEP, _BOUNCE_UN, _FORWARD_UN = 1, 2, 3, 4
-
 
 class BatchCore:
     """Lockstep execution of same-shape eligible cells.
@@ -273,9 +255,10 @@ class BatchCore:
                             slots
     landmark                ``lm[C]`` (node or -1), ``lm_seen``/
                             ``lm_first_net``/``size[C,K]`` (-1 = unknown)
-    ``state[C,K]``          the state-machine state; ``entered``/``last_dir``
-                            for the generic driver, or the bespoke extras
-                            (``bound[C]``; ``G``/``ldir``/``fwd[C,K]``)
+    ``state[C,K]``          the state-machine state, plus ``entered``/
+                            ``last_dir`` for the program driver
+    program columns         ``v_*[C,K]`` variables and ``pbound[C]``,
+                            allocated by the program's ``setup``
     scheduling              ``sched[C]`` code, ``rsa[C,K]`` rounds since
                             active, per-cell scheduler RNGs / RR offsets /
                             ET debt
@@ -286,8 +269,8 @@ class BatchCore:
 
     Each :meth:`advance` replays one scalar round exactly — adversary
     choice, scheduler activation (FSYNC constant or the SSYNC replica),
-    Look (pairwise same-node occupancy tensors), the vectorized Compute
-    kernel (state transitions with the driver's entered-state timing),
+    Look (pairwise same-node occupancy tensors), the algorithm's vector
+    program (state transitions with the driver's entered-state timing),
     port mutual exclusion (denial = port held at round start, winner =
     lowest index, ``Btime`` reset for every requester), the Move phase
     (with PT port rides and landmark observation) and the end-of-round
@@ -406,31 +389,12 @@ class BatchCore:
         self._et_debt = zeros(np.int64)
 
         # -- Compute kernel ---------------------------------------------
-        self._program = build_program(self.algorithm, cells)
-        if self._program is not None:
-            self.state = np.full(
-                (C, K), self._program.initial_code, dtype=np.int64)
-            self.entered = zeros(bool)
-            self.last_dir = np.full((C, K), -1, dtype=np.int64)
-            if self.algorithm in ("pt-bound", "pt-bound-3"):
-                self.pbound = np.array(
-                    [c.bound if c.bound is not None else c.ring_size
-                     for c in cells], dtype=np.int64)
-            elif self.algorithm == "et-exact":
-                self.pbound = np.array(
-                    [(c.bound if c.bound is not None else c.ring_size) - 1
-                     for c in cells], dtype=np.int64)
-            self._program.setup(self)
-        else:
-            self.state = zeros(np.int64)
-            if self.algorithm == "known-bound":
-                self.bound = np.array(
-                    [c.bound if c.bound is not None else c.ring_size
-                     for c in cells], dtype=np.int64)
-            else:
-                self.G = np.full((C, K), 2, dtype=np.int64)
-                self.ldir = np.full((C, K), -1, dtype=np.int64)  # LEFT=-1
-                self.fwd = zeros(np.int64)
+        self._program = build_program(self.algorithm)
+        self.state = np.full(
+            (C, K), self._program.initial_code, dtype=np.int64)
+        self.entered = zeros(bool)
+        self.last_dir = np.full((C, K), -1, dtype=np.int64)
+        self._program.setup(self)
 
         self.adv = np.array([_ADV_CODE[c.adversary] for c in cells], dtype=np.int64)
         self.adv_edge = np.array([c.edge for c in cells], dtype=np.int64)
@@ -599,23 +563,12 @@ class BatchCore:
                     other_plus, other_minus,
                     is_lm=(pos == self.lm[:, None]))
 
-        # 4. Compute (vectorized state-machine kernel).
-        enter = None
-        if self._program is not None:
-            kind, local_dir = self._program.run(self, act, look)
-            g = -local_dir * self.left
-            term_now = act & (kind == K_TERM)
-            wants_move = act & (kind == K_MOVE)
-            enter = act & (kind == K_ENTER) & self.on_port
-        elif self.algorithm == "known-bound":
-            term_now, g = self._compute_known_bound(
-                act, snap_failed, snap_moved, others_interior,
-                other_plus, other_minus)
-            wants_move = act & ~term_now
-        else:
-            term_now, g = self._compute_unconscious(
-                act, snap_moved, others_interior, other_plus, other_minus)
-            wants_move = act & ~term_now
+        # 4. Compute (the algorithm's vector program).
+        kind, local_dir = self._program.run(self, act, look)
+        g = -local_dir * self.left
+        term_now = act & (kind == K_TERM)
+        wants_move = act & (kind == K_MOVE)
+        enter = act & (kind == K_ENTER) & self.on_port
 
         # 5. Resolve: terminations, port releases, then port mutual
         # exclusion.  A port held at the *start* of the round (by anyone,
@@ -625,7 +578,7 @@ class BatchCore:
         # requester; every requester's Btime restarts.
         self.term |= term_now
         self.term_round[term_now] = t
-        if enter is not None and enter.any():
+        if enter.any():
             self.on_port[enter] = False
             self.Btime[enter] = 0
         direct = wants_move & on_port & (self.port == g)
@@ -714,89 +667,6 @@ class BatchCore:
         if not self._all_fsync:
             self.rsa[tick] = 0
             self.rsa[alive & ~act] += 1
-
-    # ------------------------------------------------------------------
-    # bespoke Compute kernels (the PR 6 originals)
-    # ------------------------------------------------------------------
-    # Both kernels replicate the StateMachineAlgorithm driver timing: the
-    # predicates of the *current* state read the pre-round counters
-    # (Btime as min(Btime, Etime)); at most one transition fires per
-    # round (first matching rule); the entered state's preamble runs
-    # before its Explore reset (Etime = Esteps = 0); the agent moves in
-    # the new state's direction immediately but the new state's guards
-    # wait for the next Look.
-
-    def _compute_known_bound(self, act, snap_failed, snap_moved,
-                             others_interior, other_plus, other_minus):
-        np = _np
-        N = self.bound[:, None]
-        btime_eff = np.minimum(self.Btime, self.Etime)
-        warm = self.Ttime >= 2 * N - 4
-        bounce_now = (warm & (btime_eff >= N - 1)) | snap_failed
-        other_on_left = np.where(self.left == 1, other_plus, other_minus)
-        catches_left = ~self.on_port & other_on_left
-        caught = self.on_port & ~snap_moved & (others_interior > 0)
-
-        init = act & (self.state == _INIT)
-        to_bounce = init & (bounce_now | catches_left)
-        to_forward = init & ~to_bounce & (caught | warm)
-        settled = act & (self.state != _INIT)
-        term_now = settled & (self.Ttime >= 3 * N - 6)
-
-        # Local moving direction: LEFT (-1) for Init/Forward, RIGHT (+1)
-        # for Bounce — including the round Bounce is entered.
-        local = np.full((self._C, self._K), -1, dtype=np.int64)
-        local[settled & (self.state == _BOUNCE_KB)] = 1
-        local[to_bounce] = 1
-
-        trans = to_bounce | to_forward
-        self.Etime[trans] = 0
-        self.Esteps[trans] = 0
-        self.state[to_bounce] = _BOUNCE_KB
-        self.state[to_forward] = _FORWARD_KB
-        return term_now, -local * self.left
-
-    def _compute_unconscious(self, act, snap_moved, others_interior,
-                             other_plus, other_minus):
-        np = _np
-        G = self.G
-        btime_eff = np.minimum(self.Btime, self.Etime)
-        over = self.Etime >= 2 * G
-        phase = act & (self.state <= _KEEP)
-        g_dir = -self.ldir * self.left  # global sign of the moving direction
-        other_ahead = np.where(g_dir == 1, other_plus, other_minus)
-        catches = ~self.on_port & other_ahead
-        caught = self.on_port & ~snap_moved & (others_interior > 0)
-
-        # Ordered rules of every phase state: over&blocked -> Reverse,
-        # over -> Keep, catches -> Bounce, caught -> Forward.
-        to_rev = phase & over & (btime_eff > G)
-        to_keep = phase & over & ~to_rev
-        calm = phase & ~over
-        to_bnc = calm & catches
-        to_fwd = calm & ~to_bnc & caught
-
-        # Preambles run before the Explore reset; Bounce/Forward fix
-        # ``fwd`` to the direction held at the moment of transition.
-        self.ldir[to_rev] = -self.ldir[to_rev]
-        self.G[to_keep] *= 2
-        self.fwd[to_bnc] = self.ldir[to_bnc]
-        self.fwd[to_fwd] = self.ldir[to_fwd]
-        trans = to_rev | to_keep | to_bnc | to_fwd
-        self.Etime[trans] = 0
-        self.Esteps[trans] = 0
-        self.state[to_rev] = _REVERSE
-        self.state[to_keep] = _KEEP
-        self.state[to_bnc] = _BOUNCE_UN
-        self.state[to_fwd] = _FORWARD_UN
-
-        # Directions from the post-transition state: phase states follow
-        # ``dir`` (Reverse already flipped it), Bounce opposes ``fwd``,
-        # Forward follows it.  The algorithm never terminates.
-        local = np.where(self.state <= _KEEP, self.ldir,
-                         np.where(self.state == _BOUNCE_UN, -self.fwd, self.fwd))
-        term_now = np.zeros((self._C, self._K), dtype=bool)
-        return term_now, -local * self.left
 
     # ------------------------------------------------------------------
     # results + introspection

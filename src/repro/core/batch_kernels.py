@@ -1,13 +1,15 @@
 """Vectorized state-machine kernels for :mod:`repro.core.batch`.
 
-PR 6's ``BatchCore`` hand-wrote one NumPy kernel per algorithm
-(``known-bound``, ``unconscious``).  This module generalises that into a
-small masked *state-machine driver* (:class:`VectorProgram`) that mirrors
-``StateMachineAlgorithm.compute`` exactly, column-wise:
+Every batchable algorithm is a :class:`VectorProgram` — a small masked
+*state-machine driver* that mirrors ``StateMachineAlgorithm.compute``
+exactly, column-wise.  :data:`PROGRAMS` lists them all (registry name ->
+factory); adding an algorithm means one program here beside its scalar
+``build_states``:
 
 * per-agent columns ``state`` (int code), ``entered`` (has the current
   state's on-enter/reset already run) and ``last_dir`` (the last direction
-  handed to ``move``) replace the scalar ``vars`` dict;
+  handed to ``move``) replace the scalar ``vars`` dict; a program's own
+  variables are ``v_*`` columns its ``setup`` allocates;
 * each :class:`VState` is the columnar twin of a ``StateSpec``: a
   direction (constant or column function), ordered transition rules,
   an optional vector ``on_enter`` preamble and an optional vector
@@ -38,6 +40,7 @@ and ``analysis/differential.py``):
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised implicitly by batch.py's gate
@@ -45,7 +48,7 @@ try:  # pragma: no cover - exercised implicitly by batch.py's gate
 except Exception:  # pragma: no cover
     _np = None
 
-from .errors import ProtocolViolation
+from .errors import ConfigurationError, ProtocolViolation
 
 # Action kinds emitted by a kernel, one int8 per agent.
 K_STAY = 0
@@ -149,20 +152,18 @@ class VState:
 
 
 class VectorProgram:
-    """An ordered set of :class:`VState` plus per-batch column setup."""
+    """An ordered set of :class:`VState` plus per-batch column setup.
 
-    __slots__ = ("states", "initial_code", "_setup")
+    ``setup(core)`` allocates the program's private columns on ``core``.
+    """
+
+    __slots__ = ("states", "initial_code", "setup")
 
     def __init__(self, states: Sequence[VState], initial_code: int,
-                 setup: Optional[Callable] = None):
+                 setup: Callable):
         self.states = tuple(states)
         self.initial_code = initial_code
-        self._setup = setup
-
-    def setup(self, core) -> None:
-        """Allocate this program's private columns on ``core``."""
-        if self._setup is not None:
-            self._setup(core)
+        self.setup = setup
 
     def run(self, core, act, look) -> Tuple["_np.ndarray", "_np.ndarray"]:
         """Compute for every agent in ``act``; returns ``(kind, local)``."""
@@ -290,12 +291,99 @@ def _d_against_fwd(core, look):
     return -core.v_fwd
 
 
+def _setup_bound(core, bound_minus: Optional[int]) -> None:
+    """Pin ``core.pbound[C]``: each cell's bound (default: its ring size)
+    minus ``bound_minus``; ``None`` means the program takes no bound."""
+    if bound_minus is not None:
+        core.pbound = _np.array(
+            [(c.bound if c.bound is not None else c.ring_size) - bound_minus
+             for c in core.cells], dtype=_np.int64)
+
+
+def _p_done_span(core, u, look, d):
+    """ctx.Tnodes >= bound (bound pinned per cell in ``core.pbound``)."""
+    return (core.max_net - core.min_net) >= core.pbound[:, None]
+
+
+# ---------------------------------------------------------------------------
+# known-bound (Figure 1): Init / Bounce / Forward, stops at 3N - 6
+# ---------------------------------------------------------------------------
+
+def _make_known_bound() -> VectorProgram:
+    # States: 0 Init(LEFT) / 1 Bounce(RIGHT) / 2 Forward(LEFT).
+    def p_warmup_over(core, u, look, d):
+        return core.Ttime >= 2 * core.pbound[:, None] - 4
+
+    def p_bounce_now(core, u, look, d):
+        bound = core.pbound[:, None]
+        long_block = _np.minimum(core.Btime, core.Etime) >= bound - 1
+        return (p_warmup_over(core, u, look, d) & long_block) | look.snap_failed
+
+    def p_deadline(core, u, look, d):
+        return core.Ttime >= 3 * core.pbound[:, None] - 6
+
+    return VectorProgram(
+        [
+            VState(0, direction=_LEFT,
+                   rules=((p_bounce_now, 1), (p_catches, 1), (p_caught, 2),
+                          (p_warmup_over, 2))),
+            VState(1, direction=_RIGHT, rules=((p_deadline, TERMINAL_CODE),)),
+            VState(2, direction=_LEFT, rules=((p_deadline, TERMINAL_CODE),)),
+        ],
+        initial_code=0, setup=lambda core: _setup_bound(core, 0))
+
+
+# ---------------------------------------------------------------------------
+# unconscious (Figure 3): guess-doubling phases, never terminates
+# ---------------------------------------------------------------------------
+
+def _make_unconscious() -> VectorProgram:
+    # States: 0 Init / 1 Reverse / 2 Keep (phase states, move along
+    # ``v_dir`` for 2G rounds) / 3 Bounce (against fwd) / 4 Forward (fwd).
+    def p_over(core, u, look, d):
+        return core.Etime >= 2 * core.v_G
+
+    def p_over_blocked(core, u, look, d):
+        blocked = _np.minimum(core.Btime, core.Etime) > core.v_G
+        return p_over(core, u, look, d) & blocked
+
+    def oe_reverse(core, ne, look):
+        core.v_dir[ne] = -core.v_dir[ne]
+        return None, None
+
+    def oe_keep(core, ne, look):
+        core.v_G[ne] *= 2
+        return None, None
+
+    def setup(core):
+        np = _np
+        shape = core.pos.shape
+        core.v_G = np.full(shape, 2, dtype=np.int64)
+        core.v_dir = np.full(shape, _LEFT, dtype=np.int64)
+        core.v_fwd = np.full(shape, _LEFT, dtype=np.int64)
+        core.v_fwd_set = np.zeros(shape, dtype=bool)
+
+    phase_rules = ((p_over_blocked, 1), (p_over, 2), (p_catches, 3),
+                   (p_caught, 4))
+    return VectorProgram(
+        [
+            VState(0, dir_fn=_d_var, rules=phase_rules),
+            VState(1, dir_fn=_d_var, on_enter=oe_reverse, rules=phase_rules),
+            VState(2, dir_fn=_d_var, on_enter=oe_keep, rules=phase_rules),
+            VState(3, dir_fn=_d_against_fwd, on_enter=_oe_remember_forward),
+            VState(4, dir_fn=_d_fwd, on_enter=_oe_remember_forward),
+        ],
+        initial_code=0, setup=setup)
+
+
 # ---------------------------------------------------------------------------
 # PT family: 2-agent chirality protocols (pt-bound / pt-landmark)
 # ---------------------------------------------------------------------------
 
-def _make_pt2(done_pred) -> VectorProgram:
+def _make_pt2(*, bound_minus: Optional[int]) -> VectorProgram:
     # States: 0 Init(LEFT) / 1 Bounce(RIGHT) / 2 Reverse(LEFT).
+    done_pred = p_size_known if bound_minus is None else _p_done_span
+
     def oe_bounce(core, ne, look):
         core.v_left_steps[ne] = core.Esteps[ne]
         term = ne & (core.v_right_steps >= 0) & \
@@ -311,6 +399,7 @@ def _make_pt2(done_pred) -> VectorProgram:
         shape = core.pos.shape
         core.v_left_steps = np.full(shape, -1, dtype=np.int64)
         core.v_right_steps = np.full(shape, -1, dtype=np.int64)
+        _setup_bound(core, bound_minus)
 
     return VectorProgram(
         [
@@ -324,9 +413,6 @@ def _make_pt2(done_pred) -> VectorProgram:
         initial_code=0, setup=setup)
 
 
-def _p_done_span(core, u, look, d):
-    """ctx.Tnodes >= bound (bound pinned per cell in ``core.pbound``)."""
-    return (core.max_net - core.min_net) >= core.pbound[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +420,11 @@ def _p_done_span(core, u, look, d):
 # et-exact — the latter with strict distance checks)
 # ---------------------------------------------------------------------------
 
-def _make_pt3(done_pred, *, strict: bool) -> VectorProgram:
+def _make_pt3(*, bound_minus: Optional[int], strict: bool) -> VectorProgram:
     # States: 0 Init(L) / 1 Bounce(R) / 2 Reverse(L) /
     #         3 MeetingR(L, keep_esteps) / 4 MeetingB(R, keep_esteps).
+    done_pred = p_size_known if bound_minus is None else _p_done_span
+
     def _stopped(core):
         if strict:
             return core.Esteps < core.v_d
@@ -365,6 +453,7 @@ def _make_pt3(done_pred, *, strict: bool) -> VectorProgram:
 
     def setup(core):
         core.v_d = _np.zeros(core.pos.shape, dtype=_np.int64)
+        _setup_bound(core, bound_minus)
 
     return VectorProgram(
         [
@@ -692,28 +781,33 @@ def _make_lmnc(*, arbitrary_start: bool) -> VectorProgram:
 # Dispatch
 # ---------------------------------------------------------------------------
 
-def build_program(algorithm: str, cells) -> Optional[VectorProgram]:
-    """The :class:`VectorProgram` for ``algorithm``, or None for the
-    legacy bespoke kernels (``known-bound`` / ``unconscious``)."""
-    if algorithm in ("pt-bound", "pt-bound-3", "et-exact"):
-        done = _p_done_span
-    else:
-        done = p_size_known
-    if algorithm in ("pt-bound", "pt-landmark"):
-        return _make_pt2(done)
-    if algorithm in ("pt-bound-3", "pt-landmark-3"):
-        return _make_pt3(done, strict=False)
-    if algorithm == "et-exact":
-        return _make_pt3(done, strict=True)
-    if algorithm == "et-unconscious":
-        return _make_etu()
-    if algorithm == "landmark-chirality":
-        return _make_lmc()
-    if algorithm == "start-from-landmark":
-        return _make_lmnc(arbitrary_start=False)
-    if algorithm == "landmark-no-chirality":
-        return _make_lmnc(arbitrary_start=True)
-    return None
+#: Every vectorised algorithm: registry name -> program factory.  The
+#: single source of :data:`repro.core.batch.BATCH_ALGORITHMS`.
+PROGRAMS: dict[str, Callable[[], VectorProgram]] = {
+    "known-bound": _make_known_bound,
+    "unconscious": _make_unconscious,
+    "landmark-chirality": _make_lmc,
+    "landmark-no-chirality": partial(_make_lmnc, arbitrary_start=True),
+    "start-from-landmark": partial(_make_lmnc, arbitrary_start=False),
+    "pt-bound": partial(_make_pt2, bound_minus=0),
+    "pt-landmark": partial(_make_pt2, bound_minus=None),
+    "pt-bound-3": partial(_make_pt3, bound_minus=0, strict=False),
+    "pt-landmark-3": partial(_make_pt3, bound_minus=None, strict=False),
+    "et-unconscious": _make_etu,
+    "et-exact": partial(_make_pt3, bound_minus=1, strict=True),
+}
+
+
+def build_program(algorithm: str) -> VectorProgram:
+    """A fresh :class:`VectorProgram` for ``algorithm``.
+
+    Raises :class:`ConfigurationError` for an algorithm without one.
+    """
+    factory = PROGRAMS.get(algorithm)
+    if factory is None:
+        raise ConfigurationError(
+            f"algorithm {algorithm!r} has no vector program")
+    return factory()
 
 
 __all__ = [
@@ -723,6 +817,7 @@ __all__ = [
     "K_TERM",
     "Look",
     "MAX_PASSES",
+    "PROGRAMS",
     "TERMINAL_CODE",
     "VState",
     "VectorProgram",

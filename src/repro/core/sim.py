@@ -65,6 +65,7 @@ from __future__ import annotations
 import enum
 import os
 import sys
+from time import perf_counter
 from typing import Any, Callable, Iterable, Sequence
 
 from .actions import Action, ActionKind, STAY
@@ -157,10 +158,8 @@ class SimulationCore:
         self.adversary = adversary
         self.transport = TransportModel(transport)
         self.trace = trace
-        # Optional obs PhaseTimer; attach via set_instrument().  The
-        # plain `step` never consults it — the instrumented twin is
-        # swapped in per instance, so the disabled path stays
-        # byte-identical to the uninstrumented engine.
+        # Optional obs PhaseTimer; attach via set_instrument().  `step`
+        # reads it once per round and times its phases only when set.
         self.instrument = None
         self._tie_break = port_tie_break
         self._optimized = bool(optimized)
@@ -238,10 +237,6 @@ class SimulationCore:
     @property
     def exploration_complete(self) -> bool:
         return len(self.visited) == self.topology.size
-
-    @property
-    def live_agents(self) -> list[AgentState]:
-        return [a for a in self.agents if not a.terminated and not a.crashed]
 
     @property
     def live_indexes(self) -> set[int]:
@@ -392,7 +387,10 @@ class SimulationCore:
     # ------------------------------------------------------------------
 
     def step(self) -> bool:
-        """Execute one round; returns ``False`` if no live agent remains."""
+        """Execute one round; returns ``False`` if no live agent remains.
+
+        Phase seconds accumulate on ``self.instrument`` when one is set.
+        """
         if not self._live:
             return False
         if self.faults is not None:
@@ -400,6 +398,9 @@ class SimulationCore:
             if not self._live:
                 return False
 
+        timer = self.instrument
+        if timer is not None:
+            t0 = perf_counter()
         missing = self._choose_missing()
         active = self._validated_activation(self.scheduler.select(self))
         self.last_active = active
@@ -409,11 +410,25 @@ class SimulationCore:
                 else tuple(sorted(missing, key=repr))
             )
             self._emit(EventKind.ROUND, None, (detail, tuple(sorted(active))))
+        if timer is not None:
+            t1 = perf_counter()
+            timer.adversary += t1 - t0
 
         decisions = self._look_compute(active)
+        if timer is not None:
+            t2 = perf_counter()
+            timer.look_compute += t2 - t1
+
         movers = self._resolve_actions(decisions)
         self._move_phase(movers)
+        if timer is not None:
+            t3 = perf_counter()
+            timer.move += t3 - t2
+
         self._end_of_round(active, movers)
+        if timer is not None:
+            timer.end_of_round += perf_counter() - t3
+            timer.rounds += 1
         self.round_no += 1
         return True
 
@@ -445,65 +460,8 @@ class SimulationCore:
         return decisions
 
     def set_instrument(self, instrument) -> None:
-        """Attach (or detach) an obs ``PhaseTimer`` to the round loop.
-
-        Instrumentation swaps :meth:`step` for :meth:`_step_instrumented`
-        on this *instance*, so an engine without an instrument executes
-        exactly the code it executed before observability existed —
-        that is the "near-zero cost when disabled" contract the
-        ``obs_overhead`` bench guard enforces.
-        """
+        """Attach (or detach, with ``None``) an obs ``PhaseTimer``."""
         self.instrument = instrument
-        if instrument is not None:
-            self.step = self._step_instrumented
-        else:
-            self.__dict__.pop("step", None)
-
-    def _step_instrumented(self) -> bool:
-        """`step` twin with per-phase wall-clock accounting.
-
-        Must mirror :meth:`step` exactly (asserted by
-        ``tests/obs/test_instrumented_step.py``); timings accumulate as
-        plain floats on the :class:`~repro.obs.metrics.PhaseTimer` and
-        are folded into histograms once per run by the executor.
-        """
-        from time import perf_counter
-
-        if not self._live:
-            return False
-        if self.faults is not None:
-            self._apply_round_faults()
-            if not self._live:
-                return False
-
-        instr = self.instrument
-        t0 = perf_counter()
-        missing = self._choose_missing()
-        active = self._validated_activation(self.scheduler.select(self))
-        self.last_active = active
-        if self.trace is not None:
-            detail = (
-                self.missing_edge if len(missing) <= 1
-                else tuple(sorted(missing, key=repr))
-            )
-            self._emit(EventKind.ROUND, None, (detail, tuple(sorted(active))))
-        t1 = perf_counter()
-        instr.adversary += t1 - t0
-
-        decisions = self._look_compute(active)
-        t2 = perf_counter()
-        instr.look_compute += t2 - t1
-
-        movers = self._resolve_actions(decisions)
-        self._move_phase(movers)
-        t3 = perf_counter()
-        instr.move += t3 - t2
-
-        self._end_of_round(active, movers)
-        instr.end_of_round += perf_counter() - t3
-        instr.rounds += 1
-        self.round_no += 1
-        return True
 
     def run(
         self,

@@ -10,10 +10,14 @@ trailing median for any headline, turning the series into a CI-enforced
 regression guard.
 
 Every headline is higher-is-better (throughputs and speedups); the 0.7
-default fraction absorbs CI-runner noise and the smoke-vs-full spread
-while still catching the 2x cliffs that matter.  Entries whose bench
-``mode`` differs from the latest entry's are still compared — mode is
-recorded so a human reading the file can see why a value moved.
+default fraction absorbs CI-runner noise while still catching the 2x
+cliffs that matter.  Each entry carries a host fingerprint (CPU model
+and count, python and numpy versions), and ``check`` compares like with
+like: an absolute rate (``*.rounds_per_s``, ``*.cells_per_s``) only
+against entries of the same fingerprint and bench ``mode``, because a
+slower runner or a smoke budget moves it without any code change.  A
+speedup is a ratio measured within one run, so it is compared across
+hosts and modes.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -30,10 +35,12 @@ from typing import Any, Mapping
 from .analyze import median
 
 __all__ = [
+    "ABSOLUTE_RATE_SUFFIXES",
     "HEADLINES",
     "HISTORY_SCHEMA",
     "check",
     "extract_headlines",
+    "host_fingerprint",
     "load_history",
     "main",
     "record",
@@ -52,8 +59,11 @@ HEADLINES: dict[str, tuple[str, ...]] = {
     "batch.speedup": ("batch", "headline", "speedup"),
     "batch.pt_et.speedup": ("batch", "headline_pt_et", "speedup"),
     "batch.ssync.speedup": ("batch", "headline_ssync", "speedup"),
-    "rule_dispatch.speedup": ("rule_dispatch", "speedup"),
 }
+
+#: Headlines ending in one of these are absolute rates: ``check``
+#: compares them only between entries of the same host and mode.
+ABSOLUTE_RATE_SUFFIXES = (".rounds_per_s", ".cells_per_s")
 
 
 def extract_headlines(bench: Mapping[str, Any]) -> dict[str, float]:
@@ -69,6 +79,32 @@ def extract_headlines(bench: Mapping[str, Any]) -> dict[str, float]:
         if isinstance(node, (int, float)):
             out[name] = float(node)
     return out
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine() or "unknown"
+
+
+def host_fingerprint() -> dict[str, Any]:
+    """What makes absolute rates comparable: CPU, python and numpy."""
+    try:
+        import numpy
+        numpy_version = numpy.__version__
+    except ImportError:
+        numpy_version = None
+    return {
+        "cpu": _cpu_model(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+    }
 
 
 def _git_sha(explicit: str | None = None) -> str:
@@ -102,8 +138,12 @@ def load_history(path: Path | str) -> list[dict]:
 
 def record(bench_path: Path | str, history_path: Path | str, *,
            git_sha: str | None = None,
-           now: float | None = None) -> dict:
-    """Append one bench file's headlines to the history; return the entry."""
+           now: float | None = None,
+           host: Mapping[str, Any] | None = None) -> dict:
+    """Append one bench file's headlines to the history; return the entry.
+
+    ``host`` defaults to this machine's :func:`host_fingerprint`.
+    """
     bench_path = Path(bench_path)
     bench = json.loads(bench_path.read_text())
     headlines = extract_headlines(bench)
@@ -116,6 +156,7 @@ def record(bench_path: Path | str, history_path: Path | str, *,
         "recorded_at": round(now if now is not None else time.time(), 3),
         "git_sha": _git_sha(git_sha),
         "mode": bench.get("mode", "full"),
+        "host": dict(host if host is not None else host_fingerprint()),
         "headlines": {k: headlines[k] for k in sorted(headlines)},
     }
     history_path = Path(history_path)
@@ -131,9 +172,11 @@ def check(history_path: Path | str, *, fraction: float = 0.7,
     """Regressions in the latest entry vs the trailing median (empty = ok).
 
     For each headline the latest entry carries, take up to ``window``
-    prior entries that also carry it; flag the headline when
-    ``latest < fraction * median(trailing)``.  A history with fewer
-    than two entries has no baseline and always passes.
+    prior entries that also carry it — for an absolute rate, only those
+    with the latest entry's ``host`` and ``mode`` (an entry without a
+    host matches none) — and flag the headline when
+    ``latest < fraction * median(trailing)``.  A headline without such a
+    baseline passes.
     """
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
@@ -141,9 +184,15 @@ def check(history_path: Path | str, *, fraction: float = 0.7,
     if len(entries) < 2:
         return []
     latest = entries[-1]
+    host, mode = latest.get("host"), latest.get("mode")
+    like_for_like = [e for e in entries[:-1]
+                     if host is not None and e.get("host") == host
+                     and e.get("mode") == mode]
     problems: list[str] = []
     for name, value in (latest.get("headlines") or {}).items():
-        trailing = [e["headlines"][name] for e in entries[:-1]
+        baseline = (like_for_like if name.endswith(ABSOLUTE_RATE_SUFFIXES)
+                    else entries[:-1])
+        trailing = [e["headlines"][name] for e in baseline
                     if name in (e.get("headlines") or {})]
         trailing = trailing[-window:]
         med = median(trailing)

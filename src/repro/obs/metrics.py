@@ -11,9 +11,8 @@ Design constraints (see ARCHITECTURE.md "Observability"):
   registry whose instruments are shared no-op singletons, so call sites
   may write ``registry().counter("x").inc()`` unconditionally.  Hot
   loops (the engine round loop) go further and never even reach a null
-  call: `SimulationCore.step` is swapped for an instrumented twin only
-  when a :class:`PhaseTimer` is attached, keeping the disabled path
-  byte-identical to the uninstrumented engine.  A bench guard
+  call: `SimulationCore.step` reads its :class:`PhaseTimer` once per
+  round and skips every clock read when none is attached.  A bench guard
   (``benchmarks/bench_engine_hotpath.py --max-obs-overhead``) enforces
   the <2% contract.
 * **Mergeable snapshots.**  Histograms keep a bounded reservoir of raw
@@ -324,7 +323,7 @@ def summarize_histogram(dump: Mapping) -> dict:
 class PhaseTimer:
     """Per-run accumulator for `SimulationCore` round-phase seconds.
 
-    The instrumented step adds plain-float deltas here (no locks, no
+    `SimulationCore.step` adds plain-float deltas here (no locks, no
     dict lookups in the round loop); :meth:`flush` folds the totals into
     registry histograms once per engine run.
     """

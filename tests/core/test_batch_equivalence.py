@@ -44,6 +44,7 @@ from repro.core.batch import (
     numpy_available,
     run_batch_cells,
 )
+from repro.core.batch_kernels import PROGRAMS, VectorProgram, build_program
 from repro.core.errors import ConfigurationError
 
 pytestmark = pytest.mark.skipif(
@@ -89,6 +90,20 @@ def _grid_cells() -> list[CellConfig]:
                 adversary=adversary, edge=4, transport=transport,
                 scheduler=_SSYNC_SCHEDULERS[(i + j) % 3],
                 stop_on_exploration=stop))
+    # A fixed missing edge on rings this small makes the two agents
+    # block and catch each other early: the unconscious phase rules
+    # (Reverse only on a block *longer* than G) and the direction each
+    # agent keeps after Bounce/Forward then decide the whole trajectory.
+    # known-bound twins cover its bounce rules on the same shapes.
+    cells += [
+        CellConfig(algorithm=algorithm, ring_size=n, agents=2,
+                   max_rounds=300, adversary="fixed", edge=edge,
+                   placement=placement)
+        for algorithm in ("unconscious", "known-bound")
+        for n in (5, 6)
+        for edge in range(5)
+        for placement in ("spread", "offset-spread")
+    ]
     # Placement policies, explicit positions (incl. out-of-range, which
     # resolve_positions wraps), mirrored orientation, bound overrides,
     # k=1 and a crowded ring.
@@ -408,6 +423,27 @@ class TestHypothesisCompositions:
 
 
 # -- the shared eligibility predicate -----------------------------------
+
+class TestPrograms:
+    """``PROGRAMS`` is the one list of vectorised algorithms."""
+
+    @pytest.mark.parametrize("algorithm", sorted(BATCH_ALGORITHMS))
+    def test_every_batch_algorithm_builds_a_program(self, algorithm):
+        program = build_program(algorithm)
+        assert isinstance(program, VectorProgram)
+        assert program.initial_code in {st.code for st in program.states}
+
+    def test_batch_algorithms_are_registry_programs(self):
+        from repro.campaigns.registry import ALGORITHMS
+
+        assert BATCH_ALGORITHMS == set(PROGRAMS)
+        assert BATCH_ALGORITHMS <= set(ALGORITHMS)
+
+    @pytest.mark.parametrize("algorithm", ["strawman", "no-such-algorithm"])
+    def test_unknown_algorithm_raises(self, algorithm):
+        with pytest.raises(ConfigurationError, match="no vector program"):
+            build_program(algorithm)
+
 
 class TestEligibilityPredicate:
     """One function, imported everywhere — these pin its contract."""

@@ -145,3 +145,68 @@ class TestCli:
         assert main(["record", "--bench", str(tmp_path / "no.json"),
                      "--history", str(tmp_path / "h.jsonl")]) == 2
         assert main(["check", "--history", str(tmp_path / "no.jsonl")]) == 2
+
+
+class TestLikeForLike:
+    HOST_A = {"cpu": "cpu-a", "cpus": 2, "python": "3.12.0", "numpy": "2.0"}
+    HOST_B = {"cpu": "cpu-b", "cpus": 8, "python": "3.12.0", "numpy": "2.0"}
+
+    def seed(self, tmp_path, rows):
+        """``rows``: (host, mode, rounds_per_s, speedup) per entry."""
+        hist = tmp_path / "hist.jsonl"
+        for i, (host, mode, rps, speedup) in enumerate(rows):
+            path = write_bench(tmp_path, f"b{i}.json", rounds_per_s=rps,
+                               speedup=speedup, mode=mode)
+            record(path, hist, git_sha=f"sha{i}", now=float(i), host=host)
+        return hist
+
+    def test_record_stamps_this_host(self, tmp_path):
+        import platform
+
+        entry = record(write_bench(tmp_path), tmp_path / "hist.jsonl")
+        assert set(entry["host"]) == {"cpu", "cpus", "python", "numpy"}
+        assert entry["host"]["python"] == platform.python_version()
+        assert load_history(tmp_path / "hist.jsonl")[0]["host"] == \
+            entry["host"]
+
+    def test_absolute_rate_ignores_other_hosts(self, tmp_path):
+        # a slower host's first row is not a regression of the faster one
+        hist = self.seed(tmp_path, [(self.HOST_A, "smoke", 20000.0, 8.0)] * 3
+                         + [(self.HOST_B, "smoke", 9000.0, 8.0)])
+        assert check(hist) == []
+
+    def test_absolute_rate_ignores_other_modes(self, tmp_path):
+        hist = self.seed(tmp_path, [(self.HOST_A, "full", 20000.0, 8.0)] * 3
+                         + [(self.HOST_A, "smoke", 9000.0, 8.0)])
+        assert check(hist) == []
+
+    def test_absolute_rate_compared_on_same_host_and_mode(self, tmp_path):
+        # other hosts' rows in between do not dilute the baseline
+        hist = self.seed(tmp_path, [
+            (self.HOST_A, "smoke", 20000.0, 8.0),
+            (self.HOST_B, "smoke", 5000.0, 8.0),
+            (self.HOST_A, "smoke", 20000.0, 8.0),
+            (self.HOST_A, "smoke", 9000.0, 8.0),
+        ])
+        problems = check(hist, window=1)
+        assert len(problems) == 1
+        assert problems[0].startswith("engine.rounds_per_s")
+
+    def test_speedup_compared_across_hosts_and_modes(self, tmp_path):
+        hist = self.seed(tmp_path, [(self.HOST_A, "full", 20000.0, 8.0)] * 3
+                         + [(self.HOST_B, "smoke", 20000.0, 3.0)])
+        problems = check(hist)
+        assert len(problems) == 1
+        assert problems[0].startswith("engine.speedup")
+
+    def test_entry_without_host_has_no_rate_baseline(self, tmp_path):
+        # rows recorded before fingerprints: rates are not comparable
+        hist = tmp_path / "hist.jsonl"
+        for i, rps in enumerate([20000.0, 20000.0, 9000.0]):
+            entry = {"schema": 1, "recorded_at": float(i),
+                     "git_sha": f"old{i}", "mode": "full",
+                     "headlines": {"engine.rounds_per_s": rps,
+                                   "engine.speedup": 8.0}}
+            with hist.open("a") as fh:
+                fh.write(json.dumps(entry) + "\n")
+        assert check(hist) == []
