@@ -68,6 +68,7 @@ from .executor import (
     chunk_cells,
     default_chunk_size,
     execute_cell,
+    plan_chunks,
     run_campaign,
     run_cells,
 )
@@ -145,6 +146,7 @@ __all__ = [
     "load_spec",
     "metrics_from_result",
     "open_store",
+    "plan_chunks",
     "render_fit_rows",
     "render_rows",
     "render_status",

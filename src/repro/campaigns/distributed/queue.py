@@ -38,6 +38,7 @@ import os
 import socket
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from ...core.errors import ConfigurationError
@@ -295,7 +296,7 @@ class WorkQueue:
         the inserts share one transaction, so concurrent enqueues
         serialise instead of racing each other into duplicates.
         """
-        from ..executor import _wants_batch, default_chunk_size
+        from ..executor import plan_chunks
 
         cells = list(cells)
         for cell in cells:
@@ -320,30 +321,25 @@ class WorkQueue:
                 continue
             seen.add(key)
             runnable.append((key, cell))
-        if chunk_size is None:
-            # Chunks sized to fill the vector width when every runnable
-            # cell qualifies for the batch path (wide chunks are what
-            # makes one lease one lockstep NumPy run).
-            batchable = bool(runnable) and all(
-                _wants_batch(cell, None) for _, cell in runnable)
-            chunk_size = default_chunk_size(len(runnable), batch=batchable)
-        elif chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}")
+        # The planner every mode shares, sized for this host's usable
+        # CPUs (the fleet's size is unknown here): batchable cells grouped
+        # by shape into chunks that fill the vector width (one lease, one
+        # lockstep NumPy run), scalar cells in spec order in 25-cell
+        # chunks.  No override: each cell's own ``batch`` field decides.
+        planned = plan_chunks(runnable, batch=None, chunk_size=chunk_size,
+                              cell=itemgetter(1))
         now = self._clock()
         # Serialise payloads before taking the write lock; the only work
         # inside the transaction is the indexed dedupe scan (reading the
         # precomputed cell_keys column — no JSON cell parsing, no
         # re-hashing) and the inserts, so fleet heartbeats/claims queued
         # behind a large enqueue wait microseconds, not a key-hash pass.
-        prepared = []
-        for start in range(0, len(runnable), chunk_size):
-            batch = runnable[start:start + chunk_size]
-            prepared.append((
-                [key for key, _ in batch],
-                json.dumps([cell.to_dict() for _, cell in batch],
-                           sort_keys=True, separators=(",", ":")),
-            ))
+        prepared = [
+            ([key for key, _ in chunk],
+             json.dumps([cell.to_dict() for _, cell in chunk],
+                        sort_keys=True, separators=(",", ":")))
+            for chunk in planned
+        ]
         by_key = dict(runnable)   # built outside the write lock
 
         def body(conn):
@@ -377,7 +373,7 @@ class WorkQueue:
             total=len(cells),
             enqueued_cells=fresh_count,
             chunks=chunk_count,
-            chunk_size=chunk_size,
+            chunk_size=max(map(len, planned), default=0),
             skipped_done=skipped_done,
             skipped_failed=skipped_failed,
             skipped_queued=len(runnable) - fresh_count + duplicates,

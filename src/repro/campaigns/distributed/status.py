@@ -28,7 +28,12 @@ from typing import Callable, Sequence
 from ...core.errors import ConfigurationError
 from ...obs import metrics as obs_metrics
 from ...obs.analyze import straggler_hint
-from ..executor import CampaignRun, batch_reject_counts, prepare_cells
+from ..executor import (
+    CampaignRun,
+    batch_reject_counts,
+    prepare_cells,
+    usable_cpus,
+)
 from ..spec import CampaignSpec, CellConfig
 from ..stores import ResultStore, open_store
 from .queue import (
@@ -382,7 +387,7 @@ def run_distributed(
     # already recorded) no worker is spawned.
     open_chunks = counts.pending + counts.leased
     if workers is None:
-        workers = multiprocessing.cpu_count()
+        workers = usable_cpus()
     workers = max(1, min(workers, open_chunks)) if open_chunks else 0
     records_before, errors_before = store.result_counts()
     total = counts.cells_remaining   # includes leftovers being resumed
@@ -425,7 +430,8 @@ def run_distributed(
             "drained (all local workers exited); inspect 'campaign status' "
             "and re-run — completed chunks are not lost")
     store.invalidate_caches()
-    if queue.counts().failed:
+    counts_after = queue.counts()
+    if counts_after.failed:
         # Parked chunks are terminal for finished() so a poison chunk
         # cannot hang the fleet — but a "successful" summary must not
         # hide cells that were never run.  (A re-enqueue may already
@@ -455,5 +461,6 @@ def run_distributed(
         failed=errors_after - errors_before,
         elapsed_s=time.perf_counter() - start,
         workers=workers,
+        batched=counts_after.cells_batched - counts.cells_batched,
         metrics=run_metrics,
     )

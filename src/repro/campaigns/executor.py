@@ -17,8 +17,10 @@ accounting.  Two things differ by mode, and both are arguments:
 Chunks reach the store as they complete, so an interrupted campaign
 loses at most the chunks in flight; :func:`run_cells` consults
 ``store.completed_keys()`` first and never re-runs a recorded cell.
-The chunking helpers (:func:`default_chunk_size`, :func:`chunk_cells`)
-size serial, pool and distributed chunks alike.
+:func:`plan_chunks` cuts the chunks of serial, pool and distributed
+runs alike.  It never mixes routes in one chunk: batchable cells,
+grouped by shape, fill the vector width even when the campaign also
+holds scalar cells, which keep their spec order in 25-cell chunks.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from ..core.batch import (
     batch_eligible,
     batch_ineligible_key,
     batch_ineligible_reason,
+    batch_shape,
     batch_width,
     numpy_available,
     run_batch_cells,
@@ -518,25 +521,40 @@ class CampaignRun:
         )
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has
+    one (a container pinned to 2 of 64 CPUs gets 2), else the CPU count.
+
+    The default worker count of pool and distributed runs, and the worker
+    count chunks are sized for when none is given.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
 def default_chunk_size(
     pending: int, workers: int | None = None, *, batch: bool = False
 ) -> int:
     """Cells per work unit: ~4 chunks per worker balances scheduling slack
     against IPC, capped at 25 so a straggler chunk never dominates.
 
-    With ``batch=True`` (every pending cell qualifies for the vector
-    path) the cap rises to :func:`~repro.core.batch.batch_width` (the
+    With ``batch=True`` (sizing a run of batchable cells) the cap rises
+    to :func:`~repro.core.batch.batch_width` (the
     ``REPRO_BATCH_WIDTH``-overridable vector width) and the target
     becomes one chunk per worker: a batched chunk is a single lockstep
     NumPy run, so wide chunks amortise the per-chunk setup and fill the
     vector width instead of slicing it into 25-cell slivers.
+    :func:`plan_chunks` sizes a campaign's batchable and scalar cells
+    separately, one call each.
 
     Shared with the distributed queue (where the eventual fleet size is
-    unknown at enqueue time and this host's CPU count stands in — small
-    chunks are also what makes lease stealing fine-grained).
+    unknown at enqueue time and this host's :func:`usable_cpus` stands
+    in — small chunks are also what makes lease stealing fine-grained).
     """
     if workers is None:
-        workers = multiprocessing.cpu_count()
+        workers = usable_cpus()
     if batch:
         return max(1, min(batch_width(), -(-pending // workers)))
     return max(1, min(25, -(-pending // (workers * 4))))
@@ -545,6 +563,50 @@ def default_chunk_size(
 def chunk_cells(items: Sequence[Any], size: int) -> list[list[Any]]:
     """Split a work list into chunks of at most ``size`` items."""
     return [list(items[i:i + size]) for i in range(0, len(items), size)]
+
+
+def plan_chunks(
+    items: Sequence[Any],
+    workers: int | None = None,
+    *,
+    batch: str | None,
+    chunk_size: int | None = None,
+    cell: Callable[[Any], CellConfig] = lambda item: item,
+) -> list[list[Any]]:
+    """Cut a run's pending cells into chunks that never mix routes.
+
+    The one chunk planner of serial, pool and distributed runs.  Cells
+    that may batch (routing override ``batch``, else each cell's own
+    field) are grouped by :func:`~repro.core.batch.batch_shape`, what
+    ``run_batch_cells`` groups by, and cut at
+    ``default_chunk_size(n_batch, workers, batch=True)``: a chunk is one
+    wide lockstep run even when the campaign also holds scalar cells.
+    The grouping is a stable sort with the shapes in order of first
+    appearance, so a campaign whose shapes already come in runs (such as
+    ``paper-tables``) keeps its cell order.  The scalar cells keep their spec
+    order and are cut at ``default_chunk_size(n_scalar, workers)``.  An
+    explicit ``chunk_size`` sizes both runs instead.  Batch chunks come
+    first, as the widest units of work.
+
+    ``items`` may carry more than the cell (the queue plans over its
+    ``(key, cell)`` pairs); ``cell`` extracts the cell from one item.
+    """
+    if chunk_size is not None and chunk_size < 1:
+        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
+    shapes: dict[tuple[str, int], list[Any]] = {}
+    scalar = []
+    for item in items:
+        c = cell(item)
+        if _wants_batch(c, batch):
+            shapes.setdefault(batch_shape(c), []).append(item)
+        else:
+            scalar.append(item)
+    batchable = [item for group in shapes.values() for item in group]
+    chunks = []
+    for run, wide in ((batchable, True), (scalar, False)):
+        size = chunk_size or default_chunk_size(len(run), workers, batch=wide)
+        chunks += chunk_cells(run, size)
+    return chunks
 
 
 def prepare_cells(
@@ -602,11 +664,12 @@ def run_cells(
     and refuses up front if NumPy is missing or any cell is ineligible.
     Routing never changes store keys or record contents.
 
-    ``workers=None`` uses every CPU; ``workers<=1`` runs the chunks
-    in-process (same chunks and records, useful under debuggers and in
-    tests).  Either way a :class:`LocalQueue` feeds :func:`drain`, so
-    results stream into ``store`` chunk by chunk and re-invoking with the
-    same cells resumes where an interrupted run stopped.
+    ``workers=None`` uses every usable CPU (:func:`usable_cpus`);
+    ``workers<=1`` runs the chunks in-process (same chunks and records,
+    useful under debuggers and in tests).  Either way a
+    :class:`LocalQueue` feeds :func:`drain`, so results stream into
+    ``store`` chunk by chunk and re-invoking with the same cells resumes
+    where an interrupted run stopped.
 
     Cells whose only stored outcome is an error record are skipped unless
     ``retry_failed``: re-driving failures is an explicit decision (a fleet
@@ -641,14 +704,10 @@ def run_cells(
                 "record cells twice")
 
     if workers is None:
-        workers = multiprocessing.cpu_count()
+        workers = usable_cpus()
     workers = max(1, min(workers, len(pending) or 1))
-    if chunk_size is None:
-        chunk_size = default_chunk_size(
-            len(pending), workers,
-            batch=bool(pending) and all(_wants_batch(c, batch)
-                                        for c in pending))
-    queue = LocalQueue(store, chunk_cells(pending, chunk_size))
+    queue = LocalQueue(store, plan_chunks(pending, workers, batch=batch,
+                                          chunk_size=chunk_size))
     runner = (functools.partial(run_inline, batch=batch) if workers == 1
               else functools.partial(run_pooled, workers=workers,
                                      batch=batch))

@@ -184,7 +184,8 @@ def make_parser() -> argparse.ArgumentParser:
         if enqueue:
             continue
         p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: all CPUs; 1 = serial)")
+                       help="worker processes (default: every CPU this "
+                            "process may use; 1 = serial)")
         p.add_argument("--no-report", action="store_true",
                        help="skip the aggregate table after the run")
         p.add_argument("--distributed", action="store_true",

@@ -88,10 +88,11 @@ except Exception:  # pragma: no cover
 HAVE_NUMPY = _np is not None and os.environ.get("REPRO_NO_NUMPY", "") != "1"
 
 #: Default number of cells per lockstep batch — also the chunk-size cap
-#: :func:`repro.campaigns.executor.default_chunk_size` uses when every
-#: pending cell qualifies (fill the vector width instead of 25-cell IPC
-#: chunks).  Override per process with ``REPRO_BATCH_WIDTH`` (validated
-#: by :func:`batch_width`).
+#: :func:`repro.campaigns.executor.default_chunk_size` gives a campaign's
+#: batchable cells, which the chunk planner keeps apart from its scalar
+#: ones (fill the vector width instead of 25-cell IPC chunks).  Override
+#: per process with ``REPRO_BATCH_WIDTH`` (validated by
+#: :func:`batch_width`).
 BATCH_WIDTH = 256
 
 #: Upper bound a ``REPRO_BATCH_WIDTH`` override may request.
@@ -469,52 +470,60 @@ class BatchCore:
     def _activation(self, run, missing):
         """This round's activation mask — the scalar scheduler, replayed.
 
-        FSYNC rows activate every live agent.  SSYNC rows replicate
-        their scheduler object exactly: same RNG stream (one
-        ``Random(seed + 1)`` per cell), same iteration order over
-        ``live_indexes``/``agents``, same starvation and ET-debt
-        bookkeeping — so the chosen sets are byte-identical to what the
-        scalar engine's ``scheduler.select`` would produce round by
-        round.
+        FSYNC rows activate every live agent; round-robin rows, computed
+        for all cells at once, the next live agent in index order.
+        Random-fair and ET-fair rows replicate their scheduler object
+        exactly: same RNG stream (one ``Random(seed + 1)`` per cell), same
+        iteration order over ``live_indexes``/``agents``, same starvation
+        and ET-debt bookkeeping.  Either way the chosen sets are
+        byte-identical to what the scalar engine's ``scheduler.select``
+        would produce round by round.
         """
         np = _np
         act = run[:, None] & ~self.term
         if self._all_fsync:
             return act
-        for ci in np.nonzero(run & (self.sched != _S_FSYNC))[0]:
+        rr = run & (self.sched == _S_RR)
+        if rr.any():
+            # Round-robin picks the (offset % live)-th live agent: the
+            # live agent whose running live count reaches that rank.
+            live = ~self.term[rr]
+            rank = self._rr_offset[rr] % live.sum(axis=1)
+            act[rr] = live & (np.cumsum(live, axis=1) == rank[:, None] + 1)
+            self._rr_offset[rr] += 1
+        # Random-fair and ET-fair rows replay each cell's own RNG stream,
+        # one cell at a time.
+        seeded = (self.sched == _S_RF) | (self.sched == _S_ETF)
+        for ci in np.nonzero(run & seeded)[0]:
             code = int(self.sched[ci])
             termrow = self.term[ci]
             live = [i for i in range(self._K) if not termrow[i]]
-            if code == _S_RR:
-                chosen = {live[int(self._rr_offset[ci]) % len(live)]}
-                self._rr_offset[ci] += 1
-            else:
-                rng = self._sched_rngs[ci]
-                chosen = {i for i in live if rng.random() < _RF_P}
-                for i in live:
-                    if self.rsa[ci, i] >= _RF_STARVATION_CAP:
-                        chosen.add(i)
-                if not chosen:
-                    chosen = {rng.choice(live)}
-                if code == _S_ETF:
-                    n = int(self.n[ci])
-                    gone = int(missing[ci])
-                    for i in range(self._K):
-                        if termrow[i] or not self.on_port[ci, i]:
-                            self._et_debt[ci, i] = 0
-                            continue
-                        node = int(self.pos[ci, i])
-                        edge = node if self.port[ci, i] == 1 else (node - 1) % n
-                        present = edge != gone
-                        if i in chosen:
-                            if present:
-                                self._et_debt[ci, i] = 0
-                            continue
+            rng = self._sched_rngs[ci]
+            chosen = {i for i in live if rng.random() < _RF_P}
+            for i in live:
+                if self.rsa[ci, i] >= _RF_STARVATION_CAP:
+                    chosen.add(i)
+            if not chosen:
+                chosen = {rng.choice(live)}
+            if code == _S_ETF:
+                n = int(self.n[ci])
+                gone = int(missing[ci])
+                for i in range(self._K):
+                    if termrow[i] or not self.on_port[ci, i]:
+                        self._et_debt[ci, i] = 0
+                        continue
+                    node = int(self.pos[ci, i])
+                    edge = node if self.port[ci, i] == 1 else (node - 1) % n
+                    present = edge != gone
+                    if i in chosen:
                         if present:
-                            self._et_debt[ci, i] += 1
-                            if self._et_debt[ci, i] >= _ETF_PATIENCE:
-                                chosen.add(i)
-                                self._et_debt[ci, i] = 0
+                            self._et_debt[ci, i] = 0
+                        continue
+                    if present:
+                        self._et_debt[ci, i] += 1
+                        if self._et_debt[ci, i] >= _ETF_PATIENCE:
+                            chosen.add(i)
+                            self._et_debt[ci, i] = 0
             row = np.zeros(self._K, dtype=bool)
             row[list(chosen)] = True
             act[ci] = row
@@ -770,11 +779,17 @@ def _split_batches(indexed_cells):
     return batches
 
 
+def batch_shape(cell: "CellConfig") -> tuple[str, int]:
+    """The two axes one :class:`BatchCore` requires uniform: the
+    algorithm and the agent count.  Cells of one shape can share a batch."""
+    return cell.algorithm, cell.agents
+
+
 def run_batch_cells(cells: Sequence["CellConfig"]) -> list[RunResult]:
     """Run eligible cells in lockstep; results align with the input order.
 
-    Heterogeneous inputs are grouped by (algorithm, agent count) — the
-    two axes :class:`BatchCore` requires to be uniform; transport,
+    Heterogeneous inputs are grouped by :func:`batch_shape` — the two
+    axes :class:`BatchCore` requires to be uniform; transport,
     scheduler, adversary and landmark mix freely within a batch — and
     each group is split so the pairwise occupancy tensor and the packed
     visited bitmap stay modest.  Raises :class:`ConfigurationError` if
@@ -789,7 +804,7 @@ def run_batch_cells(cells: Sequence["CellConfig"]) -> list[RunResult]:
         reason = batch_ineligible_reason(cell)
         if reason is not None:
             raise ConfigurationError(f"cell {idx} is not batch-eligible: {reason}")
-        groups.setdefault((cell.algorithm, cell.agents), []).append((idx, cell))
+        groups.setdefault(batch_shape(cell), []).append((idx, cell))
     for group in groups.values():
         for batch in _split_batches(group):
             core = BatchCore([cell for _, cell in batch])
@@ -815,6 +830,7 @@ __all__ = [
     "batch_eligible",
     "batch_ineligible_key",
     "batch_ineligible_reason",
+    "batch_shape",
     "batch_width",
     "numpy_available",
     "run_batch_cells",

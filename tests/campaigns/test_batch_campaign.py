@@ -10,6 +10,8 @@ only the telemetry) says which chunks vectorized and how fast.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -32,11 +34,13 @@ from repro.campaigns.distributed import (
 )
 from repro.campaigns.executor import (
     CampaignRun,
+    chunk_cells,
     default_chunk_size,
+    plan_chunks,
     run_chunk,
 )
 from repro.core import batch as batch_mod
-from repro.core.batch import BATCH_WIDTH
+from repro.core.batch import BATCH_WIDTH, batch_shape
 from repro.core.errors import ConfigurationError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -272,6 +276,18 @@ class TestNumpyFallback:
         assert metrics_by_key(batched.records()) == metrics_by_key(scalar.records())
 
 
+def mixed_plan_cells() -> list[CellConfig]:
+    """Batchable cells of two shapes, interleaved with scalar-only cells."""
+    unconscious = eligible_spec(seeds=range(4)).cell_list()
+    known_bound = [replace(c, algorithm="known-bound", label="kb")
+                   for c in eligible_spec(seeds=range(4, 9)).cell_list()]
+    scalar = [scalar_only_cell(seed) for seed in range(7)]
+    cells = []
+    for group in zip(unconscious, known_bound, scalar):
+        cells.extend(group)
+    return cells + known_bound[len(unconscious):] + scalar[len(unconscious):]
+
+
 class TestChunkSizing:
     def test_scalar_sizing_unchanged(self):
         assert default_chunk_size(1000, 8) == 25
@@ -299,15 +315,96 @@ class TestChunkSizing:
         assert max(sizes) == expected
         assert sum(sizes) == 30
 
-    def test_enqueue_keeps_scalar_sizing_for_mixed_cells(self, tmp_path):
-        cells = eligible_spec(seeds=range(3)).cell_list() + [scalar_only_cell()]
+    @needs_numpy
+    def test_enqueue_sizes_mixed_cells_by_route(self, tmp_path):
+        """Six batchable cells fill their chunks at the batch size; the
+        scalar cell gets a chunk of its own."""
+        lone = scalar_only_cell()
+        cells = eligible_spec(seeds=range(3)).cell_list() + [lone]
         spec = eligible_spec()
         store = SqliteStore(tmp_path / "q.db", campaign=spec.name)
-        queue = WorkQueue(store)
-        queue.enqueue(cells)
-        sizes = [n for n, in store.connection().execute(
-            "SELECT n_cells FROM chunks ORDER BY id")]
-        assert max(sizes) <= 25
+        WorkQueue(store).enqueue(cells)
+        rows = [(n, json.loads(keys)) for n, keys in store.connection().execute(
+            "SELECT n_cells, cell_keys FROM chunks ORDER BY id")]
+        batch_size = default_chunk_size(6, batch=True)
+        assert [n for n, _ in rows] == [
+            len(c) for c in chunk_cells(range(6), batch_size)] + [1]
+        assert rows[-1][1] == [lone.key()]
+
+    @needs_numpy
+    def test_every_cell_lands_in_exactly_one_chunk(self):
+        cells = mixed_plan_cells()
+        chunks = plan_chunks(cells, 2, batch=None)
+        assert sorted(id(c) for chunk in chunks for c in chunk) == sorted(
+            map(id, cells))
+
+    @needs_numpy
+    def test_no_chunk_mixes_batchable_and_scalar_cells(self):
+        chunks = plan_chunks(mixed_plan_cells(), 2, batch=None)
+        routes = [{batch_mod.batch_eligible(c) for c in chunk}
+                  for chunk in chunks]
+        assert all(len(r) == 1 for r in routes)
+        assert {True} in routes and {False} in routes
+
+    @needs_numpy
+    def test_cells_of_one_shape_keep_their_spec_order(self):
+        cells = mixed_plan_cells()
+        planned = [c for chunk in plan_chunks(cells, 2, batch=None)
+                   for c in chunk]
+        for shape in {(c.algorithm, c.agents, batch_mod.batch_eligible(c))
+                      for c in cells}:
+            def of_shape(seq):
+                return [c for c in seq if (
+                    c.algorithm, c.agents, batch_mod.batch_eligible(c)) == shape]
+            assert of_shape(planned) == of_shape(cells), shape
+
+    @needs_numpy
+    def test_batchable_cells_are_grouped_by_shape(self):
+        """One run per shape, the shapes in order of first appearance."""
+        cells = mixed_plan_cells()
+        planned = [c for chunk in plan_chunks(cells, 2, batch=None)
+                   for c in chunk if batch_mod.batch_eligible(c)]
+        runs = [shape for shape, _ in groupby(map(batch_shape, planned))]
+        first_seen = list(dict.fromkeys(
+            batch_shape(c) for c in cells if batch_mod.batch_eligible(c)))
+        assert len(first_seen) == 2
+        assert runs == first_seen
+
+    @needs_numpy
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_uniform_runs_keep_the_default_sizes(self, workers):
+        batchable = eligible_spec(seeds=range(40)).cell_list()
+        scalar = [scalar_only_cell(seed) for seed in range(90)]
+        for cells, batch, wide in ((batchable, None, True),
+                                   (scalar, None, False),
+                                   (batchable, "off", False)):
+            size = default_chunk_size(len(cells), workers, batch=wide)
+            chunks = plan_chunks(cells, workers, batch=batch)
+            assert chunks == chunk_cells(cells, size), (batch, wide)
+
+    @needs_numpy
+    def test_explicit_chunk_size_caps_both_runs(self):
+        cells = mixed_plan_cells()
+        chunks = plan_chunks(cells, 2, batch=None, chunk_size=4)
+        n_batch = sum(map(batch_mod.batch_eligible, cells))
+        n_scalar = len(cells) - n_batch
+        assert [len(c) for c in chunks] == [
+            len(c) for c in chunk_cells(range(n_batch), 4)
+            + chunk_cells(range(n_scalar), 4)]
+        assert all(len({batch_mod.batch_eligible(c) for c in chunk}) == 1
+                   for chunk in chunks)
+
+    def test_rejects_a_non_positive_chunk_size(self):
+        with pytest.raises(ConfigurationError, match="chunk_size"):
+            plan_chunks(mixed_plan_cells(), 2, batch=None, chunk_size=0)
+
+    @needs_numpy
+    def test_plans_over_items_carrying_their_cell(self):
+        cells = mixed_plan_cells()
+        pairs = [(c.key(), c) for c in cells]
+        keyed = plan_chunks(pairs, 2, batch=None, cell=lambda p: p[1])
+        bare = plan_chunks(cells, 2, batch=None)
+        assert [[c for _, c in chunk] for chunk in keyed] == bare
 
 
 @needs_numpy

@@ -1,5 +1,7 @@
 """Executor: serial/parallel equivalence, resume, failures, aggregation."""
 
+import os
+
 import pytest
 
 from repro.api import run_cell, run_exploration
@@ -180,6 +182,52 @@ class TestRunCells:
         fresh = ResultStore(store.path)
         assert fresh.error_keys() == set()
         assert store.query().errors() == []
+
+
+class TestUsableCpus:
+    """Default worker counts follow the CPUs this process may run on."""
+
+    @pytest.fixture
+    def pinned(self, monkeypatch):
+        """A host of 64 CPUs with this process pinned to ``cpus`` of them."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+
+        def pin(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
+        return pin
+
+    def test_reads_the_affinity_mask(self, pinned):
+        pinned(3)
+        assert executor_mod.usable_cpus() == 3
+
+    def test_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert executor_mod.usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert executor_mod.usable_cpus() == 1
+
+    def test_sizes_default_chunks(self, pinned):
+        pinned(3)
+        assert executor_mod.default_chunk_size(30, batch=True) == 10
+        assert executor_mod.default_chunk_size(120) == 10
+
+    def test_run_cells_defaults_to_usable_cpus(self, pinned, tmp_path):
+        pinned(1)
+        run = run_cells(small_spec().cells(), ResultStore(tmp_path / "r.jsonl"))
+        assert run.workers == 1 and run.executed == 6
+
+    def test_run_distributed_defaults_to_usable_cpus(self, pinned, tmp_path):
+        from repro.campaigns import SqliteStore
+        from repro.campaigns.distributed import run_distributed
+
+        pinned(1)
+        spec = small_spec()
+        run = run_distributed(
+            spec, SqliteStore(tmp_path / "d.db", campaign=spec.name),
+            lease_ttl_s=10)
+        assert run.workers == 1 and run.executed == 6
 
 
 class TestAggregation:

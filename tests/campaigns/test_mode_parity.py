@@ -1,7 +1,7 @@
 """Mode parity: serial, pool and distributed runs share one loop.
 
-One mixed cell list — batch-eligible cells, scalar-only cells (a fault
-plan) and a cell that errors — goes through ``run_cells`` serially, on a
+One mixed cell list — batch-eligible cells of two shapes, scalar-only
+cells (a fault plan) and a cell that errors — goes through ``run_cells`` serially, on a
 two-process pool, and through ``run_distributed``.  All three must write
 the same records (modulo the ``elapsed_s``/``span_id`` telemetry), report
 the same accounting, and find nothing left to do on a second pass: this
@@ -27,12 +27,19 @@ def mixed_cells() -> tuple[CampaignSpec, list[CellConfig]]:
               "agents": 2, "placement": "offset-spread",
               "horizon": "known_bound_time(N) + 5"},
         grid={"seed": [0, 1, 2], "ring_size": [6, 8]},
-        variants=[{"label": "batchable"},
+        variants=[{"label": "unconscious", "algorithm": "unconscious",
+                   "horizon": "10 * n", "stop_on_exploration": True},
+                  {"label": "batchable"},
                   {"label": "crash", "faults": "crash:1@4"}],
     )
     broken = CellConfig(algorithm="unconscious", ring_size=8, max_rounds=10,
                         placement="explicit", positions=None, label="broken")
-    return spec, spec.cell_list() + [broken]
+    # Interleave the variants, so every mode's chunk plan must regroup
+    # the two batch shapes and set the scalar cells apart.
+    cells = spec.cell_list()
+    per_variant = len(cells) // len(spec.variants)
+    cells = [c for i in range(per_variant) for c in cells[i::per_variant]]
+    return spec, cells + [broken]
 
 
 def execute(mode: str, spec, cells, store):
@@ -69,7 +76,10 @@ def test_the_spec_really_is_mixed():
     _, cells = mixed_cells()
     eligible = [c for c in cells if batch_eligible(c)]
     assert 0 < len(eligible) < len(cells) - 1
-    assert sum(1 for c in cells if c.faults) == len(eligible)
+    assert sum(1 for c in cells if c.faults) == len(cells) - 1 - len(eligible)
+    # two batch shapes, interleaved, so the planner regroups them
+    shapes = [c.algorithm for c in cells if batch_eligible(c)]
+    assert len(set(shapes)) == 2 and shapes[0] != shapes[1]
 
 
 def test_every_mode_writes_the_same_records(outcomes):
@@ -86,13 +96,15 @@ def test_every_mode_reports_the_same_accounting(outcomes):
         assert accounting(outcomes[mode][0]) == (total, 0, total, 1), mode
 
 
-def test_local_modes_batch_the_eligible_cells(outcomes):
+def test_every_mode_batches_the_eligible_cells(outcomes):
     if not numpy_available():
         pytest.skip("batch path needs numpy")
     _, cells = mixed_cells()
     eligible = sum(1 for c in cells if batch_eligible(c))
-    for mode in ("serial", "pool"):
+    for mode in MODES:
         assert outcomes[mode][0].batched == eligible, mode
+        assert f" batched={eligible} " in outcomes[mode][0].summary(), mode
+        assert outcomes[mode][1].batched == 0, mode
 
 
 def test_a_second_pass_executes_nothing(outcomes):

@@ -278,6 +278,35 @@ class TestSSyncMaskReplay:
         cells = [replace(c, seed=s) for c in base for s in SEEDS]
         assert not differential_cells(cells)
 
+    def test_round_robin_rows_beside_fsync_rows_as_agents_terminate(self):
+        """Round-robin rows are computed for the whole batch at once.
+
+        FSYNC and round-robin cells share one batch, and on these rings
+        start-from-landmark's agents 1 and 2 terminate within a few dozen
+        rounds while agent 0 runs on to the horizon, so the live set a
+        round-robin row picks from shrinks from 3 to 1 mid-run.
+        """
+        cells = [
+            CellConfig(algorithm="start-from-landmark", ring_size=n,
+                       agents=3, max_rounds=120, adversary=adversary,
+                       edge=2, seed=seed, scheduler=scheduler)
+            for scheduler in ("fsync", "round-robin")
+            for n in (5, 6, 7)
+            for adversary in ("fixed", "random")
+            for seed in SEEDS
+        ]
+        core = BatchCore(cells)
+        results = core.run()
+        shrunk = [
+            cell for ci, cell in enumerate(cells)
+            if cell.scheduler == "round-robin"
+            and (core.term_round[ci] >= 0).sum() == 2
+            and core.term_round[ci].max() < results[ci].rounds - 1
+        ]
+        assert len(shrunk) >= 3
+        assert not differential_cells(cells)
+        assert lockstep_divergence(shrunk[0]) is None
+
 
 class TestMixedEligibility:
     """A chunk mixing batchable and scalar-only cells loses nothing."""
