@@ -42,7 +42,7 @@ bench-batch-smoke:
 ## The all-eligible smoke campaigns twice — vectorized and scalar — then
 ## a byte-for-byte store diff.  batch-smoke covers the NS/FSYNC corner;
 ## batch-wide covers the widened frontier (PT/ET transports, landmark
-## kernels, SSYNC activation masks).
+## kernels, SSYNC activation masks, the block-agent peek, lost-on-removal).
 batch-diff:
 	PYTHONPATH=src $(PYTHON) -m repro campaign run --spec batch-smoke \
 		--workers 1 --batch auto --store results/batch-auto.jsonl
@@ -75,7 +75,7 @@ dist-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro campaign run --spec topologies-smoke \
 		--distributed --workers 2 --store sqlite:results/topo-dist.db
 
-## The fault-injection sweep: crashed/lossy agents next to their
+## The fault-injection sweep: crashed agents next to their
 ## fault-free twins, then the error and complexity-fit reports over the
 ## resulting store, then an integrity check.
 faults-campaign:

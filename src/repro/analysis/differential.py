@@ -2,7 +2,8 @@
 
 The vectorized batch engine (:mod:`repro.core.batch`) re-implements the
 round loop — FSYNC and the mask-replayable SSYNC schedulers, all three
-transports, every registry algorithm — as whole-array operations, so
+transports, every registry algorithm, fault plans and the block-agent
+adversary — as whole-array operations, so
 its correctness argument is *empirical by construction*: every claim of equivalence is backed by
 executing the same cells through :class:`~repro.core.batch.BatchCore`,
 ``SimulationCore(optimized=True)`` and the reference path
@@ -47,11 +48,13 @@ def result_payload(result: RunResult) -> dict[str, Any]:
     Deliberately the same shape as the ``result`` block of
     :func:`tests.core.golden_traces.run_digest`'s payload: rounds, the
     exploration outcome, the visited set, the halt reason and the full
-    per-agent record.  Two runs with equal payloads are
+    per-agent record.  A run under a fault plan adds one ``crashed``
+    entry (the census and the crashed indexes), so fault-free payloads
+    keep the golden shape.  Two runs with equal payloads are
     indistinguishable to every consumer of :class:`RunResult` that the
     campaign layer has (metrics, aggregation, reports).
     """
-    return {
+    payload = {
         "ring_size": result.ring_size,
         "rounds": result.rounds,
         "explored": result.explored,
@@ -62,6 +65,10 @@ def result_payload(result: RunResult) -> dict[str, Any]:
                     a.final_node, a.waiting_on_port]
                    for a in result.agents],
     }
+    if result.crashed_count is not None:
+        payload["crashed"] = [result.crashed_count,
+                              [a.index for a in result.agents if a.crashed]]
+    return payload
 
 
 def scalar_result(cell: CellConfig, *, optimized: bool = True) -> RunResult:
@@ -115,12 +122,12 @@ def differential_cells(
         for path in paths:
             scalar_payload = result_payload(
                 scalar_result(cell, optimized=(path == "optimized")))
-            for key, expected in scalar_payload.items():
-                if batch_payload.get(key) != expected:
+            for key in scalar_payload.keys() | batch_payload.keys():
+                if batch_payload.get(key) != scalar_payload.get(key):
                     divergences.append(Divergence(
                         cell=cell, path=path, field=key,
                         batch_value=batch_payload.get(key),
-                        scalar_value=expected))
+                        scalar_value=scalar_payload.get(key)))
     return divergences
 
 
@@ -132,6 +139,7 @@ def _agent_mismatch(state: dict, engine) -> str | None:
             "node": agent.node,
             "port": None if agent.port is None else int(agent.port),
             "terminated": agent.terminated,
+            "crashed": agent.crashed,
             "Ttime": mem.Ttime, "Tsteps": mem.Tsteps,
             "Etime": mem.Etime, "Esteps": mem.Esteps,
             "Btime": mem.Btime,
@@ -173,10 +181,10 @@ def lockstep_divergence(cell: CellConfig) -> str | None:
     batch_payload = result_payload(core.results()[0])
     scalar_payload = result_payload(
         scalar_result(cell, optimized=True))
-    for key, expected in scalar_payload.items():
-        if batch_payload.get(key) != expected:
+    for key in scalar_payload.keys() | batch_payload.keys():
+        if batch_payload.get(key) != scalar_payload.get(key):
             return (f"final result {key}: batch={batch_payload.get(key)!r} "
-                    f"scalar={expected!r}")
+                    f"scalar={scalar_payload.get(key)!r}")
     return None
 
 

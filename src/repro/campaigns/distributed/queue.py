@@ -285,6 +285,7 @@ class WorkQueue:
         *,
         chunk_size: int | None = None,
         retry_failed: bool = False,
+        batch: str | None = None,
     ) -> EnqueueReport:
         """Persist the pending cells of a campaign as claimable chunks.
 
@@ -295,6 +296,10 @@ class WorkQueue:
         pending or leased chunk are never double-queued — the scan and
         the inserts share one transaction, so concurrent enqueues
         serialise instead of racing each other into duplicates.
+
+        ``batch`` is the run's routing override, the one its workers
+        execute under: chunks are planned by the route their cells will
+        really take (``None`` = each cell's own ``batch`` field).
         """
         from ..executor import plan_chunks
 
@@ -325,8 +330,8 @@ class WorkQueue:
         # CPUs (the fleet's size is unknown here): batchable cells grouped
         # by shape into chunks that fill the vector width (one lease, one
         # lockstep NumPy run), scalar cells in spec order in 25-cell
-        # chunks.  No override: each cell's own ``batch`` field decides.
-        planned = plan_chunks(runnable, batch=None, chunk_size=chunk_size,
+        # chunks.
+        planned = plan_chunks(runnable, batch=batch, chunk_size=chunk_size,
                               cell=itemgetter(1))
         now = self._clock()
         # Serialise payloads before taking the write lock; the only work

@@ -55,13 +55,18 @@ def enqueue_campaign(
     chunk_size: int | None = None,
     retry_failed: bool = False,
     lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
+    batch: str | None = None,
 ) -> tuple[WorkQueue, EnqueueReport]:
-    """Expand a spec and enqueue its pending cells as claimable chunks."""
+    """Expand a spec and enqueue its pending cells as claimable chunks.
+
+    ``batch`` is the routing override the draining workers will run
+    under (``None`` for a fleet whose workers each pick their own).
+    """
     store = open_store(store, campaign=spec.name)
     queue = WorkQueue(store, lease_ttl_s=lease_ttl_s)
     report = queue.enqueue(
         cells if cells is not None else spec.cell_list(),
-        chunk_size=chunk_size, retry_failed=retry_failed)
+        chunk_size=chunk_size, retry_failed=retry_failed, batch=batch)
     return queue, report
 
 
@@ -378,7 +383,7 @@ def run_distributed(
                           debug_invariants=debug_invariants, batch=batch)
     queue, report = enqueue_campaign(
         spec, store, cells=cells, chunk_size=chunk_size,
-        retry_failed=retry_failed, lease_ttl_s=lease_ttl_s)
+        retry_failed=retry_failed, lease_ttl_s=lease_ttl_s, batch=batch)
     store = queue.store
     counts = queue.counts()
     # Clamp to the chunks actually claimable — including leftovers from a

@@ -329,9 +329,11 @@ def batch_smoke() -> CampaignSpec:
     The CI batch lane runs this twice — ``--batch auto`` and
     ``--batch off`` — and diffs the stores byte for byte: the vector
     path must be invisible in everything persisted.  The widened
-    frontier (PT/ET transports, landmark kernels, SSYNC masks) gets the
-    same treatment from the ``batch-wide`` preset; mixed chunk routing
-    is covered by ``faults-smoke`` (its fault plans stay scalar).
+    frontier (PT/ET transports, landmark kernels, SSYNC masks, the
+    block-agent peek) gets the same treatment from the ``batch-wide``
+    preset, fault plans from ``faults-smoke``; mixed chunk routing is
+    covered by ``impossibility``, whose peeking constructions stay
+    scalar.
     """
     return CampaignSpec(
         name="batch-smoke",
@@ -352,12 +354,15 @@ def batch_smoke() -> CampaignSpec:
 
 
 def batch_wide() -> CampaignSpec:
-    """The widened-frontier CI sweep: PT/ET, landmarks, SSYNC (54 cells).
+    """The widened-frontier CI sweep: PT/ET, landmarks, SSYNC, block-agent
+    and lost-on-removal (66 cells).
 
     Every cell is batch-eligible and every variant lands in a kernel
     family the original ``batch-smoke`` preset never touched: PT rides,
     ET exact-traversal bookkeeping, landmark size learning (with and
-    without chirality) and the pre-drawn SSYNC activation masks.  The
+    without chirality), the pre-drawn SSYNC activation masks, the
+    block-agent adversary's peek at agent 0's intended move and a
+    ``lost:*`` team crashing on a fixed removed edge.  The
     CI batch lane runs this twice — ``--batch auto`` and ``--batch
     off`` — and diffs the stores byte for byte, so a regression in any
     new kernel breaks CI even if the equivalence suite's grid misses
@@ -397,12 +402,18 @@ def batch_wide() -> CampaignSpec:
             {"label": "bw-ssync-et-fair", "algorithm": "known-bound",
              "scheduler": "et-fair", "transport": "et",
              "max_rounds": 1_500},
+            {"label": "bw-block-agent", "algorithm": "known-bound",
+             "adversary": "block-agent",
+             "horizon": "known_bound_time(N) + 5"},
+            {"label": "bw-lost", "algorithm": "known-bound",
+             "adversary": "fixed", "faults": "lost:*",
+             "horizon": "known_bound_time(N) + 5"},
         ],
     )
 
 
 def faults_smoke() -> CampaignSpec:
-    """A <60s resilience sweep: fault-free vs crashed vs lossy agents.
+    """A <60s resilience sweep: fault-free vs crashed agents.
 
     Pairs each algorithm family with an identical faulty twin so
     ``campaign report`` shows the degradation side by side: the
@@ -414,8 +425,8 @@ def faults_smoke() -> CampaignSpec:
     """
     return CampaignSpec(
         name="faults-smoke",
-        description="Fault-injection sweep: crash-at-round and lossy "
-                    "fault plans next to their fault-free twins.",
+        description="Fault-injection sweep: crash-at-round and per-round "
+                    "crash-rate fault plans next to their fault-free twins.",
         base={"adversary": "random", "transport": "ns", "agents": 2,
               "placement": "offset-spread"},
         grid={"seed": [0, 1, 2], "ring_size": [8, 12, 16]},

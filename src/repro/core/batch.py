@@ -12,7 +12,7 @@ edge removals a per-cell vector, and every round a fixed sequence of
 whole-array Look/Compute/Move operations.  Cells that halt simply leave
 the active mask; the survivors keep stepping.
 
-The frontier spans the paper's whole oblivious matrix:
+The frontier spans the paper's oblivious matrix and two extensions:
 
 * **every registry algorithm** — Compute is one driver for all of them:
   :mod:`repro.core.batch_kernels` runs each algorithm's
@@ -29,19 +29,26 @@ The frontier spans the paper's whole oblivious matrix:
 * **landmark cells** — the landmark is one more per-cell column
   (``lm``/``lm_seen``/``lm_first_net``/``size``/``Ntime``), maintained
   for every cell so LExplore observations match the scalar engine even
-  for algorithms that ignore them.
+  for algorithms that ignore them;
+* **fault plans** — every plan the scalar path accepts (``crash:A@R``,
+  ``lost:A``/``lost:*``, ``rate:p``): a ``crashed[C, K]`` column, the
+  round's crashes applied before the adversary, the stochastic clause
+  replayed from each cell's own ``Random(seed + 0x5EED)`` stream;
+* **the block-agent adversary** (Observation 1) — agent 0's intended
+  move comes from one side-effect-free pass of the vector program
+  against the round-start Look, its columns saved and restored around
+  the pass.
 
 Eligibility — the single predicate shared by the executor, the
 distributed worker and the test suite (:func:`batch_eligible`) — still
 excludes what genuinely has no array form:
 
-* *peeking* adversaries (``block-agent``, ``figure2``, ``theorem19``,
-  ``zigzag``, ``ns-starvation``, stochastic edge processes):
-  ``peek_intended_action`` is a per-agent speculative Compute against a
-  cloned memory;
-* *fault plans*: the injector hooks the scalar round structure;
+* the other *peeking* adversaries (``prevent-meetings``,
+  ``ns-starvation``, ``figure2``, ``theorem19``, ``zigzag``): they peek
+  every agent, and several also drive the activation schedule;
 * non-ring topologies, invalid configurations the scalar path rejects
-  (so the fallback reproduces the identical error record), and the
+  (a fault plan that fails to parse or names a missing agent among
+  them, so the fallback reproduces the identical error record), and the
   per-round invariant audit.
 
 Equivalence with :class:`~repro.core.sim.SimulationCore` is not argued,
@@ -68,6 +75,7 @@ import time
 from typing import TYPE_CHECKING, Sequence
 
 from ..obs import metrics as obs_metrics
+from ..resilience.faults import RATE_SEED_OFFSET, FaultPlan
 from .batch_kernels import (
     K_ENTER, K_MOVE, K_TERM, PROGRAMS, Look, build_program)
 from .errors import ConfigurationError
@@ -101,8 +109,10 @@ MAX_BATCH_WIDTH = 1 << 16
 #: Algorithms with a :class:`~repro.core.batch_kernels.VectorProgram`.
 BATCH_ALGORITHMS = frozenset(PROGRAMS)
 
-#: Adversaries whose edge choice is a function of (round, own RNG) only.
-BATCH_ADVERSARIES = frozenset({"none", "fixed", "periodic", "random"})
+#: Adversaries whose edge choice is a function of (round, own RNG), plus
+#: ``block-agent``, which peeks only at agent 0's intended move.
+BATCH_ADVERSARIES = frozenset(
+    {"none", "fixed", "periodic", "random", "block-agent"})
 
 #: Transport models with an array form (ET's guarantees live in its
 #: scheduler, so its move phase is NS's; PT adds the port ride).
@@ -171,7 +181,11 @@ def _batch_ineligibility(cell: "CellConfig") -> tuple[str, str] | None:
     if cell.adversary not in BATCH_ADVERSARIES:
         return "adversary", f"adversary {cell.adversary!r} peeks or schedules"
     if cell.faults:
-        return "faults", f"fault plan {cell.faults!r} needs the scalar fault hook"
+        try:
+            FaultPlan.parse(cell.faults).validate_agents(cell.agents)
+        except ConfigurationError as exc:
+            return ("faults", f"fault plan {cell.faults!r} is invalid "
+                              f"(scalar path rejects it): {exc}")
     if cell.transport not in BATCH_TRANSPORTS:
         return "transport", f"transport {cell.transport!r} has no array form"
     if cell.scheduler not in BATCH_SCHEDULERS:
@@ -226,7 +240,9 @@ def batch_eligible(cell: "CellConfig") -> bool:
     return _batch_ineligibility(cell) is None
 
 
-_ADV_CODE = {"none": 0, "fixed": 1, "periodic": 2, "random": 3}
+_ADV_CODE = {"none": 0, "fixed": 1, "periodic": 2, "random": 3,
+             "block-agent": 4}
+_A_BLOCK = 4
 _SCHED_CODE = {"fsync": 0, "round-robin": 1, "random-fair": 2, "et-fair": 3}
 _S_FSYNC, _S_RR, _S_RF, _S_ETF = 0, 1, 2, 3
 
@@ -250,6 +266,9 @@ class BatchCore:
     ``left[C,K]``           the global sign each agent labels *left*
                             (-1 canonical, +1 mirrored)
     ``term``/``term_round`` terminated flag / round of termination (-1 = never)
+    ``crashed[C,K]``        crashed by the cell's fault plan (disjoint from
+                            ``term``); ``lossy[C,K]`` marks lost-on-removal
+                            agents, ``has_plan[C]`` the cells with a plan
     counters                ``Ttime Tsteps Etime Esteps Btime net min_net
                             max_net Ntime`` plus ``moved``/``failed`` —
                             exactly :class:`~repro.core.memory.AgentMemory`'s
@@ -268,15 +287,17 @@ class BatchCore:
     ``running[C]``          cells still stepping; halted cells freeze
     ======================  =====================================================
 
-    Each :meth:`advance` replays one scalar round exactly — adversary
-    choice, scheduler activation (FSYNC constant or the SSYNC replica),
-    Look (pairwise same-node occupancy tensors), the algorithm's vector
-    program (state transitions with the driver's entered-state timing),
-    port mutual exclusion (denial = port held at round start, winner =
-    lowest index, ``Btime`` reset for every requester), the Move phase
-    (with PT port rides and landmark observation) and the end-of-round
-    tick — preceded by the scalar ``run()`` stop-condition check in its
-    exact priority order (all-terminated > explored > horizon).
+    Each :meth:`advance` replays one scalar round exactly — the fault
+    plans' crashes, Look (pairwise same-node occupancy tensors),
+    adversary choice (block-agent rows peek through the vector program),
+    scheduler activation (FSYNC constant or the SSYNC replica), the
+    algorithm's vector program (state transitions with the driver's
+    entered-state timing), port mutual exclusion (denial = port held at
+    round start, winner = lowest index, ``Btime`` reset for every
+    requester), the Move phase (with PT port rides, lost-on-removal
+    crashes and landmark observation) and the end-of-round tick —
+    preceded by the scalar ``run()`` stop-condition check in its exact
+    priority order (no survivor left > explored > horizon).
     """
 
     def __init__(self, cells: Sequence["CellConfig"]) -> None:
@@ -347,6 +368,7 @@ class BatchCore:
         self.port = zeros(np.int64)
         self.term = zeros(bool)
         self.term_round = np.full((C, K), -1, dtype=np.int64)
+        self.crashed = zeros(bool)
         self.Ttime = zeros(np.int64)
         self.Tsteps = zeros(np.int64)
         self.Etime = zeros(np.int64)
@@ -389,6 +411,24 @@ class BatchCore:
         self.rsa = zeros(np.int64)          # rounds_since_active
         self._et_debt = zeros(np.int64)
 
+        # -- fault plans: the scalar FaultInjector, replayed per cell ----
+        plans = [FaultPlan.parse(c.faults) if c.faults else None for c in cells]
+        self.has_plan = np.array([p is not None for p in plans], dtype=bool)
+        self._any_faults = bool(self.has_plan.any())
+        self.lossy = zeros(bool)
+        self._crash_at: dict[int, list[tuple[int, int]]] = {}
+        self._crash_rngs: list[tuple[int, random.Random, float]] = []
+        for ci, (cell, plan) in enumerate(zip(cells, plans)):
+            if plan is None:
+                continue
+            for round_no, agent in plan.crash_at:
+                self._crash_at.setdefault(round_no, []).append((ci, agent))
+            if plan.rate:
+                self._crash_rngs.append(
+                    (ci, random.Random(cell.seed + RATE_SEED_OFFSET), plan.rate))
+            self.lossy[ci] = plan.lost_all
+            self.lossy[ci, sorted(plan.lost)] = True
+
         # -- Compute kernel ---------------------------------------------
         self._program = build_program(self.algorithm)
         self.state = np.full(
@@ -396,8 +436,14 @@ class BatchCore:
         self.entered = zeros(bool)
         self.last_dir = np.full((C, K), -1, dtype=np.int64)
         self._program.setup(self)
+        # Every column a program may write: the block-agent peek runs the
+        # program against copies of these and puts the originals back.
+        self._program_columns = ("state", "entered", "last_dir", "Etime",
+                                 "Esteps") + tuple(
+            sorted(name for name in vars(self) if name.startswith("v_")))
 
         self.adv = np.array([_ADV_CODE[c.adversary] for c in cells], dtype=np.int64)
+        self._any_block = bool((self.adv == _A_BLOCK).any())
         self.adv_edge = np.array([c.edge for c in cells], dtype=np.int64)
         self._rngs = [
             random.Random(c.seed) if c.adversary == "random" else None
@@ -419,6 +465,9 @@ class BatchCore:
             self.visited_count >= self.n, 0, -1).astype(np.int64)
 
         self.round_no = np.zeros(C, dtype=np.int64)
+        #: This round's missing edge per cell (-1 = none, or the cell did
+        #: not step), the twin of the scalar engine's ``missing_edge``.
+        self.missing = np.full(C, -1, dtype=np.int64)
         self.running = np.ones(C, dtype=bool)
         self.halted: list[str | None] = [None] * C
         self._t = 0
@@ -434,30 +483,42 @@ class BatchCore:
 
         Returns ``False`` once every cell has halted.  The halt check
         mirrors ``SimulationCore.run`` exactly: conditions are evaluated
-        *before* each step, in the order all-terminated > explored >
+        *before* each step, in the order no-survivor-left > explored >
         horizon, so round counts and halt reasons match the scalar path.
+        A cell whose fault plan crashes its last live agent at the top of
+        a round does not step that round, nor count it (the scalar
+        ``step`` returns ``False`` before ``round_no += 1``); the next
+        halt check retires it.
         """
         np = _np
         running = self.running
         if not running.any():
             return False
-        all_term = self.term.all(axis=1)
+        dead = self.term | self.crashed if self._any_faults else self.term
+        all_dead = dead.all(axis=1)
         explored_stop = self.stop_expl & (self.visited_count >= self.n)
-        halt_term = running & all_term
-        halt_expl = running & ~all_term & explored_stop
-        halt_hor = (running & ~all_term & ~explored_stop
+        halt_dead = running & all_dead
+        halt_expl = running & ~all_dead & explored_stop
+        halt_hor = (running & ~all_dead & ~explored_stop
                     & (self.round_no >= self.max_rounds))
-        for ci in np.nonzero(halt_term)[0]:
-            self.halted[ci] = "all-terminated"
+        for ci in np.nonzero(halt_dead)[0]:
+            # Survivor census: the whole team crashed, or every survivor
+            # terminated (SimulationCore._halt_reason).
+            self.halted[ci] = ("all-crashed" if self.crashed[ci].all()
+                               else "all-terminated")
         for ci in np.nonzero(halt_expl)[0]:
             self.halted[ci] = "explored"
         for ci in np.nonzero(halt_hor)[0]:
             self.halted[ci] = "horizon"
-        running &= ~(halt_term | halt_expl | halt_hor)
+        running &= ~(halt_dead | halt_expl | halt_hor)
         if not running.any():
             return False
-        self._step(running)
-        self.round_no[running] += 1
+        stepping = running
+        if self._any_faults:
+            self._apply_round_faults(running)
+            stepping = running & ~(self.term | self.crashed).all(axis=1)
+        self._step(stepping)
+        self.round_no[stepping] += 1
         self._t += 1
         return True
 
@@ -467,27 +528,29 @@ class BatchCore:
             pass
         return self.results()
 
-    def _activation(self, run, missing):
+    def _activation(self, run, missing, dead):
         """This round's activation mask — the scalar scheduler, replayed.
 
-        FSYNC rows activate every live agent; round-robin rows, computed
-        for all cells at once, the next live agent in index order.
-        Random-fair and ET-fair rows replicate their scheduler object
-        exactly: same RNG stream (one ``Random(seed + 1)`` per cell), same
-        iteration order over ``live_indexes``/``agents``, same starvation
-        and ET-debt bookkeeping.  Either way the chosen sets are
+        Live means neither terminated nor crashed (``dead`` is the
+        complement).  FSYNC rows activate every live agent; round-robin
+        rows, computed for all cells at once, the next live agent in
+        index order.  Random-fair and ET-fair rows replicate their
+        scheduler object exactly: same RNG stream (one
+        ``Random(seed + 1)`` per cell), same iteration order over
+        ``live_indexes``/``agents``, same starvation and ET-debt
+        bookkeeping.  Either way the chosen sets are
         byte-identical to what the scalar engine's ``scheduler.select``
         would produce round by round.
         """
         np = _np
-        act = run[:, None] & ~self.term
+        act = run[:, None] & ~dead
         if self._all_fsync:
             return act
         rr = run & (self.sched == _S_RR)
         if rr.any():
             # Round-robin picks the (offset % live)-th live agent: the
             # live agent whose running live count reaches that rank.
-            live = ~self.term[rr]
+            live = ~dead[rr]
             rank = self._rr_offset[rr] % live.sum(axis=1)
             act[rr] = live & (np.cumsum(live, axis=1) == rank[:, None] + 1)
             self._rr_offset[rr] += 1
@@ -497,11 +560,15 @@ class BatchCore:
         for ci in np.nonzero(run & seeded)[0]:
             code = int(self.sched[ci])
             termrow = self.term[ci]
-            live = [i for i in range(self._K) if not termrow[i]]
+            deadrow = dead[ci] if self._any_faults else termrow
+            live = [i for i in range(self._K) if not deadrow[i]]
             rng = self._sched_rngs[ci]
             chosen = {i for i in live if rng.random() < _RF_P}
-            for i in live:
-                if self.rsa[ci, i] >= _RF_STARVATION_CAP:
+            # The scalar cap check walks every non-terminated agent, a
+            # crashed one (frozen rsa) included; the engine then drops
+            # whoever is not live.
+            for i in range(self._K):
+                if not termrow[i] and self.rsa[ci, i] >= _RF_STARVATION_CAP:
                     chosen.add(i)
             if not chosen:
                 chosen = {rng.choice(live)}
@@ -526,18 +593,41 @@ class BatchCore:
                             self._et_debt[ci, i] = 0
             row = np.zeros(self._K, dtype=bool)
             row[list(chosen)] = True
-            act[ci] = row
+            act[ci] = row & ~deadrow if self._any_faults else row
         return act
 
     def _step(self, run) -> None:
         np = _np
         t = self._t
+        dead = self.term | self.crashed if self._any_faults else self.term
 
-        # 1. adversary: the missing edge per cell (-1 = none).  Running
+        # 1. Look (simultaneous, against round-start state).  Pairwise
+        # same-node tensors answer every occupancy question the ring
+        # snapshot asks; terminated agents stay visible, crashed ones
+        # left the configuration, the observer excludes itself.  Nothing
+        # below reads state the adversary or the scheduler changes, so
+        # the Look is built first and the block-agent peek shares it.
+        pos = self.pos
+        same = pos[:, :, None] == pos[:, None, :]
+        others = same & ~self._eye
+        if self._any_faults:
+            others &= ~self.crashed[:, None, :]
+        on_port = self.on_port
+        others_interior = (others & ~on_port[:, None, :]).sum(axis=2)
+        holds_plus = on_port & (self.port == 1)
+        holds_minus = on_port & (self.port == -1)
+        other_plus = (others & holds_plus[:, None, :]).any(axis=2)
+        other_minus = (others & holds_minus[:, None, :]).any(axis=2)
+        look = Look(self.moved.copy(), self.failed.copy(), others_interior,
+                    other_plus, other_minus,
+                    is_lm=(pos == self.lm[:, None]))
+
+        # 2. adversary: the missing edge per cell (-1 = none).  Running
         # cells all sit at round t, so the oblivious adversaries are pure
         # functions of t (and, for "random", of the cell's own RNG, which
         # advances by exactly one randrange per stepped round — the same
-        # draw sequence the scalar engine consumes).
+        # draw sequence the scalar engine consumes).  Block-agent rows
+        # remove the edge agent 0 is about to try.
         missing = np.full(self._C, -1, dtype=np.int64)
         mask = run & (self.adv == 1)
         missing[mask] = self.adv_edge[mask]
@@ -548,29 +638,15 @@ class BatchCore:
         if mask.any():
             for ci in np.nonzero(mask)[0]:
                 missing[ci] = self._rngs[ci].randrange(int(self.n[ci]))
+        if self._any_block:
+            mask = run & (self.adv == _A_BLOCK)
+            if mask.any():
+                missing[mask] = self._intended_edge(mask, dead, look)[mask]
+        self.missing = missing
 
-        # 2. activation (FSYNC: every live agent; SSYNC: replayed draws).
-        act = self._activation(run, missing)
-
-        # 3. Look (simultaneous, against round-start state).  Pairwise
-        # same-node tensors answer every occupancy question the ring
-        # snapshot asks; terminated agents stay visible, the observer
-        # excludes itself.
-        pos = self.pos
-        same = pos[:, :, None] == pos[:, None, :]
-        others = same & ~self._eye
-        on_port = self.on_port
-        others_interior = (others & ~on_port[:, None, :]).sum(axis=2)
-        holds_plus = on_port & (self.port == 1)
-        holds_minus = on_port & (self.port == -1)
-        other_plus = (others & holds_plus[:, None, :]).any(axis=2)
-        other_minus = (others & holds_minus[:, None, :]).any(axis=2)
-        snap_failed = self.failed.copy()
-        snap_moved = self.moved.copy()
+        # 3. activation (FSYNC: every live agent; SSYNC: replayed draws).
+        act = self._activation(run, missing, dead)
         self.failed[act] = False
-        look = Look(snap_moved, snap_failed, others_interior,
-                    other_plus, other_minus,
-                    is_lm=(pos == self.lm[:, None]))
 
         # 4. Compute (the algorithm's vector program).
         kind, local_dir = self._program.run(self, act, look)
@@ -612,9 +688,16 @@ class BatchCore:
         n_col = self.n[:, None]
         edge = np.where(self.port == 1, self.pos, (self.pos - 1) % n_col)
         blocked = movers & (edge == missing[:, None])
+        traverse = movers & ~blocked
+        if self._any_faults:
+            # Lost-on-removal: a lossy agent waiting on the removed edge
+            # crashes instead of blocking.
+            lost = blocked & self.lossy
+            if lost.any():
+                self._crash(lost)
+                blocked &= ~lost
         self.moved[blocked] = False
         self.Btime[blocked] += 1
-        traverse = movers & ~blocked
         if self._any_pt:
             ride = (run[:, None] & self.is_pt[:, None] & ~self.term & ~act
                     & self.on_port & (edge != missing[:, None]))
@@ -666,9 +749,11 @@ class BatchCore:
                 self.explo_round[done] = t + 1
 
         # 7. End of round: clocks tick for active agents that did not
-        # terminate this round; idle live agents age toward the
+        # terminate or crash this round; idle live agents age toward the
         # starvation cap.
         alive = run[:, None] & ~self.term
+        if self._any_faults:
+            alive &= ~self.crashed
         tick = alive & act
         self.Ttime[tick] += 1
         self.Etime[tick] += 1
@@ -676,6 +761,83 @@ class BatchCore:
         if not self._all_fsync:
             self.rsa[tick] = 0
             self.rsa[alive & ~act] += 1
+
+    # ------------------------------------------------------------------
+    # fault plans and the block-agent peek
+    # ------------------------------------------------------------------
+
+    def _apply_round_faults(self, run) -> None:
+        """Crash the agents the cells' plans doom at this round's start.
+
+        ``FaultInjector.crashes_at_round``, replayed for every running
+        cell: the scheduled crashes of live agents, then, for ``rate:p``
+        cells, one draw per live agent in index order from the cell's
+        own stream.  Runs before the adversary and the scheduler, as
+        ``SimulationCore._apply_round_faults`` does.
+        """
+        live = run[:, None] & ~self.term & ~self.crashed
+        doomed = _np.zeros_like(live)
+        for ci, agent in self._crash_at.get(self._t, ()):
+            doomed[ci, agent] = True
+        for ci, rng, rate in self._crash_rngs:
+            if run[ci]:
+                for i, alive in enumerate(live[ci].tolist()):
+                    if alive and rng.random() < rate:
+                        doomed[ci, i] = True
+        doomed &= live
+        if doomed.any():
+            self._crash(doomed)
+
+    def _crash(self, mask) -> None:
+        """Remove the masked agents from the configuration for good.
+
+        A crashed agent releases its port and from then on is absent
+        from every Look, activation, clock tick and PT ride
+        (``SimulationCore._crash``); its position stays as its final node.
+        """
+        self.crashed |= mask
+        self.on_port[mask] = False
+
+    def _intended_edge(self, rows, dead, look):
+        """Per row, the edge agent 0 is about to try (-1 = none).
+
+        ``BlockAgentAdversary.choose_missing_edge``, column-wise: the
+        edge a MOVE from agent 0's side-effect-free Compute targets, else
+        the edge of the port agent 0 holds, else none — and always none
+        when agent 0 has terminated or crashed.
+        """
+        np = _np
+        peek = np.zeros(self.pos.shape, dtype=bool)
+        peek[:, 0] = rows & ~dead[:, 0]
+        kind, local = self._intend(peek, look)
+        moves = kind[:, 0] == K_MOVE
+        sign = np.where(moves, -local[:, 0] * self.left[:, 0], self.port[:, 0])
+        pos0 = self.pos[:, 0]
+        edge = np.where(sign == 1, pos0, (pos0 - 1) % self.n)
+        aim = peek[:, 0] & (moves | self.on_port[:, 0])
+        return np.where(aim, edge, -1)
+
+    def _intend(self, mask, look):
+        """One side-effect-free Compute for ``mask``: ``(kind, local)``.
+
+        The scalar peek Computes against a cloned memory; here every
+        column a program writes is swapped for a copy around the pass
+        and the originals put back, so the round's real Compute starts
+        from exactly the state the peek saw.
+        """
+        saved = {name: getattr(self, name) for name in self._program_columns}
+        for name, column in saved.items():
+            setattr(self, name, column.copy())
+        schedules = getattr(self, "_schedules", None)
+        if schedules is not None:
+            self._schedules = [row[:] for row in schedules]
+        try:
+            return self._program.run(self, mask, look)
+        finally:
+            for name, column in saved.items():
+                setattr(self, name, column)
+            if schedules is not None:
+                self._schedules = schedules
 
     # ------------------------------------------------------------------
     # results + introspection
@@ -702,6 +864,7 @@ class BatchCore:
                                        if self.term_round[ci, i] >= 0 else None),
                     final_node=int(self.pos[ci, i]),
                     waiting_on_port=bool(self.on_port[ci, i]),
+                    crashed=bool(self.crashed[ci, i]),
                 )
                 for i in range(self._K)
             ]
@@ -713,6 +876,10 @@ class BatchCore:
                 visited=self._visited_nodes(ci),
                 agents=stats,
                 halted_reason=self.halted[ci] or "horizon",
+                # Only cells with a plan report a census, as on the scalar
+                # path: fault-free records keep their shape.
+                crashed_count=(int(self.crashed[ci].sum())
+                               if self.has_plan[ci] else None),
             ))
         return out
 
@@ -729,6 +896,7 @@ class BatchCore:
                 "node": int(self.pos[ci, i]),
                 "port": int(self.port[ci, i]) if self.on_port[ci, i] else None,
                 "terminated": bool(self.term[ci, i]),
+                "crashed": bool(self.crashed[ci, i]),
                 "Ttime": int(self.Ttime[ci, i]),
                 "Tsteps": int(self.Tsteps[ci, i]),
                 "Etime": int(self.Etime[ci, i]),

@@ -24,10 +24,17 @@ halts ``all-crashed``.
 The stochastic clause draws from its own ``random.Random`` seeded from
 the cell seed, so faulty cells replay deterministically and never
 perturb the adversary's or scheduler's seeded streams.
+
+Both cores consult the plan: the scalar
+:class:`~repro.core.sim.SimulationCore` through a per-run
+:class:`FaultInjector`, and :class:`~repro.core.batch.BatchCore` by
+replaying the same schedule, stochastic stream and lost-on-removal rule
+column-wise, so a faulty cell's record is the same on either route.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
@@ -37,6 +44,11 @@ from ..core.errors import ConfigurationError
 _CRASH_RE = re.compile(r"^crash:(\d+)@(\d+)$")
 _LOST_RE = re.compile(r"^lost:(\d+|\*)$")
 _RATE_RE = re.compile(r"^rate:(0(?:\.\d+)?|\.\d+)$")
+
+#: The stochastic clause's stream is ``Random(seed + RATE_SEED_OFFSET)``:
+#: offset so it never aliases the adversary's ``seed`` or the
+#: scheduler's ``seed + 1`` streams.
+RATE_SEED_OFFSET = 0x5EED
 
 
 @dataclass(frozen=True)
@@ -53,8 +65,14 @@ class FaultPlan:
     rate: float = 0.0
 
     @classmethod
+    @functools.lru_cache(maxsize=256)
     def parse(cls, spec: str) -> "FaultPlan":
-        """Parse a ``faults`` spec string; raises on anything malformed."""
+        """Parse a ``faults`` spec string; raises on anything malformed.
+
+        Memoised per spec string (a plan is immutable): routing, the
+        batch core and the scalar engine all parse the same few plans
+        once per cell.  A malformed spec raises on every call.
+        """
         crash_at: list[tuple[int, int]] = []
         lost: set[int] = set()
         lost_all = False
@@ -118,9 +136,7 @@ class FaultInjector:
         self._scheduled: dict[int, list[int]] = {}
         for round_no, agent in plan.crash_at:
             self._scheduled.setdefault(round_no, []).append(agent)
-        # A dedicated stream (offset so it never aliases the adversary's
-        # `seed` or the scheduler's `seed + 1` streams).
-        self._rng = random.Random(seed + 0x5EED) if plan.rate else None
+        self._rng = random.Random(seed + RATE_SEED_OFFSET) if plan.rate else None
 
     def crashes_at_round(self, round_no: int, live: list[int]) -> list[int]:
         """Indexes (sorted, live) to crash at the start of ``round_no``.

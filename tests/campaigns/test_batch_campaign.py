@@ -235,11 +235,13 @@ class TestStrictMode:
                                                       capsys):
         from repro.cli import main
 
-        code = main(["campaign", "run", "--spec", "faults-smoke",
+        # impossibility mixes 2 batchable cells with 10 whose
+        # constructions peek (or schedule) and so stay scalar.
+        code = main(["campaign", "run", "--spec", "impossibility",
                      "--batch", "on", "--workers", "1", "--no-report",
-                     "--store", f"sqlite:{tmp_path}/faults.db", *mode])
+                     "--store", f"sqlite:{tmp_path}/imp.db", *mode])
         assert code == 2
-        assert "27 cell(s) are not batch-eligible" in capsys.readouterr().err
+        assert "10 cell(s) are not batch-eligible" in capsys.readouterr().err
 
     def test_on_without_numpy_is_an_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
@@ -501,12 +503,14 @@ class TestPresetBatchIntent:
 
     ``batch-smoke`` and ``batch-wide`` exist to exercise the vector
     path in CI: every cell must stay batch-eligible.  ``faults-smoke``
-    deliberately pairs eligible fault-free twins with faulted cells
-    that must stay scalar *because of the fault plan* — an eligibility
-    regression in either direction changes what the preset tests.
+    pairs fault-free twins with faulted cells; since BatchCore runs
+    fault plans, both halves batch, and a plan that fell back to the
+    scalar path would silently take the faulted half out of the CI
+    byte diff.
     """
 
-    @pytest.mark.parametrize("preset", ["batch-smoke", "batch-wide"])
+    @pytest.mark.parametrize(
+        "preset", ["batch-smoke", "batch-wide", "faults-smoke"])
     def test_all_cells_of_batch_presets_are_eligible(self, preset):
         from repro.campaigns.presets import get_spec
         from repro.core.batch import batch_ineligible_reason
@@ -515,13 +519,14 @@ class TestPresetBatchIntent:
             reason = batch_ineligible_reason(cell)
             assert reason is None, f"{cell.key()}: {reason}"
 
-    def test_faults_smoke_scalar_cells_are_exactly_the_faulted_ones(self):
+    def test_faults_smoke_faulted_cells_batch(self):
+        """The preset's faulted half (27 of 45 cells) takes the vector
+        path, so the all-eligible check above is not vacuous for it."""
         from repro.campaigns.presets import get_spec
         from repro.core.batch import batch_ineligible_key
 
-        for cell in get_spec("faults-smoke").cell_list():
+        faulted = [c for c in get_spec("faults-smoke").cell_list() if c.faults]
+        assert len(faulted) == 27
+        for cell in faulted:
             key = batch_ineligible_key(cell)
-            if cell.faults:
-                assert key == "faults", f"{cell.key()}: {key}"
-            else:
-                assert key is None, f"{cell.key()}: {key}"
+            assert key is None, f"{cell.key()}: {key}"

@@ -477,6 +477,52 @@ class TestRunDistributed:
         assert "fleet status" in text and "finished: yes" in text
 
 
+class TestEnqueueRoutingOverride:
+    """The run's ``batch`` override reaches the chunk planner.
+
+    Workers of a ``--distributed --batch off`` run execute every cell
+    scalar, so the queue must hold 25-cell scalar chunks, not one wide
+    batch chunk run scalar under a single lease.
+    """
+
+    @pytest.fixture(autouse=True)
+    def one_cpu(self, monkeypatch):
+        # enqueue sizes chunks for this host's CPUs; pin them so the
+        # batch and scalar layouts differ on any machine.
+        from repro.campaigns import executor
+
+        monkeypatch.setattr(executor, "usable_cpus", lambda: 1)
+
+    def spec(self):
+        return fast_spec(name="route", seeds=range(30))   # 60 cells
+
+    @pytest.mark.parametrize("batch", ["off", "auto", None])
+    def test_enqueue_plans_by_the_override(self, tmp_path, batch):
+        from repro.core.batch import numpy_available
+
+        spec = self.spec()
+        queue, report = enqueue_campaign(
+            spec, SqliteStore(tmp_path / "q.db"), batch=batch)
+        assert report.enqueued_cells == 60
+        if batch == "off" or not numpy_available():
+            # default_chunk_size(60, 1): 4 scalar chunks of 15
+            assert report.chunks == 4 and report.chunk_size <= 25
+        else:
+            # batchable cells: one lockstep chunk, as with no override
+            assert report.chunks == 1 and report.chunk_size == 60
+
+    def test_run_distributed_threads_the_override(self, tmp_path):
+        spec = self.spec()
+        store = SqliteStore(tmp_path / "d.db", campaign=spec.name)
+        run = run_distributed(spec, store, workers=1, lease_ttl_s=10,
+                              batch="off")
+        assert run.executed == 60 and run.batched == 0
+        queue = WorkQueue(store)
+        assert queue.counts().done == 4
+        assert all(c.n_cells <= 25 and not c.batched
+                   for c in queue.recent_chunks(limit=10))
+
+
 class TestDistributedCli:
     def run_cli(self, *argv):
         from repro.cli import main

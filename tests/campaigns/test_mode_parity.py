@@ -1,7 +1,8 @@
 """Mode parity: serial, pool and distributed runs share one loop.
 
-One mixed cell list — batch-eligible cells of two shapes, scalar-only
-cells (a fault plan) and a cell that errors — goes through ``run_cells`` serially, on a
+One mixed cell list — batch-eligible cells of two shapes (one with a
+fault plan), scalar-only cells (a peeking adversary) and a cell that
+errors — goes through ``run_cells`` serially, on a
 two-process pool, and through ``run_distributed``.  All three must write
 the same records (modulo the ``elapsed_s``/``span_id`` telemetry), report
 the same accounting, and find nothing left to do on a second pass: this
@@ -30,7 +31,8 @@ def mixed_cells() -> tuple[CampaignSpec, list[CellConfig]]:
         variants=[{"label": "unconscious", "algorithm": "unconscious",
                    "horizon": "10 * n", "stop_on_exploration": True},
                   {"label": "batchable"},
-                  {"label": "crash", "faults": "crash:1@4"}],
+                  {"label": "crash", "faults": "crash:1@4"},
+                  {"label": "meetings", "adversary": "prevent-meetings"}],
     )
     broken = CellConfig(algorithm="unconscious", ring_size=8, max_rounds=10,
                         placement="explicit", positions=None, label="broken")
@@ -76,7 +78,10 @@ def test_the_spec_really_is_mixed():
     _, cells = mixed_cells()
     eligible = [c for c in cells if batch_eligible(c)]
     assert 0 < len(eligible) < len(cells) - 1
-    assert sum(1 for c in cells if c.faults) == len(cells) - 1 - len(eligible)
+    # the fault plan batches; the peeking adversary is what stays scalar
+    assert any(c.faults for c in eligible)
+    assert (sum(1 for c in cells if c.adversary == "prevent-meetings")
+            == len(cells) - 1 - len(eligible))
     # two batch shapes, interleaved, so the planner regroups them
     shapes = [c.algorithm for c in cells if batch_eligible(c)]
     assert len(set(shapes)) == 2 and shapes[0] != shapes[1]

@@ -65,6 +65,10 @@ _HOME_TRANSPORT = {
 #: The pre-drawn-activation-mask schedulers (everything but fsync/auto).
 _SSYNC_SCHEDULERS = ("round-robin", "random-fair", "et-fair")
 
+#: Fault plans the grid crosses with algorithms and adversaries.
+_FAULT_PLANS = ("crash:0@0,crash:1@0", "crash:1@4", "crash:0@2,lost:1",
+                "lost:*", "rate:0.05")
+
 
 def _grid_cells() -> list[CellConfig]:
     """>= 20 cells covering every vectorizable algorithm x adversary,
@@ -103,6 +107,20 @@ def _grid_cells() -> list[CellConfig]:
         for n in (5, 6)
         for edge in range(5)
         for placement in ("spread", "offset-spread")
+    ]
+    # Fault plans — every clause kind, alone and combined, a plan that
+    # crashes the whole team at round 0 — under FSYNC and the replayed
+    # SSYNC schedulers, beside an oblivious and the block-agent adversary.
+    cells += [
+        CellConfig(algorithm=algorithm, ring_size=8, agents=k,
+                   max_rounds=80, adversary=adversary, edge=3,
+                   transport=_HOME_TRANSPORT.get(algorithm, "ns"),
+                   scheduler=scheduler, faults=plan)
+        for algorithm, k, scheduler in (
+            ("known-bound", 2, "auto"), ("unconscious", 2, "random-fair"),
+            ("pt-bound", 2, "auto"), ("et-exact", 3, "auto"))
+        for adversary in ("fixed", "block-agent")
+        for plan in _FAULT_PLANS
     ]
     # Placement policies, explicit positions (incl. out-of-range, which
     # resolve_positions wraps), mirrored orientation, bound overrides,
@@ -166,6 +184,9 @@ class TestGridEquivalence:
         assert {(c.algorithm, c.scheduler) for c in GRID} >= {
             (alg, sched)
             for alg in BATCH_ALGORITHMS for sched in _SSYNC_SCHEDULERS}
+        # every fault clause kind, under the block-agent peek too
+        assert {(c.faults, c.adversary) for c in GRID} >= {
+            (plan, "block-agent") for plan in _FAULT_PLANS}
         assert all(batch_eligible(c) for c in GRID)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -308,6 +329,136 @@ class TestSSyncMaskReplay:
         assert lockstep_divergence(shrunk[0]) is None
 
 
+def _both_cores(cell):
+    """``(batch, scalar)`` results of one cell."""
+    from repro.analysis.differential import scalar_result
+
+    return run_batch_cells([cell])[0], scalar_result(cell)
+
+
+class TestFaultPlans:
+    """Crash state on both cores: the edge cases, pinned."""
+
+    def test_crashing_the_whole_team_at_round_zero(self):
+        cell = CellConfig(algorithm="known-bound", ring_size=8, agents=2,
+                          max_rounds=50, faults="crash:0@0,crash:1@0")
+        for result in _both_cores(cell):
+            assert result.rounds == 0
+            assert result.halted_reason == "all-crashed"
+            assert result.crashed_count == 2
+            assert all(a.crashed and not a.waiting_on_port
+                       for a in result.agents)
+        assert lockstep_divergence(cell) is None
+
+    def test_scheduled_crash_of_a_terminated_agent_does_nothing(self):
+        from dataclasses import replace
+
+        # Agent 0 terminates at round 5; the run ends at round 18.
+        free = CellConfig(algorithm="start-from-landmark", ring_size=5,
+                          agents=3, max_rounds=120, adversary="fixed",
+                          edge=2)
+        cell = replace(free, faults="crash:0@10")
+        expected = result_payload(run_batch_cells([free])[0])
+        assert expected["agents"][0][3] == 5 and expected["rounds"] == 18
+        for result in _both_cores(cell):
+            payload = result_payload(result)
+            assert payload.pop("crashed") == [0, []]
+            assert payload == expected
+        assert lockstep_divergence(cell) is None
+
+    @pytest.mark.parametrize("edge", [0, 3, 6])
+    def test_lost_on_removal_under_a_fixed_edge(self, edge):
+        cell = CellConfig(algorithm="known-bound", ring_size=8, agents=2,
+                          max_rounds=60, adversary="fixed", edge=edge,
+                          faults="lost:*")
+        batch, scalar = _both_cores(cell)
+        assert result_payload(batch) == result_payload(scalar)
+        assert batch.crashed_count >= 1
+        assert lockstep_divergence(cell) is None
+
+    def test_rate_replay_under_random_fair(self):
+        cells = [CellConfig(algorithm="unconscious", ring_size=9, agents=3,
+                            max_rounds=120, adversary="random", seed=seed,
+                            scheduler="random-fair", faults="rate:0.05")
+                 for seed in range(6)]
+        assert not differential_cells(cells)
+        assert any(r.crashed_count for r in run_batch_cells(cells))
+        for cell in cells[:3]:
+            assert lockstep_divergence(cell) is None
+
+
+class TestBlockAgent:
+    """The block-agent peek: a side-effect-free Compute of agent 0."""
+
+    @staticmethod
+    def cells(algorithm):
+        transport = _HOME_TRANSPORT.get(algorithm, "ns")
+        return [
+            CellConfig(algorithm=algorithm, ring_size=n, agents=k,
+                       max_rounds=70, adversary="block-agent",
+                       transport=transport, scheduler=scheduler, seed=seed,
+                       faults=faults)
+            for n, k in ((6, 1), (7, 2), (8, 3))
+            for scheduler in ("auto", "round-robin")
+            for seed, faults in ((0, ""), (1, "crash:0@9"))
+        ]
+
+    @pytest.mark.parametrize("algorithm", sorted(BATCH_ALGORITHMS))
+    def test_intend_pass_leaves_every_array_unchanged(self, algorithm):
+        """Whatever a program writes during the peek is put back; a
+        program that writes a column the peek does not save fails here."""
+        calls = []
+        for k in (1, 2, 3):
+            core = BatchCore([c for c in self.cells(algorithm)
+                              if c.agents == k])
+            self.check_intend(core, calls)
+            core.run()
+        assert sum(calls) > 0
+
+    @staticmethod
+    def check_intend(core, calls):
+        """Wrap ``core._intend`` to compare every array around each pass."""
+        import numpy as np
+
+        real = core._intend
+
+        def checked(mask, look):
+            before = {name: value.copy() for name, value in vars(core).items()
+                      if isinstance(value, np.ndarray)}
+            schedules = [list(row) for row in getattr(core, "_schedules", ())]
+            out = real(mask, look)
+            after = {name: value for name, value in vars(core).items()
+                     if isinstance(value, np.ndarray)}
+            assert after.keys() == before.keys()
+            for name, value in after.items():
+                assert np.array_equal(value, before[name]), name
+            assert [list(row) for row in getattr(core, "_schedules", ())] \
+                == schedules
+            calls.append(int(mask.sum()))
+            return out
+
+        core._intend = checked
+
+    @pytest.mark.parametrize("algorithm", sorted(BATCH_ALGORITHMS))
+    def test_missing_edge_matches_the_scalar_adversary_every_round(
+            self, algorithm):
+        from repro.campaigns.registry import build_cell_engine
+
+        for cell in self.cells(algorithm):
+            core = BatchCore([cell])
+            engine = build_cell_engine(cell)
+            rounds = 0
+            while core.advance():
+                if not engine.step():
+                    break
+                rounds += 1
+                expected = engine.missing_edge
+                assert int(core.missing[0]) == (
+                    -1 if expected is None else expected), (cell, rounds)
+            assert rounds == core.results()[0].rounds, cell
+            assert lockstep_divergence(cell) is None, cell
+
+
 class TestMixedEligibility:
     """A chunk mixing batchable and scalar-only cells loses nothing."""
 
@@ -321,7 +472,7 @@ class TestMixedEligibility:
         eligible = [replace(GRID[i], seed=9) for i in (0, 5, 9)]
         ineligible = [
             CellConfig(algorithm="known-bound", ring_size=8, agents=2,
-                       max_rounds=50, faults="crash:0@3"),
+                       max_rounds=50, adversary="ns-starvation"),
             CellConfig(algorithm="known-bound", ring_size=8, agents=2,
                        max_rounds=50, adversary="prevent-meetings"),
         ]
@@ -414,6 +565,11 @@ def _eligible_cell() -> st.SearchStrategy[CellConfig]:
         flipped = tuple(sorted(draw(st.sets(
             st.integers(min_value=0, max_value=k - 1),
             min_size=1, max_size=k)))) if mirrored else ()
+        doomed = draw(st.integers(min_value=0, max_value=k - 1))
+        at = draw(st.integers(min_value=0, max_value=30))
+        faults = draw(st.sampled_from((
+            "", f"crash:{doomed}@{at}", f"lost:{doomed}", "lost:*",
+            "rate:0.05", f"crash:{doomed}@{at},lost:*,rate:0.02")))
         return CellConfig(
             algorithm=algorithm,
             ring_size=n,
@@ -432,6 +588,7 @@ def _eligible_cell() -> st.SearchStrategy[CellConfig]:
             chirality=not mirrored,
             flipped=flipped,
             stop_on_exploration=draw(st.booleans()),
+            faults=faults,
         )
 
     return build()
@@ -499,7 +656,9 @@ class TestEligibilityPredicate:
         (CellConfig(algorithm="known-bound", ring_size=8, agents=2,
                     max_rounds=50, scheduler="windowed"), "scheduler"),
         (CellConfig(algorithm="known-bound", ring_size=8, agents=2,
-                    max_rounds=50, faults="crash:0@3"), "fault"),
+                    max_rounds=50, faults="crash:5@3"), "fault"),
+        (CellConfig(algorithm="known-bound", ring_size=8, agents=2,
+                    max_rounds=50, faults="crash:0@3,bogus"), "fault"),
         (CellConfig(algorithm="known-bound", ring_size=8, agents=2,
                     max_rounds=50, topology="torus"), "topology"),
         (CellConfig(algorithm="known-bound", ring_size=8, agents=2,
@@ -520,8 +679,9 @@ class TestEligibilityPredicate:
         assert batch_ineligible_reason(GRID[0]) is None
 
     def test_run_batch_cells_rejects_ineligible(self):
+        # a plan naming agent 5 of 2: the scalar path rejects it
         bad = CellConfig(algorithm="known-bound", ring_size=8, agents=2,
-                         max_rounds=50, faults="crash:0@3")
+                         max_rounds=50, faults="crash:5@3")
         with pytest.raises(ConfigurationError, match="not batch-eligible"):
             run_batch_cells([GRID[0], bad])
 

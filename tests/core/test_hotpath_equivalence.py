@@ -359,17 +359,18 @@ class TestBatchVsGolden:
 
     def test_exactly_the_oblivious_fault_free_cells_qualify(self):
         # The widened frontier (PT/ET transports, landmark algorithms,
-        # SSYNC schedulers) leaves only the peeking-adversary golden
-        # cells on the scalar path.
+        # SSYNC schedulers, the block-agent peek) leaves only the golden
+        # cells of the other peeking adversaries on the scalar path;
+        # cell 4 is landmark-no-chirality under block-agent.
         from repro.core.batch import batch_eligible
 
         from tests.core import golden_traces
 
         qualifying = [i for i, cell in enumerate(golden_traces.GOLDEN_CELLS)
                       if batch_eligible(cell)]
-        assert qualifying == [0, 1, 2, 3, 9, 10, 11, 12]
+        assert qualifying == [0, 1, 2, 3, 4, 9, 10, 11, 12]
 
-    @pytest.mark.parametrize("index", [0, 1, 2, 3, 9, 10, 11, 12],
+    @pytest.mark.parametrize("index", [0, 1, 2, 3, 4, 9, 10, 11, 12],
                              ids=lambda i: f"cell{i}")
     @pytest.mark.parametrize("seed", [0, 1])
     def test_batch_replay_matches_pinned_result(self, index, seed):

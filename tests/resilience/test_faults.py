@@ -57,6 +57,15 @@ class TestPlanGrammar:
         assert FaultPlan.parse("crash:1@4") == FaultPlan.parse(" crash:1@4 ")
         assert hash(FaultPlan.parse("lost:*")) == hash(FaultPlan.parse("lost:*"))
 
+    def test_parse_is_memoised_per_spec_string(self):
+        """Routing and both cores parse a cell's plan; one parse serves
+        them all, and a malformed plan raises on every call."""
+        assert FaultPlan.parse("crash:1@4,lost:*") is \
+            FaultPlan.parse("crash:1@4,lost:*")
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                FaultPlan.parse("crash:1@4,bogus")
+
     def test_validate_agents_catches_out_of_range(self):
         FaultPlan.parse("crash:1@4").validate_agents(2)
         with pytest.raises(ConfigurationError, match=r"\[2\]"):
@@ -172,10 +181,17 @@ class TestInstrumentedParity:
 
 
 class TestCampaignIntegration:
-    def test_fault_cells_are_batch_ineligible(self):
+    def test_only_invalid_fault_plans_are_batch_ineligible(self):
+        """Every plan the scalar path accepts batches; one it rejects
+        stays scalar under the ``faults`` key, so the fallback writes
+        the scalar error record."""
         assert batch_eligible(cell())
-        key, reason = _batch_ineligibility(cell(faults="crash:1@4"))
-        assert key == "faults" and "crash:1@4" in reason
+        for plan in ("crash:1@4", "lost:0", "lost:*", "rate:0.05",
+                     "crash:0@2,lost:1,rate:0.1"):
+            assert batch_eligible(cell(faults=plan)), plan
+        for plan in ("crash:7@4", "lost:9", "crash:1@x", "rate:1.5"):
+            key, reason = _batch_ineligibility(cell(faults=plan))
+            assert key == "faults" and plan in reason, plan
 
     def test_batch_auto_equals_batch_off_for_fault_cells(self):
         config = cell(faults="crash:1@4")
