@@ -26,20 +26,20 @@ class BlockAgentAdversary:
     """
 
     def __init__(self, target: int = 0) -> None:
-        self._target = target
+        self.target = target
 
     def reset(self, engine: "Engine") -> None:
-        if not 0 <= self._target < len(engine.agents):
-            raise ValueError(f"no agent with index {self._target}")
+        if not 0 <= self.target < len(engine.agents):
+            raise ValueError(f"no agent with index {self.target}")
 
     def choose_missing_edge(self, engine: "Engine"):
-        agent = engine.agents[self._target]
+        agent = engine.agents[self.target]
         if agent.terminated:
             return None
         # Peek even when the agent already waits on a port: it may decide
         # to reverse this very round, and Observation 1's adversary always
         # removes the edge the agent is about to try.
-        edge = engine.peek_intended_edge(self._target)
+        edge = engine.peek_intended_edge(self.target)
         if edge is not None:
             return edge
         if agent.port is not None:
@@ -47,7 +47,7 @@ class BlockAgentAdversary:
         return None
 
     def __repr__(self) -> str:
-        return f"BlockAgentAdversary(target={self._target})"
+        return f"BlockAgentAdversary(target={self.target})"
 
 
 class MeetingPreventionAdversary:

@@ -4,6 +4,11 @@ These choose the missing edge without inspecting agent intentions; they
 are the baselines under which the possibility results are exercised.  All
 of them respect 1-interval connectivity by construction (at most one edge
 missing per round).
+
+The first four decide from the round, the ring size and their own seeded
+state only; ``choose_missing_edge`` delegates to that engine-free
+``edge_for(round_no, size)``, which :class:`~repro.core.batch.BatchCore`
+calls per cell.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ class NoRemoval:
         return None
 
     def choose_missing_edge(self, engine: "Engine") -> int | None:  # noqa: ARG002
+        return None
+
+    def edge_for(self, round_no: int, size: int) -> int | None:  # noqa: ARG002
         return None
 
     def __repr__(self) -> str:
@@ -55,10 +63,12 @@ class FixedMissingEdge:
             )
 
     def choose_missing_edge(self, engine: "Engine") -> int | None:
-        t = engine.round_no
-        if t < self._from:
+        return self.edge_for(engine.round_no, engine.ring.size)
+
+    def edge_for(self, round_no: int, size: int) -> int | None:  # noqa: ARG002
+        if round_no < self._from:
             return None
-        if self._until is not None and t >= self._until:
+        if self._until is not None and round_no >= self._until:
             return None
         return self._edge
 
@@ -90,9 +100,10 @@ class PeriodicMissingEdge:
             )
 
     def choose_missing_edge(self, engine: "Engine") -> int | None:
-        if engine.round_no % self._period < self._duty:
-            return self._edge
-        return None
+        return self.edge_for(engine.round_no, engine.ring.size)
+
+    def edge_for(self, round_no: int, size: int) -> int | None:  # noqa: ARG002
+        return self._edge if round_no % self._period < self._duty else None
 
     def __repr__(self) -> str:
         return f"PeriodicMissingEdge({self._edge}, period={self._period}, duty={self._duty})"
@@ -112,9 +123,12 @@ class RandomMissingEdge:
         self._rng = random.Random(self._seed)
 
     def choose_missing_edge(self, engine: "Engine") -> int | None:
+        return self.edge_for(engine.round_no, engine.ring.size)
+
+    def edge_for(self, round_no: int, size: int) -> int | None:  # noqa: ARG002
         if self._p < 1.0 and self._rng.random() >= self._p:
             return None
-        return self._rng.randrange(engine.ring.size)
+        return self._rng.randrange(size)
 
     def __repr__(self) -> str:
         return f"RandomMissingEdge(p={self._p}, seed={self._seed})"

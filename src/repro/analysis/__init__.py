@@ -12,7 +12,6 @@ from .model_check import (
     verify_theorem3,
     verify_theorem5,
 )
-from .runner import average_case, sweep, SweepPoint
 
 __all__ = [
     "CatchEvent",
@@ -23,8 +22,6 @@ __all__ = [
     "ForcedEdgeAdversary",
     "MODELS",
     "SearchResult",
-    "SweepPoint",
-    "average_case",
     "best_fit",
     "check_safety",
     "classify_runs",
@@ -33,7 +30,6 @@ __all__ = [
     "fit_model",
     "log_catches",
     "successor_violations",
-    "sweep",
     "verify_theorem3",
     "verify_theorem5",
 ]

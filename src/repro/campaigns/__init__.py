@@ -52,7 +52,6 @@ from .aggregate import (
     metrics_from_result,
     render_rows,
     summarize_metrics,
-    summarize_results,
 )
 from .distributed import (
     LeaseLost,
@@ -157,6 +156,5 @@ __all__ = [
     "run_distributed",
     "run_worker",
     "summarize_metrics",
-    "summarize_results",
     "validate_cell",
 ]

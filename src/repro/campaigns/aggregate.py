@@ -9,10 +9,7 @@ Two levels of reduction:
   to a :class:`TableRow` — the mean/max rounds and moves, exploration and
   termination statistics that Tables 1–4 report.
 
-:func:`summarize_metrics` is the shared single-group reducer; the
-classic in-process sweeps of :mod:`repro.analysis.runner` route through
-it too, so a table row means the same thing whether it was produced by
-a campaign or an ad-hoc sweep.
+:func:`summarize_metrics` is the single-group reducer behind every row.
 """
 
 from __future__ import annotations
@@ -141,11 +138,6 @@ def summarize_metrics(metrics: Sequence[Mapping[str, Any]]) -> GroupStats:
         # (parallel runs land records in nondeterministic order).
         modes=dict(sorted(Counter(m.get("mode", "?") for m in metrics).items())),
     )
-
-
-def summarize_results(results: Sequence[RunResult]) -> GroupStats:
-    """Reduce live :class:`RunResult` objects (the in-process sweep path)."""
-    return summarize_metrics([metrics_from_result(r) for r in results])
 
 
 @dataclass(frozen=True)

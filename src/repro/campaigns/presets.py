@@ -354,19 +354,19 @@ def batch_smoke() -> CampaignSpec:
 
 
 def batch_wide() -> CampaignSpec:
-    """The widened-frontier CI sweep: PT/ET, landmarks, SSYNC, block-agent
-    and lost-on-removal (66 cells).
+    """The widened-frontier CI sweep: PT/ET, landmarks, SSYNC, block-agent,
+    lost-on-removal and the periodic adversary (72 cells).
 
     Every cell is batch-eligible and every variant lands in a kernel
     family the original ``batch-smoke`` preset never touched: PT rides,
     ET exact-traversal bookkeeping, landmark size learning (with and
-    without chirality), the pre-drawn SSYNC activation masks, the
-    block-agent adversary's peek at agent 0's intended move and a
-    ``lost:*`` team crashing on a fixed removed edge.  The
-    CI batch lane runs this twice — ``--batch auto`` and ``--batch
-    off`` — and diffs the stores byte for byte, so a regression in any
-    new kernel breaks CI even if the equivalence suite's grid misses
-    the shape.
+    without chirality), the SSYNC activation masks, the block-agent
+    adversary's peek at agent 0's intended move, a ``lost:*`` team
+    crashing on a fixed removed edge and an intermittent ``periodic``
+    edge.  The CI batch lane runs this twice — ``--batch auto`` and
+    ``--batch off`` — and diffs the stores byte for byte, so a
+    regression in any new kernel breaks CI even if the equivalence
+    suite's grid misses the shape.
     """
     return CampaignSpec(
         name="batch-wide",
@@ -407,6 +407,9 @@ def batch_wide() -> CampaignSpec:
              "horizon": "known_bound_time(N) + 5"},
             {"label": "bw-lost", "algorithm": "known-bound",
              "adversary": "fixed", "faults": "lost:*",
+             "horizon": "known_bound_time(N) + 5"},
+            {"label": "bw-periodic", "algorithm": "known-bound",
+             "adversary": "periodic", "edge": 1,
              "horizon": "known_bound_time(N) + 5"},
         ],
     )

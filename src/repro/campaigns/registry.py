@@ -151,6 +151,20 @@ AUTO_SCHEDULER = {
 }
 
 
+def cell_scheduler(cell: CellConfig, adversary: EdgeAdversary) -> ActivationScheduler:
+    """The activation scheduler ``cell`` runs under.
+
+    ``"auto"`` hands activation to a combined ``adversary`` — the
+    construction controls both, one instance playing both roles exactly
+    as the proofs state it — and otherwise follows the transport model.
+    """
+    if cell.scheduler != "auto":
+        return SCHEDULERS[cell.scheduler](cell)
+    if cell.adversary in COMBINED_ADVERSARIES:
+        return adversary  # type: ignore[return-value]
+    return SCHEDULERS[AUTO_SCHEDULER[TransportModel(cell.transport)]](cell)
+
+
 def default_horizon(transport: TransportModel, ring_size: int) -> int:
     """The CLI's generous default horizon per transport model."""
     return 400 * ring_size if transport is TransportModel.NS else 20_000
@@ -232,15 +246,6 @@ def build_cell_engine(cell: CellConfig, *, trace=None, optimized: bool = True) -
         positions=cell.positions if placement == "explicit" else None,
     )
     adversary = ADVERSARIES[cell.adversary](cell)
-    if cell.scheduler == "auto":
-        if cell.adversary in COMBINED_ADVERSARIES:
-            # The construction controls activation too: one instance
-            # plays both roles, exactly as the proofs state it.
-            scheduler = adversary
-        else:
-            scheduler = SCHEDULERS[AUTO_SCHEDULER[transport]](cell)
-    else:
-        scheduler = SCHEDULERS[cell.scheduler](cell)
     landmark = cell.landmark
     if landmark is None and entry.needs_landmark:
         landmark = 0
@@ -252,7 +257,7 @@ def build_cell_engine(cell: CellConfig, *, trace=None, optimized: bool = True) -
         chirality=cell.chirality,
         flipped=cell.flipped,
         adversary=adversary,
-        scheduler=scheduler,
+        scheduler=cell_scheduler(cell, adversary),
         transport=transport,
         trace=trace,
         # Campaign cells opt *in* to the per-round model audit: sweeps pay
@@ -264,17 +269,21 @@ def build_cell_engine(cell: CellConfig, *, trace=None, optimized: bool = True) -
 
 
 def _attach_faults(cell: CellConfig, engine):
-    """Arm the engine with the cell's fault plan (no-op when fault-free).
-
-    The injector is built per engine and seeded from the cell seed, so a
-    faulty cell replays deterministically and two engines built from the
-    same cell inject identical fault schedules.
-    """
-    if cell.faults:
-        from ..resilience.faults import FaultPlan
-        engine.set_fault_plan(
-            FaultPlan.parse(cell.faults).injector(seed=cell.seed))
+    engine.set_fault_plan(fault_injector(cell))
     return engine
+
+
+def fault_injector(cell: CellConfig):
+    """The cell's per-run fault injector (``None`` when fault-free).
+
+    Seeded from the cell seed, so a faulty cell replays deterministically
+    and every engine or batch row built from the same cell injects the
+    same fault schedule.
+    """
+    if not cell.faults:
+        return None
+    from ..resilience.faults import FaultPlan
+    return FaultPlan.parse(cell.faults).injector(seed=cell.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -425,22 +434,14 @@ def _build_graph_engine(
     elif cell.adversary == "random":
         adversary = ConnectivityPreservingAdversary(budget=1, seed=cell.seed)
     else:
+        # The connectivity-safe wrapper forwards ``select`` (a combined
+        # adversary still schedules) and only constrains the removal.
         adversary = ConnectivitySafeAdversary(ADVERSARIES[cell.adversary](cell))
-    if cell.scheduler == "auto":
-        if cell.adversary in COMBINED_ADVERSARIES:
-            # The construction controls activation too (as on the ring);
-            # the connectivity-safe wrapper forwards ``select`` and only
-            # constrains the removal.
-            scheduler = adversary
-        else:
-            scheduler = SCHEDULERS[AUTO_SCHEDULER[transport]](cell)
-    else:
-        scheduler = SCHEDULERS[cell.scheduler](cell)
     explorer = GRAPH_EXPLORERS[cell.algorithm](cell)
     engine = DynamicGraphEngine(
         graph, explorer, positions,
         adversary=adversary,
-        scheduler=scheduler,
+        scheduler=cell_scheduler(cell, adversary),
         transport=transport,
         trace=trace,
         landmark=cell.landmark,

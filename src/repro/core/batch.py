@@ -21,20 +21,24 @@ The frontier spans the paper's oblivious matrix and two extensions:
 * **PT and ET transports** — a PT agent left on a port by the scheduler
   *rides* the edge when it is present (one extra masked traverse per
   round); ET differs from NS only through its scheduler;
-* **SSYNC activation masks** — ``round-robin``/``random-fair``/
-  ``et-fair`` draws are pure functions of (round, cell RNG, public agent
-  state), not interleaved with engine queries, so each running cell's
-  scheduler is replayed in-loop into a per-round ``act[C, K]`` mask and
-  everything downstream stays lockstep;
+* **SSYNC schedulers and the oblivious adversaries** — each cell's
+  adversary, scheduler and fault injector are the objects the registry
+  builds for the scalar engine, asked per running cell through their
+  engine-free entry points (``edge_for``, ``choose``,
+  ``crashes_at_round``), so every parameter and seeded stream has one
+  owner; the answers fill the per-round missing-edge vector and
+  ``act[C, K]`` mask, and everything downstream stays lockstep.  FSYNC
+  rows, round-robin's rotation and the block-agent peek keep array
+  forms;
 * **landmark cells** — the landmark is one more per-cell column
   (``lm``/``lm_seen``/``lm_first_net``/``size``/``Ntime``), maintained
   for every cell so LExplore observations match the scalar engine even
   for algorithms that ignore them;
 * **fault plans** — every plan the scalar path accepts (``crash:A@R``,
   ``lost:A``/``lost:*``, ``rate:p``): a ``crashed[C, K]`` column, the
-  round's crashes applied before the adversary, the stochastic clause
-  replayed from each cell's own ``Random(seed + 0x5EED)`` stream;
-* **the block-agent adversary** (Observation 1) — agent 0's intended
+  round's crashes (each cell's injector asked) applied before the
+  adversary;
+* **the block-agent adversary** (Observation 1) — the target's intended
   move comes from one side-effect-free pass of the vector program
   against the round-start Look, its columns saved and restored around
   the pass.
@@ -70,12 +74,11 @@ scalar path, which is also how CI tests the fallback).
 from __future__ import annotations
 
 import os
-import random
 import time
 from typing import TYPE_CHECKING, Sequence
 
 from ..obs import metrics as obs_metrics
-from ..resilience.faults import RATE_SEED_OFFSET, FaultPlan
+from ..resilience.faults import FaultPlan
 from .batch_kernels import (
     K_ENTER, K_MOVE, K_TERM, PROGRAMS, Look, build_program)
 from .errors import ConfigurationError
@@ -118,8 +121,8 @@ BATCH_ADVERSARIES = frozenset(
 #: scheduler, so its move phase is NS's; PT adds the port ride).
 BATCH_TRANSPORTS = frozenset({"ns", "pt", "et"})
 
-#: Schedulers whose activation draws are replayable without engine
-#: callbacks ("auto" resolves per transport via the registry).
+#: Schedulers with an array form or an engine-free ``choose`` ("auto"
+#: resolves per transport via the registry).
 BATCH_SCHEDULERS = frozenset(
     {"auto", "fsync", "round-robin", "random-fair", "et-fair"})
 
@@ -240,19 +243,6 @@ def batch_eligible(cell: "CellConfig") -> bool:
     return _batch_ineligibility(cell) is None
 
 
-_ADV_CODE = {"none": 0, "fixed": 1, "periodic": 2, "random": 3,
-             "block-agent": 4}
-_A_BLOCK = 4
-_SCHED_CODE = {"fsync": 0, "round-robin": 1, "random-fair": 2, "et-fair": 3}
-_S_FSYNC, _S_RR, _S_RF, _S_ETF = 0, 1, 2, 3
-
-# The random-fair scheduler's construction defaults (mirrored from
-# repro.schedulers.ssync; the registry builds them with defaults only).
-_RF_P = 0.5
-_RF_STARVATION_CAP = 64
-_ETF_PATIENCE = 8
-
-
 class BatchCore:
     """Lockstep execution of same-shape eligible cells.
 
@@ -279,9 +269,10 @@ class BatchCore:
                             ``last_dir`` for the program driver
     program columns         ``v_*[C,K]`` variables and ``pbound[C]``,
                             allocated by the program's ``setup``
-    scheduling              ``sched[C]`` code, ``rsa[C,K]`` rounds since
-                            active, per-cell scheduler RNGs / RR offsets /
-                            ET debt
+    scheduling              ``rsa[C,K]`` rounds since active, the FSYNC /
+                            round-robin row masks with RR offsets and
+                            windows; other rows' state lives in their
+                            scheduler objects
     ``visited_bits``        packed bitmap ``[C, ceil(n_max/8)]`` +
                             ``visited_count``/``explo_round``
     ``running[C]``          cells still stepping; halted cells freeze
@@ -290,7 +281,8 @@ class BatchCore:
     Each :meth:`advance` replays one scalar round exactly — the fault
     plans' crashes, Look (pairwise same-node occupancy tensors),
     adversary choice (block-agent rows peek through the vector program),
-    scheduler activation (FSYNC constant or the SSYNC replica), the
+    scheduler activation (FSYNC constant, round-robin rotation or the
+    cell's scheduler object), the
     algorithm's vector program (state transitions with the driver's
     entered-state timing), port mutual exclusion (denial = port held at
     round start, winner = lowest index, ``Btime`` reset for every
@@ -319,9 +311,10 @@ class BatchCore:
         # Late imports: spec is import-light; the registry is the single
         # source of truth for auto-scheduler / landmark / placement
         # resolution and is loaded by every campaign caller anyway.
-        from ..campaigns.registry import ALGORITHMS, AUTO_SCHEDULER
+        from ..campaigns.registry import (
+            ADVERSARIES, ALGORITHMS, cell_scheduler, fault_injector)
         from ..campaigns.spec import resolve_positions
-        from .engine import TransportModel
+        from ..schedulers import FsyncScheduler, RoundRobinScheduler
 
         np = _np
         self.cells = list(cells)
@@ -392,42 +385,38 @@ class BatchCore:
         self.Ntime = zeros(np.int64)
         self._any_lm = bool((self.lm >= 0).any())
 
-        # -- transport / scheduler columns ------------------------------
+        # -- the cells' own round policies, built by the registry --------
+        adversaries = [ADVERSARIES[c.adversary](c) for c in cells]
+        self._schedulers = [
+            cell_scheduler(c, adv) for c, adv in zip(cells, adversaries)]
         self.is_pt = np.array([c.transport == "pt" for c in cells], dtype=bool)
         self._any_pt = bool(self.is_pt.any())
-        sched_names = [
-            c.scheduler if c.scheduler != "auto"
-            else AUTO_SCHEDULER[TransportModel(c.transport)]
-            for c in cells
-        ]
-        self.sched = np.array(
-            [_SCHED_CODE[name] for name in sched_names], dtype=np.int64)
-        self._all_fsync = bool((self.sched == _S_FSYNC).all())
+        # FSYNC rows and round-robin's rotation are array forms; every
+        # other scheduler is asked per running cell (:meth:`_activation`).
+        self._fsync = np.array(
+            [isinstance(s, FsyncScheduler) for s in self._schedulers])
+        self._rr = np.array(
+            [isinstance(s, RoundRobinScheduler) for s in self._schedulers])
+        self._ask = ~(self._fsync | self._rr)
+        self._all_fsync = bool(self._fsync.all())
+        self._rr_window = np.array(
+            [getattr(s, "window", 1) for s in self._schedulers], dtype=np.int64)
         self._rr_offset = np.zeros(C, dtype=np.int64)
-        self._sched_rngs = [
-            random.Random(c.seed + 1) if code in (_S_RF, _S_ETF) else None
-            for c, code in zip(cells, self.sched)
-        ]
         self.rsa = zeros(np.int64)          # rounds_since_active
-        self._et_debt = zeros(np.int64)
 
-        # -- fault plans: the scalar FaultInjector, replayed per cell ----
-        plans = [FaultPlan.parse(c.faults) if c.faults else None for c in cells]
-        self.has_plan = np.array([p is not None for p in plans], dtype=bool)
+        # -- fault plans: one FaultInjector per faulty cell ---------------
+        self._injectors = [fault_injector(c) for c in cells]
+        self.has_plan = np.array(
+            [inj is not None for inj in self._injectors], dtype=bool)
         self._any_faults = bool(self.has_plan.any())
-        self.lossy = zeros(bool)
-        self._crash_at: dict[int, list[tuple[int, int]]] = {}
-        self._crash_rngs: list[tuple[int, random.Random, float]] = []
-        for ci, (cell, plan) in enumerate(zip(cells, plans)):
-            if plan is None:
-                continue
-            for round_no, agent in plan.crash_at:
-                self._crash_at.setdefault(round_no, []).append((ci, agent))
-            if plan.rate:
-                self._crash_rngs.append(
-                    (ci, random.Random(cell.seed + RATE_SEED_OFFSET), plan.rate))
-            self.lossy[ci] = plan.lost_all
-            self.lossy[ci, sorted(plan.lost)] = True
+        self.lossy = np.array(
+            [[inj is not None and inj.lost_on_removal(i) for i in range(K)]
+             for inj in self._injectors], dtype=bool)
+        plans = [inj.plan for inj in self._injectors if inj is not None]
+        # Rounds on which some injector can crash anyone (every round
+        # once a plan has a ``rate:`` clause); the others skip the calls.
+        self._any_rate = any(plan.rate for plan in plans)
+        self._crash_rounds = {r for plan in plans for r, _ in plan.crash_at}
 
         # -- Compute kernel ---------------------------------------------
         self._program = build_program(self.algorithm)
@@ -442,13 +431,14 @@ class BatchCore:
                                  "Esteps") + tuple(
             sorted(name for name in vars(self) if name.startswith("v_")))
 
-        self.adv = np.array([_ADV_CODE[c.adversary] for c in cells], dtype=np.int64)
-        self._any_block = bool((self.adv == _A_BLOCK).any())
-        self.adv_edge = np.array([c.edge for c in cells], dtype=np.int64)
-        self._rngs = [
-            random.Random(c.seed) if c.adversary == "random" else None
-            for c in cells
-        ]
+        # The oblivious adversaries answer ``edge_for``; the one without
+        # it, block-agent, peeks through the vector program at its target.
+        self._edge_for = [getattr(adv, "edge_for", None) for adv in adversaries]
+        self._sizes = self.n.tolist()
+        self._block = np.array([f is None for f in self._edge_for])
+        self._any_block = bool(self._block.any())
+        self._block_target = np.array(
+            [getattr(adv, "target", 0) for adv in adversaries], dtype=np.int64)
 
         self._n_max = int(self.n.max())
         self._n_bytes = (self._n_max + 7) >> 3
@@ -529,71 +519,52 @@ class BatchCore:
         return self.results()
 
     def _activation(self, run, missing, dead):
-        """This round's activation mask — the scalar scheduler, replayed.
+        """This round's activation mask, from each cell's own scheduler.
 
         Live means neither terminated nor crashed (``dead`` is the
         complement).  FSYNC rows activate every live agent; round-robin
-        rows, computed for all cells at once, the next live agent in
-        index order.  Random-fair and ET-fair rows replicate their
-        scheduler object exactly: same RNG stream (one
-        ``Random(seed + 1)`` per cell), same iteration order over
-        ``live_indexes``/``agents``, same starvation and ET-debt
-        bookkeeping.  Either way the chosen sets are
-        byte-identical to what the scalar engine's ``scheduler.select``
-        would produce round by round.
+        rows, computed for all cells at once, the scheduler's window of
+        live agents at its rotating offset.  Every other row asks its
+        scheduler object's ``choose`` with the inputs its ``select``
+        would read off the scalar engine, so the activation sets are the
+        ones the scalar engine sees round by round.
         """
         np = _np
-        act = run[:, None] & ~dead
+        live = ~dead
+        act = run[:, None] & live
         if self._all_fsync:
             return act
-        rr = run & (self.sched == _S_RR)
+        rr = run & self._rr
         if rr.any():
-            # Round-robin picks the (offset % live)-th live agent: the
-            # live agent whose running live count reaches that rank.
-            live = ~dead[rr]
-            rank = self._rr_offset[rr] % live.sum(axis=1)
-            act[rr] = live & (np.cumsum(live, axis=1) == rank[:, None] + 1)
+            # The live agent of rank r is in the window iff
+            # (r - offset) mod live-count < window.
+            live_rr = live[rr]
+            count = live_rr.sum(axis=1, keepdims=True)
+            start = self._rr_offset[rr, None] % count
+            rank = np.cumsum(live_rr, axis=1) - 1
+            act[rr] = live_rr & ((rank - start) % count
+                                 < np.minimum(self._rr_window[rr, None], count))
             self._rr_offset[rr] += 1
-        # Random-fair and ET-fair rows replay each cell's own RNG stream,
-        # one cell at a time.
-        seeded = (self.sched == _S_RF) | (self.sched == _S_ETF)
-        for ci in np.nonzero(run & seeded)[0]:
-            code = int(self.sched[ci])
-            termrow = self.term[ci]
-            deadrow = dead[ci] if self._any_faults else termrow
-            live = [i for i in range(self._K) if not deadrow[i]]
-            rng = self._sched_rngs[ci]
-            chosen = {i for i in live if rng.random() < _RF_P}
-            # The scalar cap check walks every non-terminated agent, a
-            # crashed one (frozen rsa) included; the engine then drops
-            # whoever is not live.
-            for i in range(self._K):
-                if not termrow[i] and self.rsa[ci, i] >= _RF_STARVATION_CAP:
-                    chosen.add(i)
-            if not chosen:
-                chosen = {rng.choice(live)}
-            if code == _S_ETF:
-                n = int(self.n[ci])
-                gone = int(missing[ci])
-                for i in range(self._K):
-                    if termrow[i] or not self.on_port[ci, i]:
-                        self._et_debt[ci, i] = 0
-                        continue
-                    node = int(self.pos[ci, i])
-                    edge = node if self.port[ci, i] == 1 else (node - 1) % n
-                    present = edge != gone
-                    if i in chosen:
-                        if present:
-                            self._et_debt[ci, i] = 0
-                        continue
-                    if present:
-                        self._et_debt[ci, i] += 1
-                        if self._et_debt[ci, i] >= _ETF_PATIENCE:
-                            chosen.add(i)
-                            self._et_debt[ci, i] = 0
-            row = np.zeros(self._K, dtype=bool)
-            row[list(chosen)] = True
-            act[ci] = row & ~deadrow if self._any_faults else row
+        rows = np.nonzero(run & self._ask)[0]
+        if rows.size:
+            pos, port = self.pos[rows], self.port[rows]
+            edge = np.where(port == 1, pos, (pos - 1) % self.n[rows, None])
+            present = (edge != missing[rows, None]).tolist()
+            waits = (self.on_port & ~self.term)[rows].tolist()
+            # Rounds since active per non-terminated agent (-1 = terminated).
+            idle = np.where(self.term, -1, self.rsa)[rows].tolist()
+            picks = [
+                self._schedulers[ci].choose(
+                    [i for i, a in enumerate(alive) if a],
+                    {i: r for i, r in enumerate(rsa) if r >= 0},
+                    {i: p for i, (w, p) in enumerate(zip(wait, pres)) if w})
+                for ci, alive, rsa, wait, pres in zip(
+                    rows.tolist(), live[rows].tolist(), idle, waits, present)
+            ]
+            chosen = np.zeros((rows.size, self._K), dtype=bool)
+            chosen[[j for j, pick in enumerate(picks) for _ in pick],
+                   [i for pick in picks for i in pick]] = True
+            act[rows] = chosen & live[rows]
         return act
 
     def _step(self, run) -> None:
@@ -623,23 +594,17 @@ class BatchCore:
                     is_lm=(pos == self.lm[:, None]))
 
         # 2. adversary: the missing edge per cell (-1 = none).  Running
-        # cells all sit at round t, so the oblivious adversaries are pure
-        # functions of t (and, for "random", of the cell's own RNG, which
-        # advances by exactly one randrange per stepped round — the same
-        # draw sequence the scalar engine consumes).  Block-agent rows
-        # remove the edge agent 0 is about to try.
+        # cells all sit at round t; each oblivious row asks its own
+        # adversary's ``edge_for`` (a seeded one draws exactly as on the
+        # scalar engine), block-agent rows remove the edge their target
+        # is about to try.
         missing = np.full(self._C, -1, dtype=np.int64)
-        mask = run & (self.adv == 1)
-        missing[mask] = self.adv_edge[mask]
-        if t % 4 < 2:  # the registry's periodic adversary: period=4, duty=2
-            mask = run & (self.adv == 2)
-            missing[mask] = self.adv_edge[mask]
-        mask = run & (self.adv == 3)
-        if mask.any():
-            for ci in np.nonzero(mask)[0]:
-                missing[ci] = self._rngs[ci].randrange(int(self.n[ci]))
+        rows = np.nonzero(run & ~self._block)[0].tolist()
+        if rows:
+            edges = [self._edge_for[ci](t, self._sizes[ci]) for ci in rows]
+            missing[rows] = [-1 if e is None else e for e in edges]
         if self._any_block:
-            mask = run & (self.adv == _A_BLOCK)
+            mask = run & self._block
             if mask.any():
                 missing[mask] = self._intended_edge(mask, dead, look)[mask]
         self.missing = missing
@@ -769,22 +734,23 @@ class BatchCore:
     def _apply_round_faults(self, run) -> None:
         """Crash the agents the cells' plans doom at this round's start.
 
-        ``FaultInjector.crashes_at_round``, replayed for every running
-        cell: the scheduled crashes of live agents, then, for ``rate:p``
-        cells, one draw per live agent in index order from the cell's
-        own stream.  Runs before the adversary and the scheduler, as
-        ``SimulationCore._apply_round_faults`` does.
+        Each running faulty cell asks its own injector's
+        ``crashes_at_round`` with its sorted live agents, before the
+        adversary and the scheduler, as
+        ``SimulationCore._apply_round_faults`` does.  Rounds with no
+        scheduled crash skip the calls unless a plan has a ``rate:``
+        clause (whose stream draws every round).
         """
+        t = self._t
+        if not (self._any_rate or t in self._crash_rounds):
+            return
         live = run[:, None] & ~self.term & ~self.crashed
         doomed = _np.zeros_like(live)
-        for ci, agent in self._crash_at.get(self._t, ()):
-            doomed[ci, agent] = True
-        for ci, rng, rate in self._crash_rngs:
-            if run[ci]:
-                for i, alive in enumerate(live[ci].tolist()):
-                    if alive and rng.random() < rate:
-                        doomed[ci, i] = True
-        doomed &= live
+        rows = _np.nonzero(run & self.has_plan)[0].tolist()
+        for ci, alive in zip(rows, live[rows].tolist()):
+            hit = self._injectors[ci].crashes_at_round(
+                t, [i for i, a in enumerate(alive) if a])
+            doomed[ci, hit] = True
         if doomed.any():
             self._crash(doomed)
 
@@ -799,22 +765,23 @@ class BatchCore:
         self.on_port[mask] = False
 
     def _intended_edge(self, rows, dead, look):
-        """Per row, the edge agent 0 is about to try (-1 = none).
+        """Per row, the edge its target agent is about to try (-1 = none).
 
         ``BlockAgentAdversary.choose_missing_edge``, column-wise: the
-        edge a MOVE from agent 0's side-effect-free Compute targets, else
-        the edge of the port agent 0 holds, else none — and always none
-        when agent 0 has terminated or crashed.
+        edge a MOVE from the target's side-effect-free Compute targets,
+        else the edge of the port the target holds, else none — and
+        always none when the target has terminated or crashed.
         """
         np = _np
+        at = (np.arange(self._C), self._block_target)
         peek = np.zeros(self.pos.shape, dtype=bool)
-        peek[:, 0] = rows & ~dead[:, 0]
+        peek[at] = rows & ~dead[at]
         kind, local = self._intend(peek, look)
-        moves = kind[:, 0] == K_MOVE
-        sign = np.where(moves, -local[:, 0] * self.left[:, 0], self.port[:, 0])
-        pos0 = self.pos[:, 0]
-        edge = np.where(sign == 1, pos0, (pos0 - 1) % self.n)
-        aim = peek[:, 0] & (moves | self.on_port[:, 0])
+        moves = kind[at] == K_MOVE
+        sign = np.where(moves, -local[at] * self.left[at], self.port[at])
+        node = self.pos[at]
+        edge = np.where(sign == 1, node, (node - 1) % self.n)
+        aim = peek[at] & (moves | self.on_port[at])
         return np.where(aim, edge, -1)
 
     def _intend(self, mask, look):

@@ -6,9 +6,10 @@ everything in between:
 
 * :mod:`~repro.resilience.faults` — agent fault models (crash-at-round,
   crash-on-edge-removal, stochastic crash rate) as an ordinary campaign
-  dimension (``CellConfig.faults``), injected through one hook in the
-  :class:`~repro.core.sim.SimulationCore` round loop and replayed
-  column-wise by :class:`~repro.core.batch.BatchCore`;
+  dimension (``CellConfig.faults``), injected by one per-run
+  :class:`FaultInjector` that the
+  :class:`~repro.core.sim.SimulationCore` round loop and
+  :class:`~repro.core.batch.BatchCore` both consult;
 * :mod:`~repro.resilience.chaos` — a seeded, env-gated
   (``REPRO_CHAOS=<spec>``) :class:`ChaosPolicy` injecting transient
   ``OperationalError``\\ s, crash-before/after-commit points, heartbeat

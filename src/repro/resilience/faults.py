@@ -25,11 +25,11 @@ The stochastic clause draws from its own ``random.Random`` seeded from
 the cell seed, so faulty cells replay deterministically and never
 perturb the adversary's or scheduler's seeded streams.
 
-Both cores consult the plan: the scalar
-:class:`~repro.core.sim.SimulationCore` through a per-run
-:class:`FaultInjector`, and :class:`~repro.core.batch.BatchCore` by
-replaying the same schedule, stochastic stream and lost-on-removal rule
-column-wise, so a faulty cell's record is the same on either route.
+Both cores consult the per-run :class:`FaultInjector` that
+``registry.fault_injector`` builds: :class:`~repro.core.sim.SimulationCore`
+every round, :class:`~repro.core.batch.BatchCore` on each round that can
+crash anyone (lost-on-removal read into a column), so a faulty cell's
+record is the same on either route.
 """
 
 from __future__ import annotations

@@ -18,7 +18,11 @@ reproduction uses:
   used by the impossibility constructions.
 
 All randomness comes from a scheduler-owned :class:`random.Random` seeded
-at construction, so every simulation is reproducible.
+at construction, so every simulation is reproducible.  The first three
+also decide without an engine: ``select(engine)`` reads ``choose``'s
+inputs off it — the sorted live indexes, rounds since active per
+non-terminated agent, and (ET) whether each port sleeper's edge is
+present — so :class:`~repro.core.batch.BatchCore` can call ``choose``.
 """
 
 from __future__ import annotations
@@ -32,10 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.engine import Engine
 
 
-def _live(engine: "Engine") -> list[int]:
-    return sorted(engine.live_indexes)
-
-
 class RoundRobinScheduler:
     """Activate ``window`` consecutive agents, rotating one step per round.
 
@@ -46,24 +46,26 @@ class RoundRobinScheduler:
     def __init__(self, window: int = 1) -> None:
         if window < 1:
             raise ConfigurationError("window must be >= 1")
-        self._window = window
+        self.window = window
         self._offset = 0
 
     def reset(self, engine: "Engine") -> None:  # noqa: ARG002
         self._offset = 0
 
     def select(self, engine: "Engine") -> set[int]:
-        live = _live(engine)
+        return self.choose(sorted(engine.live_indexes), {}, {})
+
+    def choose(self, live: list[int], idle, waiting) -> set[int]:  # noqa: ARG002
         if not live:
             return set()
-        size = min(self._window, len(live))
+        size = min(self.window, len(live))
         start = self._offset % len(live)
         chosen = {live[(start + k) % len(live)] for k in range(size)}
         self._offset += 1
         return chosen
 
     def __repr__(self) -> str:
-        return f"RoundRobinScheduler(window={self._window})"
+        return f"RoundRobinScheduler(window={self.window})"
 
 
 class RandomFairScheduler:
@@ -89,13 +91,17 @@ class RandomFairScheduler:
         self._rng = random.Random(self._seed)
 
     def select(self, engine: "Engine") -> set[int]:
-        live = _live(engine)
+        idle = {agent.index: agent.rounds_since_active
+                for agent in engine.agents if not agent.terminated}
+        return self.choose(sorted(engine.live_indexes), idle, {})
+
+    def choose(self, live: list[int], idle: dict[int, int],
+               waiting) -> set[int]:  # noqa: ARG002
+        # A crashed agent is in ``idle`` too; the engine drops it.
         if not live:
             return set()
         chosen = {i for i in live if self._rng.random() < self._p}
-        for agent in engine.agents:
-            if not agent.terminated and agent.rounds_since_active >= self._cap:
-                chosen.add(agent.index)
+        chosen.update(i for i, rounds in idle.items() if rounds >= self._cap)
         if not chosen:
             chosen = {self._rng.choice(live)}
         return chosen
@@ -127,28 +133,34 @@ class ETFairScheduler:
 
     def reset(self, engine: "Engine") -> None:
         self._base.reset(engine)
-        self._debt = {agent.index: 0 for agent in engine.agents}
+        self._debt = {}
 
     def select(self, engine: "Engine") -> set[int]:
-        chosen = set(self._base.select(engine))
-        for agent in engine.agents:
-            if agent.terminated or agent.port is None:
-                self._debt[agent.index] = 0
-                continue
-            edge = engine.port_edge(agent)
-            # edge_present consults the full missing *set*, so the wrapper
-            # also enforces ET fairness on multi-edge-removal topologies.
-            present = engine.edge_present(edge)
-            if agent.index in chosen:
+        # edge_present consults the full missing *set*, so the wrapper
+        # also enforces ET fairness on multi-edge-removal topologies.
+        waiting = {agent.index: engine.edge_present(engine.port_edge(agent))
+                   for agent in engine.agents
+                   if not agent.terminated and agent.port is not None}
+        return self._enforce(set(self._base.select(engine)), waiting)
+
+    def choose(self, live: list[int], idle: dict[int, int],
+               waiting: dict[int, bool]) -> set[int]:
+        return self._enforce(self._base.choose(live, idle, waiting), waiting)
+
+    def _enforce(self, chosen: set[int], waiting: dict[int, bool]) -> set[int]:
+        debts = {}  # an agent off a port (or terminated) owes nothing
+        for index, present in waiting.items():
+            debt = self._debt.get(index, 0)
+            if index in chosen:
                 if present:
-                    self._debt[agent.index] = 0
-                continue
-            if present:
-                debt = self._debt.get(agent.index, 0) + 1
-                if debt >= self._patience:
-                    chosen.add(agent.index)
                     debt = 0
-                self._debt[agent.index] = debt
+            elif present:
+                debt += 1
+                if debt >= self._patience:
+                    chosen.add(index)
+                    debt = 0
+            debts[index] = debt
+        self._debt = debts
         return chosen
 
     def __repr__(self) -> str:

@@ -85,6 +85,23 @@ class TestSimpleAdversaries:
         with pytest.raises(ConfigurationError):
             RandomMissingEdge(p=1.5)
 
+    @pytest.mark.parametrize("make", [
+        NoRemoval,
+        lambda: FixedMissingEdge(2, from_round=1, until_round=5),
+        lambda: PeriodicMissingEdge(1, period=3, duty=1),
+        lambda: RandomMissingEdge(p=0.5, seed=9),
+    ], ids=["none", "fixed", "periodic", "random"])
+    def test_edge_for_replays_the_engine_stream(self, make):
+        """``edge_for`` alone yields the removals an engine run sees."""
+        engine = fsync_engine(UnconsciousExploration(), 8, [0, 4],
+                              adversary=make())
+        seen = []
+        for _ in range(12):
+            engine.step()
+            seen.append(engine.missing_edge)
+        detached = make()
+        assert [detached.edge_for(t, 8) for t in range(12)] == seen
+
     def test_function_adversary(self):
         adversary = FunctionAdversary(lambda e: e.round_no % 2 or None, label="odd")
         engine = fsync_engine(UnconsciousExploration(), 6, [0, 3], adversary=adversary)

@@ -1,4 +1,4 @@
-"""Analysis tooling: safety checker, complexity fits, sweeps."""
+"""Analysis tooling: safety checker and complexity fits."""
 
 import math
 
@@ -7,12 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.analysis.checker import assert_safe, check_safety, classify_runs
 from repro.analysis.complexity import best_fit, doubling_ratios, fit_model
-from repro.analysis.runner import average_case, sweep
-from repro.adversary import RandomMissingEdge
-from repro.algorithms.fsync import KnownUpperBound
-from repro.api import build_engine
 from repro.core.results import AgentStats, RunResult, TerminationMode
-from repro.schedulers import FsyncScheduler
 
 
 def run_result(explored, exploration_round, terminations):
@@ -109,33 +104,3 @@ class TestComplexityFits:
         ys = [a * x + b for x in xs]
         fit = fit_model(xs, ys, "linear")
         assert fit.coefficient == pytest.approx(a, rel=1e-6, abs=1e-6)
-
-
-class TestRunner:
-    def factory(self, n, seed):
-        return build_engine(
-            KnownUpperBound(bound=n),
-            ring_size=n,
-            positions=[0, n // 2],
-            adversary=RandomMissingEdge(seed=seed),
-            scheduler=FsyncScheduler(),
-        )
-
-    def test_average_case_aggregates(self):
-        point = average_case(self.factory, 8, seeds=range(4), max_rounds=100)
-        assert point.runs == 4
-        assert point.all_explored
-        assert point.mean_exploration_round is not None
-        assert point.max_moves >= point.mean_moves
-
-    def test_sweep_runs_each_size(self):
-        points = sweep(
-            self.factory, [5, 7, 9], seeds=range(2),
-            max_rounds_for=lambda n: 3 * n + 10,
-        )
-        assert [p.n for p in points] == [5, 7, 9]
-        assert all(p.all_explored for p in points)
-
-    def test_point_str_mentions_n(self):
-        point = average_case(self.factory, 8, seeds=[0], max_rounds=100)
-        assert "n=" in str(point)

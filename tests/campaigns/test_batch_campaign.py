@@ -519,6 +519,15 @@ class TestPresetBatchIntent:
             reason = batch_ineligible_reason(cell)
             assert reason is None, f"{cell.key()}: {reason}"
 
+    def test_batch_wide_crosses_the_seeded_and_periodic_adversaries(self):
+        """The CI byte diff covers each ``edge_for`` adversary that
+        draws or cycles, not only the fixed edge."""
+        from repro.campaigns.presets import get_spec
+
+        cells = get_spec("batch-wide").cell_list()
+        assert len(cells) == 72
+        assert {"fixed", "periodic", "random"} <= {c.adversary for c in cells}
+
     def test_faults_smoke_faulted_cells_batch(self):
         """The preset's faulted half (27 of 45 cells) takes the vector
         path, so the all-eligible check above is not vacuous for it."""

@@ -265,25 +265,3 @@ class TestAggregation:
         ]
         rows = aggregate_records(records, by=("ring_size",))
         assert [dict(r.group)["ring_size"] for r in rows] == [8, 16, 32, 128]
-
-    def test_sweep_point_and_campaign_agree(self, tmp_path):
-        """The refactored analysis sweep and a campaign report the same stats."""
-        from repro.analysis.runner import average_case
-        from repro.api import build_engine
-        from repro.schedulers import FsyncScheduler
-
-        def factory(n, seed):
-            return build_engine(
-                UnconsciousExploration(), ring_size=n, positions=[1, 1 + n // 2],
-                adversary=RandomMissingEdge(seed=seed), scheduler=FsyncScheduler(),
-            )
-
-        point = average_case(factory, 8, seeds=range(3), max_rounds=800,
-                             stop_on_exploration=True)
-        store = ResultStore(tmp_path / "r.jsonl")
-        run_cells(small_spec(seeds=range(3)).cells(), store, workers=1)
-        rows = aggregate_records(store.records(), by=("ring_size",))
-        row = next(r for r in rows if dict(r.group)["ring_size"] == 8)
-        assert row.stats.mean_rounds == point.mean_rounds
-        assert row.stats.mean_moves == point.mean_moves
-        assert row.stats.mean_exploration_round == point.mean_exploration_round

@@ -1,4 +1,5 @@
-"""Spec expansion: grids, variants, horizons, placements, hashing."""
+"""Spec expansion: grids, variants, horizons, placements, hashing, and
+the resolution of a cell's scheduler."""
 
 import pytest
 
@@ -229,3 +230,34 @@ class TestPresets:
         path.write_text(yaml.safe_dump(spec.to_dict()))
         loaded = load_spec(path)
         assert [c.key() for c in loaded.cells()] == [c.key() for c in spec.cells()]
+
+
+class TestCellScheduler:
+    """``cell_scheduler``: the one place a cell's scheduler is resolved."""
+
+    def test_auto_follows_the_transport_model(self):
+        from repro.adversary import NoRemoval
+        from repro.campaigns.registry import cell_scheduler
+        from repro.schedulers import (
+            ETFairScheduler, FsyncScheduler, RandomFairScheduler)
+
+        for transport, kind in (("ns", FsyncScheduler),
+                                ("pt", RandomFairScheduler),
+                                ("et", ETFairScheduler)):
+            scheduler = cell_scheduler(cell(transport=transport), NoRemoval())
+            assert type(scheduler) is kind, transport
+
+    def test_auto_hands_activation_to_a_combined_adversary(self):
+        from repro.campaigns.registry import ADVERSARIES, cell_scheduler
+
+        c = cell(adversary="ns-starvation")
+        adversary = ADVERSARIES[c.adversary](c)
+        assert cell_scheduler(c, adversary) is adversary
+
+    def test_named_scheduler_wins_over_a_combined_adversary(self):
+        from repro.campaigns.registry import ADVERSARIES, cell_scheduler
+        from repro.schedulers import RoundRobinScheduler
+
+        c = cell(adversary="ns-starvation", scheduler="round-robin")
+        scheduler = cell_scheduler(c, ADVERSARIES[c.adversary](c))
+        assert type(scheduler) is RoundRobinScheduler

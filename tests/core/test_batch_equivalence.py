@@ -62,7 +62,7 @@ _HOME_TRANSPORT = {
     "et-exact": "et", "et-unconscious": "et",
 }
 
-#: The pre-drawn-activation-mask schedulers (everything but fsync/auto).
+#: The SSYNC schedulers (everything but fsync/auto).
 _SSYNC_SCHEDULERS = ("round-robin", "random-fair", "et-fair")
 
 #: Fault plans the grid crosses with algorithms and adversaries.
@@ -260,12 +260,12 @@ class TestMixedCompositions:
 
 
 class TestSSyncMaskReplay:
-    """Pre-drawn activation masks vs the scalar schedulers, round by round.
+    """Activation masks vs the scalar schedulers, round by round.
 
-    The SSYNC story batches by replaying each cell's scheduler draws into
-    per-round activation masks; lockstep comparison after *every* round
-    is the proof that the mask stream equals the scalar interleaving
-    (same RNG, same starvation caps, same ET debt forcing).
+    The SSYNC story batches by asking each cell's scheduler object for
+    its per-round activation set; lockstep comparison after *every*
+    round is the proof that the mask stream equals the scalar
+    interleaving (same RNG, same starvation caps, same ET debt forcing).
     """
 
     @pytest.mark.parametrize("scheduler", _SSYNC_SCHEDULERS)
@@ -385,6 +385,59 @@ class TestFaultPlans:
         assert any(r.crashed_count for r in run_batch_cells(cells))
         for cell in cells[:3]:
             assert lockstep_divergence(cell) is None
+
+
+class TestRegistryOverrides:
+    """BatchCore runs the registry's policy objects, whatever they hold.
+
+    Every scheduler, adversary and fault injector a batch row consults is
+    the object the registry builds for the scalar engine, so a factory
+    rebuilt with non-default parameters must move both routes alike.
+    """
+
+    @staticmethod
+    def override(monkeypatch):
+        from repro.adversary import (
+            BlockAgentAdversary, PeriodicMissingEdge, RandomMissingEdge)
+        from repro.campaigns import registry
+        from repro.schedulers import (
+            ETFairScheduler, RandomFairScheduler, RoundRobinScheduler)
+
+        def random_fair(c):
+            return RandomFairScheduler(p=0.3, seed=c.seed + 1,
+                                       starvation_cap=5)
+
+        for table, name, factory in (
+            (registry.SCHEDULERS, "random-fair", random_fair),
+            (registry.SCHEDULERS, "et-fair",
+             lambda c: ETFairScheduler(random_fair(c), patience=3)),
+            (registry.SCHEDULERS, "round-robin",
+             lambda c: RoundRobinScheduler(window=2)),
+            (registry.ADVERSARIES, "periodic",
+             lambda c: PeriodicMissingEdge(c.edge, period=3, duty=1)),
+            (registry.ADVERSARIES, "random",
+             lambda c: RandomMissingEdge(p=0.5, seed=c.seed)),
+            (registry.ADVERSARIES, "block-agent",
+             lambda c: BlockAgentAdversary(1)),
+        ):
+            monkeypatch.setitem(table, name, factory)
+
+    @pytest.mark.parametrize("scheduler", ("auto",) + _SSYNC_SCHEDULERS)
+    def test_non_default_factories_agree_with_scalar(self, monkeypatch,
+                                                     scheduler):
+        self.override(monkeypatch)
+        cells = [
+            CellConfig(algorithm=algorithm, ring_size=9, agents=3,
+                       max_rounds=90, adversary=adversary, edge=2,
+                       transport=transport, scheduler=scheduler, seed=seed,
+                       faults=faults)
+            for algorithm, transport in (("unconscious", "ns"),
+                                         ("pt-bound", "pt"),
+                                         ("et-unconscious", "et"))
+            for adversary in ("periodic", "random", "block-agent")
+            for seed, faults in ((0, ""), (1, "rate:0.02"))
+        ]
+        assert not differential_cells(cells)
 
 
 class TestBlockAgent:

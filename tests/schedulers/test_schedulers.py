@@ -120,6 +120,36 @@ class TestRandomFair:
             RandomFairScheduler(starvation_cap=0)
 
 
+class TestChoose:
+    """``choose`` decides from plain inputs exactly as ``select`` does."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: RoundRobinScheduler(window=2),
+        lambda: RandomFairScheduler(p=0.3, seed=4, starvation_cap=3),
+    ], ids=["round-robin", "random-fair"])
+    def test_choose_replays_select(self, make):
+        engine = make_engine(make())
+        detached = make()
+        for _ in range(30):
+            live = sorted(engine.live_indexes)
+            idle = {a.index: a.rounds_since_active for a in engine.agents}
+            engine.step()
+            assert detached.choose(live, idle, {}) == engine.last_active
+
+    def test_et_fair_choose_forces_a_waiting_sleeper(self):
+        """Debt accrues only while the sleeper's edge is present."""
+        class OnlyOne:
+            def choose(self, live, idle, waiting):
+                return {1}
+
+        scheduler = ETFairScheduler(OnlyOne(), patience=2)
+        idle = {0: 0, 1: 0}
+        assert scheduler.choose([0, 1], idle, {0: False}) == {1}
+        assert scheduler.choose([0, 1], idle, {0: True}) == {1}
+        assert scheduler.choose([0, 1], idle, {0: True}) == {0, 1}
+        assert scheduler.choose([0, 1], idle, {0: True}) == {1}
+
+
 class TestScripted:
     def test_sequence_cycles(self):
         engine = make_engine(ScriptedScheduler([{0}, {1, 2}]))
