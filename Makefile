@@ -43,19 +43,20 @@ bench-batch-smoke:
 ## a byte-for-byte store diff.  batch-smoke covers the NS/FSYNC corner;
 ## batch-wide covers the widened frontier (PT/ET transports, landmark
 ## kernels, SSYNC activation masks, the block-agent peek, lost-on-removal).
+## --batch on: their groups are too narrow for auto to batch.
 batch-diff:
 	PYTHONPATH=src $(PYTHON) -m repro campaign run --spec batch-smoke \
-		--workers 1 --batch auto --store results/batch-auto.jsonl
+		--workers 1 --batch on --store results/batch-on.jsonl
 	PYTHONPATH=src $(PYTHON) -m repro campaign run --spec batch-smoke \
 		--workers 1 --batch off --store results/batch-off.jsonl
 	PYTHONPATH=src $(PYTHON) scripts/diff_stores.py \
-		results/batch-auto.jsonl results/batch-off.jsonl
+		results/batch-on.jsonl results/batch-off.jsonl
 	PYTHONPATH=src $(PYTHON) -m repro campaign run --spec batch-wide \
-		--workers 1 --batch auto --store results/batch-wide-auto.jsonl
+		--workers 1 --batch on --store results/batch-wide-on.jsonl
 	PYTHONPATH=src $(PYTHON) -m repro campaign run --spec batch-wide \
 		--workers 1 --batch off --store results/batch-wide-off.jsonl
 	PYTHONPATH=src $(PYTHON) scripts/diff_stores.py \
-		results/batch-wide-auto.jsonl results/batch-wide-off.jsonl
+		results/batch-wide-on.jsonl results/batch-wide-off.jsonl
 
 ## The pytest-benchmark suites (paper-table reproductions).
 bench-suites:

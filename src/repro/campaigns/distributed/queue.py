@@ -109,6 +109,8 @@ class Claim:
     #: When the chunk was enqueued — lets the worker stamp the chunk
     #: span's ``queue_wait_s`` (time spent claimable before this claim).
     created_at: float | None = None
+    #: Planned as a batch chunk (``run_chunk``'s ``planned``).
+    planned: bool = False
 
 
 @dataclass(frozen=True)
@@ -327,10 +329,10 @@ class WorkQueue:
             seen.add(key)
             runnable.append((key, cell))
         # The planner every mode shares, sized for this host's usable
-        # CPUs (the fleet's size is unknown here): batchable cells grouped
-        # by shape into chunks that fill the vector width (one lease, one
-        # lockstep NumPy run), scalar cells in spec order in 25-cell
-        # chunks.
+        # CPUs (the fleet's size is unknown here): each shape group wide
+        # enough to batch in chunks that fill the vector width (one
+        # lease, one lockstep NumPy run), the other cells in spec order
+        # in 25-cell chunks.
         planned = plan_chunks(runnable, batch=batch, chunk_size=chunk_size,
                               cell=itemgetter(1))
         now = self._clock()
@@ -340,10 +342,10 @@ class WorkQueue:
         # re-hashing) and the inserts, so fleet heartbeats/claims queued
         # behind a large enqueue wait microseconds, not a key-hash pass.
         prepared = [
-            ([key for key, _ in chunk],
+            (wide, [key for key, _ in chunk],
              json.dumps([cell.to_dict() for _, cell in chunk],
                         sort_keys=True, separators=(",", ":")))
-            for chunk in planned
+            for wide, chunk in planned
         ]
         by_key = dict(runnable)   # built outside the write lock
 
@@ -351,7 +353,7 @@ class WorkQueue:
             queued = self._chunk_keys(conn, "pending", "leased")
             fresh = 0
             rows = []
-            for keys, payload in prepared:
+            for wide, keys, payload in prepared:
                 kept = [k for k in keys if k not in queued]
                 if len(kept) != len(keys):
                     # Rare overlap with a concurrent enqueue: rebuild the
@@ -363,14 +365,17 @@ class WorkQueue:
                 if not keys:
                     continue
                 fresh += len(keys)
+                # ``batched`` holds the planned route until a worker
+                # completes the chunk and stamps the route it took.
                 rows.append((
                     self.campaign, payload,
                     json.dumps(keys, separators=(",", ":")),
-                    len(keys), now,
+                    len(keys), now, int(wide),
                 ))
             conn.executemany(
                 "INSERT INTO chunks (campaign_key, cells, cell_keys, "
-                "n_cells, created_at) VALUES (?, ?, ?, ?, ?)", rows)
+                "n_cells, created_at, batched) VALUES (?, ?, ?, ?, ?, ?)",
+                rows)
             return fresh, len(rows)
 
         fresh_count, chunk_count = self._txn("queue.enqueue", body)
@@ -378,7 +383,7 @@ class WorkQueue:
             total=len(cells),
             enqueued_cells=fresh_count,
             chunks=chunk_count,
-            chunk_size=max(map(len, planned), default=0),
+            chunk_size=max((len(chunk) for _, chunk in planned), default=0),
             skipped_done=skipped_done,
             skipped_failed=skipped_failed,
             skipped_queued=len(runnable) - fresh_count + duplicates,
@@ -446,12 +451,12 @@ class WorkQueue:
         def body(conn):
             self._touch_worker(conn, worker_id, now)
             row = conn.execute(
-                "SELECT id, cells, cell_keys, created_at FROM chunks "
-                "WHERE campaign_key = ? AND state = 'pending' "
+                "SELECT id, cells, cell_keys, created_at, batched "
+                "FROM chunks WHERE campaign_key = ? AND state = 'pending' "
                 "ORDER BY id LIMIT 1", (self.campaign,),
             ).fetchone()
             if row is not None:
-                chunk_id, payload, keys, created_at = row
+                chunk_id, payload, keys, created_at, planned = row
                 conn.execute(
                     "UPDATE chunks SET state = 'leased' WHERE id = ?",
                     (chunk_id,))
@@ -459,11 +464,11 @@ class WorkQueue:
                     "INSERT INTO leases (chunk_id, worker_id, heartbeat, "
                     "acquired_at, attempt) VALUES (?, ?, ?, ?, 1)",
                     (chunk_id, worker_id, now, now))
-                return chunk_id, payload, keys, 1, None, created_at
+                return chunk_id, payload, keys, 1, None, created_at, planned
             while True:
                 row = conn.execute(
                     "SELECT c.id, c.cells, c.cell_keys, l.worker_id, "
-                    "l.attempt, c.created_at "
+                    "l.attempt, c.created_at, c.batched "
                     "FROM chunks c JOIN leases l ON l.chunk_id = c.id "
                     "WHERE c.campaign_key = ? AND c.state = 'leased' "
                     "AND l.heartbeat < ? ORDER BY l.heartbeat LIMIT 1",
@@ -472,7 +477,7 @@ class WorkQueue:
                 if row is None:
                     return None
                 (chunk_id, payload, keys, stolen_from, previous,
-                 created_at) = row
+                 created_at, planned) = row
                 if previous >= self.max_attempts:
                     # A chunk that has burned through its attempts is
                     # poison (its cells likely kill the worker process
@@ -493,14 +498,15 @@ class WorkQueue:
                     "acquired_at = ?, attempt = ? WHERE chunk_id = ?",
                     (worker_id, now, now, attempt, chunk_id))
                 return (chunk_id, payload, keys, attempt, stolen_from,
-                        created_at)
+                        created_at, planned)
 
         claimed = self._txn("queue.claim", body)
         if claimed is None:
             if reg is not None:
                 reg.counter("queue.idle_polls").inc()
             return None
-        chunk_id, payload, keys, attempt, stolen_from, created_at = claimed
+        (chunk_id, payload, keys, attempt, stolen_from, created_at,
+         planned) = claimed
         self._last_idle_touch = now  # the claim transaction touched us
         if reg is not None:
             reg.counter("queue.claims").inc()
@@ -514,6 +520,7 @@ class WorkQueue:
             attempt=attempt,
             stolen_from=stolen_from,
             created_at=created_at,
+            planned=bool(planned),
         )
 
     def heartbeat(self, chunk_id: int, worker_id: str) -> bool:

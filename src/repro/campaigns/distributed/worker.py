@@ -163,7 +163,8 @@ class LeasedQueue:
                 if key not in done]
         return Chunk(claim.chunk_id, todo, attrs, claim_s=claim_s,
                      skipped=len(claim.cells) - len(todo),
-                     abort=self._keepers[claim.chunk_id].lost.is_set)
+                     abort=self._keepers[claim.chunk_id].lost.is_set,
+                     planned=claim.planned)
 
     def complete(self, chunk: Chunk, records, *, batched: bool,
                  cells_per_s: float | None) -> None:

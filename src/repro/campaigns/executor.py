@@ -18,9 +18,11 @@ Chunks reach the store as they complete, so an interrupted campaign
 loses at most the chunks in flight; :func:`run_cells` consults
 ``store.completed_keys()`` first and never re-runs a recorded cell.
 :func:`plan_chunks` cuts the chunks of serial, pool and distributed
-runs alike.  It never mixes routes in one chunk: batchable cells,
-grouped by shape, fill the vector width even when the campaign also
-holds scalar cells, which keep their spec order in 25-cell chunks.
+runs alike, by the routing rule (:func:`route_cells`) that
+:func:`run_chunk` applies too.  It never mixes routes in one chunk: a
+shape group wide enough to batch (:data:`MIN_BATCH_LANES`) fills the
+vector width on its own, and every other cell keeps its spec order in
+25-cell chunks.  Only a process that runs a batch imports NumPy.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from ..core.batch import (
@@ -59,6 +62,13 @@ BATCH_MODES = ("auto", "on", "off")
 
 #: Metric-name prefix of the per-reason batch rejection counters.
 BATCH_REJECT_PREFIX = "executor.batch_reject."
+
+#: Narrowest shape group ``auto`` batches, in lanes: the group's cells
+#: times its agent count.  A lockstep round costs the same Python
+#: dispatch however few lanes it carries, so narrower groups run faster
+#: on the scalar engine (crossover table: ARCHITECTURE.md, "Which
+#: groups batch").
+MIN_BATCH_LANES = 128
 
 
 def batch_reject_counts(snapshot: dict[str, dict] | None) -> dict[str, int]:
@@ -158,18 +168,60 @@ def _wants_batch(cell: CellConfig, override: str | None) -> bool:
             and batch_eligible(cell))
 
 
+def route_cells(
+    items: Sequence[Any],
+    batch: str | None,
+    *,
+    cell: Callable[[Any], CellConfig] = lambda item: item,
+    planned: bool = False,
+) -> tuple[dict[tuple[str, int], list[Any]], list[Any]]:
+    """Split ``items`` by route: ``({shape: batch items}, scalar items)``.
+
+    The one routing rule of :func:`plan_chunks` and :func:`run_chunk`.
+    A cell may batch when the ``batch`` override (else its own field)
+    is not ``off``, NumPy is installed and the cell is
+    :func:`~repro.core.batch.batch_eligible`.  Those cells are grouped
+    by :func:`~repro.core.batch.batch_shape`, and under ``auto`` a group
+    batches only when it is wide: its cells times its agents reach
+    :data:`MIN_BATCH_LANES`.  A group holding a cell routed ``on``
+    batches at any width, and so does every group of a ``planned``
+    batch chunk, which the planner found wide over the whole run.  Both
+    lists keep the input order; shapes come in order of first
+    appearance.  ``cell`` extracts the cell from one item.
+    """
+    wanted: dict[tuple[str, int], list[Any]] = {}
+    forced = set()
+    routes = []
+    for item in items:
+        c = cell(item)
+        shape = batch_shape(c) if _wants_batch(c, batch) else None
+        routes.append(shape)
+        if shape is not None:
+            wanted.setdefault(shape, []).append(item)
+            if _effective_batch(c, batch) == "on":
+                forced.add(shape)
+    groups = {(algorithm, agents): group
+              for (algorithm, agents), group in wanted.items()
+              if planned or (algorithm, agents) in forced
+              or len(group) * agents >= MIN_BATCH_LANES}
+    scalar = [item for item, shape in zip(items, routes)
+              if shape not in groups]
+    return groups, scalar
+
+
 def run_chunk(
     cells: Sequence[CellConfig],
     *,
     batch: str | None = None,
     abort: Callable[[], bool] | None = None,
+    planned: bool = False,
 ) -> tuple[list[dict[str, Any]], int]:
-    """Run one chunk of cells, batching the eligible ones in lockstep.
+    """Run one chunk of cells, batching the wide groups in lockstep.
 
-    The single routing point of every execution mode: eligible cells
-    (shared predicate :func:`~repro.core.batch.batch_eligible`, honouring
-    the ``batch`` override / per-cell ``batch`` field) run through
-    :class:`~repro.core.batch.BatchCore`; the rest fall back to
+    The single execution point of every mode: :func:`route_cells` picks
+    the cells that run through :class:`~repro.core.batch.BatchCore`
+    (``planned`` marks a chunk :func:`plan_chunks` cut as a batch chunk,
+    which is never re-routed); the rest run through
     :func:`execute_cell` one by one.  Records come back in input order
     with the exact schema the scalar path appends, so stores cannot tell
     the paths apart.  Returns ``(records, batched)`` where ``batched``
@@ -182,8 +234,9 @@ def run_chunk(
     Observability (all no-ops unless enabled): cell spans nest under the
     caller's open span (the chunk span :func:`drain` emits); routing
     decisions feed the ``executor.*`` counters — per-reason batch
-    rejections (``executor.batch_reject.<key>``) and vector-path
-    degradations (``executor.degrade_to_scalar``).
+    rejections (``executor.batch_reject.<key>``, ``narrow`` for a group
+    below :data:`MIN_BATCH_LANES`) and vector-path degradations
+    (``executor.degrade_to_scalar``).
     """
     if batch is not None and batch not in BATCH_MODES:
         raise ConfigurationError(
@@ -191,24 +244,26 @@ def run_chunk(
     rec = obs_spans.recorder()
     reg = obs_metrics.registry() if obs_metrics.enabled() else None
     records: list[dict[str, Any] | None] = [None] * len(cells)
-    eligible = [(i, c) for i, c in enumerate(cells) if _wants_batch(c, batch)]
+    groups, _ = route_cells(list(enumerate(cells)), batch,
+                            cell=itemgetter(1), planned=planned)
+    vector = [pair for group in groups.values() for pair in group]
     if reg is not None:
         reg.counter("executor.chunks").inc()
         reg.histogram("executor.chunk_cells").observe(len(cells))
-        for cell in cells:
-            if _effective_batch(cell, batch) == "off":
+        routed = {i for i, _ in vector}
+        for i, cell in enumerate(cells):
+            if _effective_batch(cell, batch) == "off" or i in routed:
                 continue
             if not numpy_available():
-                reg.counter("executor.batch_reject.no_numpy").inc()
-                continue
-            reason_key = batch_ineligible_key(cell)
-            if reason_key is not None:
-                reg.counter(f"executor.batch_reject.{reason_key}").inc()
+                reason_key = "no_numpy"
+            else:
+                reason_key = batch_ineligible_key(cell) or "narrow"
+            reg.counter(f"{BATCH_REJECT_PREFIX}{reason_key}").inc()
     batched = 0
-    if eligible:
+    if vector:
         start = time.perf_counter()
         try:
-            results = run_batch_cells([c for _, c in eligible])
+            results = run_batch_cells([c for _, c in vector])
         except Exception:
             # Defensive only: the batch path is differentially proven,
             # but a routing bug must degrade to the scalar path, never
@@ -217,12 +272,12 @@ def run_chunk(
             results = None
             _log.warning(
                 "batch path failed for %d cells; degrading to scalar",
-                len(eligible), exc_info=True)
+                len(vector), exc_info=True)
             if reg is not None:
                 reg.counter("executor.degrade_to_scalar").inc()
         if results is not None:
-            per_cell = round((time.perf_counter() - start) / len(eligible), 6)
-            for (i, cell), result in zip(eligible, results):
+            per_cell = round((time.perf_counter() - start) / len(vector), 6)
+            for (i, cell), result in zip(vector, results):
                 records[i] = {
                     "key": cell.key(),
                     "config": cell.to_dict(),
@@ -233,7 +288,7 @@ def run_chunk(
                     records[i]["span_id"] = rec.emit(
                         "cell", cell.algorithm, elapsed_s=per_cell,
                         attrs={"key": cell.key(), "route": "batch"})
-            batched = len(eligible)
+            batched = len(vector)
             if reg is not None:
                 reg.counter("executor.cells").inc(batched)
                 reg.counter("executor.cells_batched").inc(batched)
@@ -250,28 +305,31 @@ def run_chunk(
 # runners: where a claimed chunk executes
 # ---------------------------------------------------------------------------
 
-def _timed_chunk(cells, batch, span_id, abort=None):
+def _timed_chunk(cells, batch, span_id, abort=None, planned=False):
     """``run_chunk`` under the chunk span ``span_id``, plus its wall start
     (epoch seconds) and duration: ``(records, batched, start_s, run_s)``."""
     rec = obs_spans.recorder()
     start_s, t0 = time.time(), time.perf_counter()
     with rec.within(span_id) if rec is not None else nullcontext():
-        records, batched = run_chunk(cells, batch=batch, abort=abort)
+        records, batched = run_chunk(cells, batch=batch, abort=abort,
+                                     planned=planned)
     return records, batched, start_s, time.perf_counter() - t0
 
 
 def _run_chunk(task, batch: str | None = None):
     """Pool-worker entry point: run one chunk of serialised cells.
 
-    ``task`` is ``(n, cell_dicts, span_id)``; returns ``(n, records,
-    batched, start_s, run_s, metrics_snapshot)``.  The snapshot is a
-    per-chunk delta (the child registry is drained after each chunk) so
-    the parent can merge pool snapshots without double counting.
+    ``task`` is ``(n, cell_dicts, span_id, planned)``; returns ``(n,
+    records, batched, start_s, run_s, metrics_snapshot)``.  The snapshot
+    is a per-chunk delta (the child registry is drained after each
+    chunk) so the parent can merge pool snapshots without double
+    counting.
     """
-    n, payload, span_id = task
+    n, payload, span_id, planned = task
     obs_spans.ensure_recorder()  # pool children: env-driven JSONL sink
     outcome = _timed_chunk(
-        [CellConfig.from_dict(d) for d in payload], batch, span_id)
+        [CellConfig.from_dict(d) for d in payload], batch, span_id,
+        planned=planned)
     snap: dict | None = None
     if obs_metrics.enabled():
         snap = obs_metrics.snapshot()
@@ -283,15 +341,15 @@ def run_inline(chunks, *, batch: str | None = None):
     """Runner: execute each claimed chunk here, as it is claimed."""
     for chunk in chunks:
         yield chunk, (*_timed_chunk(chunk.cells, batch, chunk.span_id,
-                                    chunk.abort), None)
+                                    chunk.abort, chunk.planned), None)
 
 
 def run_pooled(chunks, *, workers: int, batch: str | None = None):
     """Runner: every claimed chunk goes to a pool of ``workers`` forked
     processes; outcomes come back in completion order."""
     by_id = {chunk.id: chunk for chunk in chunks}
-    tasks = [(n, [c.to_dict() for c in chunk.cells], chunk.span_id)
-             for n, chunk in by_id.items()]
+    tasks = [(n, [c.to_dict() for c in chunk.cells], chunk.span_id,
+              chunk.planned) for n, chunk in by_id.items()]
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
     with ctx.Pool(processes=workers) as pool:
@@ -317,6 +375,9 @@ class Chunk:
     skipped: int = 0
     abort: Callable[[], bool] | None = None
     span_id: str | None = None
+    #: Cut by :func:`plan_chunks` as a batch chunk (``run_chunk``'s
+    #: ``planned``): its groups batch at any width.
+    planned: bool = False
 
 
 class LocalQueue:
@@ -328,14 +389,14 @@ class LocalQueue:
     """
 
     def __init__(self, store: ResultStore,
-                 chunks: Iterable[list[CellConfig]]) -> None:
+                 chunks: Iterable[tuple[bool, list[CellConfig]]]) -> None:
         self.store = store
         self.records: list[dict[str, Any]] = []
         self._chunks = enumerate(chunks)
 
     def claim(self) -> Chunk | None:
-        n, cells = next(self._chunks, (None, None))
-        return None if cells is None else Chunk(n, cells)
+        n, (planned, cells) = next(self._chunks, (None, (False, None)))
+        return None if cells is None else Chunk(n, cells, planned=planned)
 
     def complete(self, chunk: Chunk, records, **telemetry) -> None:
         self.store.append_many(records)
@@ -540,13 +601,13 @@ def default_chunk_size(
     """Cells per work unit: ~4 chunks per worker balances scheduling slack
     against IPC, capped at 25 so a straggler chunk never dominates.
 
-    With ``batch=True`` (sizing a run of batchable cells) the cap rises
-    to :func:`~repro.core.batch.batch_width` (the
+    With ``batch=True`` (sizing one shape group that batches) the cap
+    rises to :func:`~repro.core.batch.batch_width` (the
     ``REPRO_BATCH_WIDTH``-overridable vector width) and the target
     becomes one chunk per worker: a batched chunk is a single lockstep
     NumPy run, so wide chunks amortise the per-chunk setup and fill the
     vector width instead of slicing it into 25-cell slivers.
-    :func:`plan_chunks` sizes a campaign's batchable and scalar cells
+    :func:`plan_chunks` sizes each batch group and the scalar cells
     separately, one call each.
 
     Shared with the distributed queue (where the eventual fleet size is
@@ -565,6 +626,15 @@ def chunk_cells(items: Sequence[Any], size: int) -> list[list[Any]]:
     return [list(items[i:i + size]) for i in range(0, len(items), size)]
 
 
+def even_chunks(items: Sequence[Any], size: int) -> list[list[Any]]:
+    """Split a work list into the fewest chunks of at most ``size`` items,
+    their lengths differing by at most one (no narrow tail chunk)."""
+    count = -(-len(items) // size)
+    return [list(items[i * len(items) // count:
+                       (i + 1) * len(items) // count])
+            for i in range(count)]
+
+
 def plan_chunks(
     items: Sequence[Any],
     workers: int | None = None,
@@ -572,40 +642,33 @@ def plan_chunks(
     batch: str | None,
     chunk_size: int | None = None,
     cell: Callable[[Any], CellConfig] = lambda item: item,
-) -> list[list[Any]]:
+) -> list[tuple[bool, list[Any]]]:
     """Cut a run's pending cells into chunks that never mix routes.
 
-    The one chunk planner of serial, pool and distributed runs.  Cells
-    that may batch (routing override ``batch``, else each cell's own
-    field) are grouped by :func:`~repro.core.batch.batch_shape`, what
-    ``run_batch_cells`` groups by, and cut at
-    ``default_chunk_size(n_batch, workers, batch=True)``: a chunk is one
-    wide lockstep run even when the campaign also holds scalar cells.
-    The grouping is a stable sort with the shapes in order of first
-    appearance, so a campaign whose shapes already come in runs (such as
-    ``paper-tables``) keeps its cell order.  The scalar cells keep their spec
-    order and are cut at ``default_chunk_size(n_scalar, workers)``.  An
-    explicit ``chunk_size`` sizes both runs instead.  Batch chunks come
-    first, as the widest units of work.
+    The one chunk planner of serial, pool and distributed runs; returns
+    ``(batch, items)`` pairs, ``batch`` marking a batch chunk (which
+    :func:`run_chunk` runs with ``planned=True``, never re-routing it).
+    :func:`route_cells` decides over the whole run which shape groups
+    batch.  Each of those is cut on its own into :func:`even_chunks` of
+    at most ``default_chunk_size(len(group), workers, batch=True)``
+    cells, so a chunk is one lockstep run of one shape and a wide group
+    leaves no narrow tail.  The other cells, narrow groups included,
+    keep their spec order and are cut at ``default_chunk_size(n_scalar,
+    workers)``.  An explicit ``chunk_size`` caps both instead.  Batch
+    chunks come first, as the widest units of work.
 
     ``items`` may carry more than the cell (the queue plans over its
     ``(key, cell)`` pairs); ``cell`` extracts the cell from one item.
     """
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-    shapes: dict[tuple[str, int], list[Any]] = {}
-    scalar = []
-    for item in items:
-        c = cell(item)
-        if _wants_batch(c, batch):
-            shapes.setdefault(batch_shape(c), []).append(item)
-        else:
-            scalar.append(item)
-    batchable = [item for group in shapes.values() for item in group]
+    groups, scalar = route_cells(items, batch, cell=cell)
     chunks = []
-    for run, wide in ((batchable, True), (scalar, False)):
-        size = chunk_size or default_chunk_size(len(run), workers, batch=wide)
-        chunks += chunk_cells(run, size)
+    for group in groups.values():
+        size = chunk_size or default_chunk_size(len(group), workers, batch=True)
+        chunks += [(True, part) for part in even_chunks(group, size)]
+    size = chunk_size or default_chunk_size(len(scalar), workers)
+    chunks += [(False, part) for part in chunk_cells(scalar, size)]
     return chunks
 
 

@@ -165,7 +165,8 @@ def _migrate_chunk_telemetry(conn: sqlite3.Connection) -> None:
     """Grow ``chunks`` columns added after the first queue release.
 
     ``batched``/``cells_per_s`` (per-chunk execution telemetry for
-    ``campaign status``) arrived with the vectorized batch core; stores
+    ``campaign status``; ``batched`` holds the planned route until the
+    chunk completes) arrived with the vectorized batch core; stores
     created earlier lack the columns, and ``CREATE TABLE IF NOT EXISTS``
     will not add them — so additive ``ALTER TABLE`` here keeps old
     databases resumable without a rewrite.

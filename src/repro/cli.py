@@ -55,10 +55,12 @@ top-level ``--log-level/--log-json/-q/--verbose`` flags configure the
 stdlib-``logging`` backbone every progress line now flows through.
 
 ``--batch {auto,on,off}`` (on ``run``/``resume``/``worker``) routes
-eligible cells — ring/NS/FSYNC under an oblivious adversary — through
-the vectorized batch executor (:mod:`repro.core.batch`); it is pure
-execution routing, never cell identity: store keys, records and reports
-are byte-identical to the scalar path.
+eligible cells through the vectorized batch executor
+(:mod:`repro.core.batch`): ``auto`` batches a shape group (algorithm,
+agents) only when it is wide enough to beat the scalar engine
+(``executor.MIN_BATCH_LANES``), ``on`` batches every eligible cell.  It
+is pure execution routing, never cell identity: store keys, records and
+reports are byte-identical to the scalar path.
 
 ``--store`` accepts a backend URI everywhere: ``sqlite:results/t2.db``
 selects the concurrent, indexed SQLite backend, ``jsonl:`` (or a bare
@@ -84,7 +86,7 @@ from typing import Sequence
 from .analysis.render import watch
 from .campaigns.aggregate import aggregate_records, render_rows
 from .campaigns.distributed.queue import DEFAULT_LEASE_TTL_S, DEFAULT_MAX_ATTEMPTS
-from .campaigns.executor import prepare_cells, run_cells
+from .campaigns.executor import MIN_BATCH_LANES, prepare_cells, run_cells
 from .campaigns.presets import DEFAULT_SPEC, SPECS, get_spec, load_spec
 from .campaigns.registry import (
     ADVERSARIES,
@@ -353,12 +355,14 @@ def _add_fleet_args(p: argparse.ArgumentParser) -> None:
                         "chunk is stolen (default: %(default)s; must match "
                         "the fleet's)")
     p.add_argument("--batch", choices=("auto", "on", "off"), default=None,
-                   help="vectorized batch execution: auto routes "
-                        "eligible cells through the lockstep NumPy core "
-                        "(scalar fallback otherwise), on requires it, "
-                        "off forces the scalar path; never changes "
-                        "results or store keys, so a mixed fleet is fine "
-                        "(default: auto)")
+                   help="vectorized batch execution: auto runs each "
+                        "group of eligible cells sharing an algorithm and "
+                        "agent count through the lockstep NumPy core when "
+                        "cells x agents >= %d (the scalar engine is faster "
+                        "below), on batches every cell and refuses "
+                        "ineligible ones, off forces the scalar path; "
+                        "never changes results or store keys, so a mixed "
+                        "fleet is fine (default: auto)" % MIN_BATCH_LANES)
     p.add_argument("--metrics", action="store_true",
                    help="record counters/histograms (queue claim latency, "
                         "engine phase timings, batch share) and print a "

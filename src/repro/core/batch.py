@@ -61,26 +61,38 @@ over a differential grid plus Hypothesis-generated batches and asserts
 cell-by-cell result *and* per-round state equality, and the golden ring
 traces replay through this core too.
 
-Scale: the visited bitmap is bit-packed (``n_max / 8`` bytes per cell),
-the split caps count packed bytes, and ``REPRO_BATCH_WIDTH`` overrides
-the default lane width — a 10^5-node ring batches a thousand cells wide
-within the default cap.
+Width: a lockstep round costs a fixed Python dispatch whatever the
+batch holds, so a batch pays off only once it is wide.  Under ``auto``
+the campaign router (:mod:`repro.campaigns.executor`) therefore batches
+a shape group only when its cells × agents reach
+:data:`~repro.campaigns.executor.MIN_BATCH_LANES`; narrower groups run
+on the scalar engine.  ``REPRO_BATCH_WIDTH`` overrides the default cap
+of :data:`BATCH_WIDTH` cells per batch.
+
+Scale: the visited bitmap is bit-packed (``n_max / 8`` bytes per cell)
+and the split caps count packed bytes — a 10^5-node ring batches a
+thousand cells wide within the default cap.
 
 NumPy is a declared dependency but its absence only disables batching:
 :data:`HAVE_NUMPY` gates the routing (``REPRO_NO_NUMPY=1`` forces the
-scalar path, which is also how CI tests the fallback).
+scalar path, which is also how CI tests the fallback).  It is found, not
+imported: the first :class:`BatchCore` a process builds imports NumPy
+and binds it to this module's and the kernels' ``_np``, so a run that
+batches nothing (``--batch off``, or only groups the router finds too
+narrow) never loads it.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from importlib.util import find_spec
 from typing import TYPE_CHECKING, Sequence
 
 from ..obs import metrics as obs_metrics
 from ..resilience.faults import FaultPlan
 from .batch_kernels import (
-    K_ENTER, K_MOVE, K_TERM, PROGRAMS, Look, build_program)
+    K_ENTER, K_MOVE, K_TERM, PROGRAMS, Look, build_program, load_numpy)
 from .errors import ConfigurationError
 from .results import AgentStats, RunResult
 from .sim import MAX_ROUNDS_LIMIT
@@ -88,15 +100,16 @@ from .sim import MAX_ROUNDS_LIMIT
 if TYPE_CHECKING:  # pragma: no cover
     from ..campaigns.spec import CellConfig
 
-try:  # pragma: no cover - exercised via REPRO_NO_NUMPY in CI
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
+#: NumPy once the first :class:`BatchCore` is built (``None`` before).
+_np = None
 
-#: Whether the batch path is available in this process.  Module-level so
-#: tests can monkeypatch it; consult :func:`numpy_available` from other
-#: modules (it reads this attribute dynamically).
-HAVE_NUMPY = _np is not None and os.environ.get("REPRO_NO_NUMPY", "") != "1"
+#: Whether the batch path is available in this process: NumPy is
+#: installed (found, not imported) and ``REPRO_NO_NUMPY`` is not ``1``.
+#: Module-level so tests can monkeypatch it; consult
+#: :func:`numpy_available` from other modules (it reads this attribute
+#: dynamically).
+HAVE_NUMPY = (find_spec("numpy") is not None
+              and os.environ.get("REPRO_NO_NUMPY", "") != "1")
 
 #: Default number of cells per lockstep batch — also the chunk-size cap
 #: :func:`repro.campaigns.executor.default_chunk_size` gives a campaign's
@@ -293,10 +306,13 @@ class BatchCore:
     """
 
     def __init__(self, cells: Sequence["CellConfig"]) -> None:
+        global _np
         if not HAVE_NUMPY:
             raise ConfigurationError("BatchCore requires numpy (HAVE_NUMPY is false)")
         if not cells:
             raise ConfigurationError("BatchCore needs at least one cell")
+        if _np is None:
+            _np = load_numpy()
         algorithms = {c.algorithm for c in cells}
         agent_counts = {c.agents for c in cells}
         if len(algorithms) != 1 or len(agent_counts) != 1:

@@ -43,12 +43,11 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised implicitly by batch.py's gate
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
-
 from .errors import ConfigurationError, ProtocolViolation
+
+#: NumPy, bound by :func:`load_numpy` when the first batch is built: a
+#: process that runs no batch never imports it.
+_np = None
 
 # Action kinds emitted by a kernel, one int8 per agent.
 K_STAY = 0
@@ -92,6 +91,20 @@ class Look:
         self.other_plus = other_plus
         self.other_minus = other_minus
         self.is_lm = is_lm
+
+
+def load_numpy():
+    """Import NumPy and bind it to this module's ``_np``; returns it.
+
+    A plain module global, not a lazy proxy, so the kernels' per-round
+    ``_np.*`` lookups cost what a top-level import would.
+    """
+    global _np
+    if _np is None:
+        import numpy
+
+        _np = numpy
+    return _np
 
 
 # ---------------------------------------------------------------------------
@@ -822,4 +835,5 @@ __all__ = [
     "VState",
     "VectorProgram",
     "build_program",
+    "load_numpy",
 ]

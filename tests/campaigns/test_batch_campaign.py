@@ -10,8 +10,11 @@ only the telemetry) says which chunks vectorized and how fast.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
-from itertools import groupby
+from itertools import groupby, zip_longest
 from pathlib import Path
 
 import pytest
@@ -33,7 +36,9 @@ from repro.campaigns.distributed import (
     run_worker,
 )
 from repro.campaigns.executor import (
+    MIN_BATCH_LANES,
     CampaignRun,
+    batch_reject_counts,
     chunk_cells,
     default_chunk_size,
     plan_chunks,
@@ -42,6 +47,7 @@ from repro.campaigns.executor import (
 from repro.core import batch as batch_mod
 from repro.core.batch import BATCH_WIDTH, batch_shape
 from repro.core.errors import ConfigurationError
+from repro.obs import metrics as obs_metrics
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -50,7 +56,9 @@ needs_numpy = pytest.mark.skipif(
 
 
 def eligible_spec(name="batch-test", seeds=(0, 1, 2), sizes=(6, 8)) -> CampaignSpec:
-    """Every cell of this spec qualifies for the batch path."""
+    """Every cell of this spec qualifies for the batch path.  Two agents
+    per cell, so ``len(seeds) * len(sizes) * 2`` lanes: the default is a
+    narrow group, which ``auto`` runs scalar."""
     return CampaignSpec(
         name=name,
         base={"algorithm": "unconscious", "horizon": "100 * n",
@@ -81,7 +89,7 @@ class TestRunChunkRouting:
         eligible = eligible_spec().cell_list()
         mixed = [eligible[0], scalar_only_cell(0), eligible[1],
                  scalar_only_cell(1), eligible[2]]
-        records, batched = run_chunk(mixed)
+        records, batched = run_chunk(mixed, batch="on")
         assert batched == 3
         assert [r["key"] for r in records] == [c.key() for c in mixed]
         assert all("metrics" in r for r in records)
@@ -90,11 +98,27 @@ class TestRunChunkRouting:
         records, batched = run_chunk(eligible_spec().cell_list(), batch="off")
         assert batched == 0 and len(records) == 6
 
-    def test_record_shape_identical_across_routing(self):
-        cells = eligible_spec().cell_list()
-        auto, n_auto = run_chunk(cells, batch="auto")
+    @pytest.mark.parametrize("batch, seeds, planned, wide", [
+        # cells x agents = 4 * seeds: one seed short of the minimum
+        ("auto", MIN_BATCH_LANES // 4 - 1, False, False),
+        ("auto", MIN_BATCH_LANES // 4, False, True),   # at the minimum
+        ("on", 3, False, True),                        # on: any width
+        ("auto", 3, True, True),    # a planned batch chunk: never re-routed
+    ])
+    def test_record_shape_identical_across_routing(self, batch, seeds,
+                                                   planned, wide):
+        cells = eligible_spec(seeds=range(seeds)).cell_list()
+        obs_metrics.configure(enabled=True)
+        obs_metrics.reset()
+        try:
+            auto, n_auto = run_chunk(cells, batch=batch, planned=planned)
+            rejects = batch_reject_counts(obs_metrics.snapshot())
+        finally:
+            obs_metrics.configure(enabled=None)
+            obs_metrics.reset()
         off, n_off = run_chunk(cells, batch="off")
-        assert n_auto == len(cells) and n_off == 0
+        assert n_auto == (len(cells) if wide else 0) and n_off == 0
+        assert rejects == ({} if wide else {"narrow": len(cells)})
         for a, o in zip(auto, off):
             assert a["key"] == o["key"]
             assert a["config"] == o["config"]
@@ -120,8 +144,11 @@ class TestRunChunkRouting:
         records, batched = run_chunk(cells)  # no override: cells decide
         assert batched == 0 and len(records) == 6
         # the override wins over the cell field
-        _, forced = run_chunk(cells, batch="auto")
+        _, forced = run_chunk(cells, batch="on")
         assert forced == 6
+        # a cell field ``on`` batches its narrow group like the flag
+        _, on = run_chunk([replace(c, batch="on") for c in cells])
+        assert on == 6
 
 
 @needs_numpy
@@ -130,7 +157,7 @@ class TestStoreEquivalence:
         spec = eligible_spec()
         batched = JsonlStore(tmp_path / "batched.jsonl")
         scalar = JsonlStore(tmp_path / "scalar.jsonl")
-        run_b = run_cells(spec.cells(), batched, workers=1, batch="auto")
+        run_b = run_cells(spec.cells(), batched, workers=1, batch="on")
         run_s = run_cells(spec.cells(), scalar, workers=1, batch="off")
         assert run_b.batched == 6 and run_s.batched == 0
         assert "batched=6" in run_b.summary()
@@ -140,7 +167,7 @@ class TestStoreEquivalence:
     def test_resume_over_batched_store_recomputes_nothing(self, tmp_path):
         spec = eligible_spec()
         store = JsonlStore(tmp_path / "r.jsonl")
-        first = run_cells(spec.cells(), store, workers=1, batch="auto")
+        first = run_cells(spec.cells(), store, workers=1, batch="on")
         assert first.executed == 6
         resumed = run_cells(spec.cells(), JsonlStore(store.path), workers=1)
         assert resumed.executed == 0 and resumed.skipped == 6
@@ -153,7 +180,7 @@ class TestStoreEquivalence:
         spec = eligible_spec()
         pool = JsonlStore(tmp_path / "pool.jsonl")
         serial = JsonlStore(tmp_path / "serial.jsonl")
-        run_p = run_cells(spec.cells(), pool, workers=3, batch="auto")
+        run_p = run_cells(spec.cells(), pool, workers=3, batch="on")
         run_cells(spec.cells(), serial, workers=1, batch="off")
         assert run_p.batched == 6
         assert metrics_by_key(pool.records()) == metrics_by_key(serial.records())
@@ -195,7 +222,7 @@ class TestKeyRegression:
     def test_batched_rerun_reproduces_every_fixture_key(self, tmp_path):
         store = JsonlStore(tmp_path / "r.jsonl")
         run = run_cells(self.FIXTURE_SPEC.cells(), store, workers=1,
-                        batch="auto")
+                        batch="on")
         assert run.batched == 6
         assert (metrics_by_key(store.records())
                 == metrics_by_key(self.fixture_records()))
@@ -258,6 +285,27 @@ class TestStrictMode:
 class TestNumpyFallback:
     """No NumPy: everything runs scalar, nothing else changes."""
 
+    @pytest.mark.parametrize("argv", [
+        None,                                     # import repro.cli alone
+        ["--spec", "smoke", "--batch", "off"],
+        ["--spec", "smoke"],                      # auto: narrow groups only
+    ])
+    def test_scalar_runs_never_import_numpy(self, tmp_path, argv):
+        """Only a process that builds a BatchCore loads NumPy."""
+        script = "import sys\nfrom repro.cli import main\n"
+        if argv is not None:
+            script += (f"assert main(['campaign', 'run', *{argv!r}, "
+                       "'--workers', '1', '--no-report']) == 0\n")
+        script += "print('numpy' in sys.modules)\n"
+        src = Path(batch_mod.__file__).resolve().parents[2]
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(src)
+        out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                             env=env, capture_output=True, text=True,
+                             check=True).stdout
+        assert out.splitlines()[-1] == "False"
+
     def test_auto_degrades_to_scalar(self, tmp_path, monkeypatch):
         monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
         assert not batch_mod.numpy_available()
@@ -271,7 +319,7 @@ class TestNumpyFallback:
     def test_scalar_records_match_batched_records(self, tmp_path, monkeypatch):
         spec = eligible_spec()
         batched = JsonlStore(tmp_path / "b.jsonl")
-        run_cells(spec.cells(), batched, workers=1, batch="auto")
+        run_cells(spec.cells(), batched, workers=1, batch="on")
         monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
         scalar = JsonlStore(tmp_path / "s.jsonl")
         run_cells(spec.cells(), scalar, workers=1, batch="auto")
@@ -279,15 +327,15 @@ class TestNumpyFallback:
 
 
 def mixed_plan_cells() -> list[CellConfig]:
-    """Batchable cells of two shapes, interleaved with scalar-only cells."""
-    unconscious = eligible_spec(seeds=range(4)).cell_list()
+    """Batchable cells of two wide shapes (64 and 80 two-agent cells),
+    interleaved with scalar-only cells."""
+    unconscious = eligible_spec(seeds=range(32)).cell_list()
     known_bound = [replace(c, algorithm="known-bound", label="kb")
-                   for c in eligible_spec(seeds=range(4, 9)).cell_list()]
+                   for c in eligible_spec(seeds=range(32, 72)).cell_list()]
     scalar = [scalar_only_cell(seed) for seed in range(7)]
-    cells = []
-    for group in zip(unconscious, known_bound, scalar):
-        cells.extend(group)
-    return cells + known_bound[len(unconscious):] + scalar[len(unconscious):]
+    assert 2 * len(unconscious) >= MIN_BATCH_LANES
+    rows = zip_longest(unconscious, known_bound, scalar)
+    return [c for row in rows for c in row if c is not None]
 
 
 class TestChunkSizing:
@@ -306,16 +354,16 @@ class TestChunkSizing:
 
     @needs_numpy
     def test_enqueue_sizes_chunks_for_the_batch_path(self, tmp_path):
-        spec = eligible_spec(seeds=range(10), sizes=(6, 7, 8))  # 30 cells
+        spec = eligible_spec(seeds=range(22), sizes=(6, 7, 8))  # 66 cells
         store = SqliteStore(tmp_path / "q.db", campaign=spec.name)
         queue, report = enqueue_campaign(spec, store)
-        # all 30 cells eligible -> one wide chunk per local worker, not
-        # the scalar 25-cell slivers
-        expected = default_chunk_size(30, batch=True)
+        # all 66 cells (132 lanes) batch -> one wide chunk per local
+        # worker, not the scalar 25-cell slivers
+        expected = default_chunk_size(66, batch=True)
         sizes = [n for n, in store.connection().execute(
             "SELECT n_cells FROM chunks ORDER BY id")]
         assert max(sizes) == expected
-        assert sum(sizes) == 30
+        assert sum(sizes) == 66
 
     @needs_numpy
     def test_enqueue_sizes_mixed_cells_by_route(self, tmp_path):
@@ -325,7 +373,7 @@ class TestChunkSizing:
         cells = eligible_spec(seeds=range(3)).cell_list() + [lone]
         spec = eligible_spec()
         store = SqliteStore(tmp_path / "q.db", campaign=spec.name)
-        WorkQueue(store).enqueue(cells)
+        WorkQueue(store).enqueue(cells, batch="on")
         rows = [(n, json.loads(keys)) for n, keys in store.connection().execute(
             "SELECT n_cells, cell_keys FROM chunks ORDER BY id")]
         batch_size = default_chunk_size(6, batch=True)
@@ -337,21 +385,22 @@ class TestChunkSizing:
     def test_every_cell_lands_in_exactly_one_chunk(self):
         cells = mixed_plan_cells()
         chunks = plan_chunks(cells, 2, batch=None)
-        assert sorted(id(c) for chunk in chunks for c in chunk) == sorted(
+        assert sorted(id(c) for _, chunk in chunks for c in chunk) == sorted(
             map(id, cells))
 
     @needs_numpy
     def test_no_chunk_mixes_batchable_and_scalar_cells(self):
         chunks = plan_chunks(mixed_plan_cells(), 2, batch=None)
         routes = [{batch_mod.batch_eligible(c) for c in chunk}
-                  for chunk in chunks]
+                  for _, chunk in chunks]
         assert all(len(r) == 1 for r in routes)
         assert {True} in routes and {False} in routes
+        assert [wide for wide, _ in chunks] == [r == {True} for r in routes]
 
     @needs_numpy
     def test_cells_of_one_shape_keep_their_spec_order(self):
         cells = mixed_plan_cells()
-        planned = [c for chunk in plan_chunks(cells, 2, batch=None)
+        planned = [c for _, chunk in plan_chunks(cells, 2, batch=None)
                    for c in chunk]
         for shape in {(c.algorithm, c.agents, batch_mod.batch_eligible(c))
                       for c in cells}:
@@ -364,7 +413,7 @@ class TestChunkSizing:
     def test_batchable_cells_are_grouped_by_shape(self):
         """One run per shape, the shapes in order of first appearance."""
         cells = mixed_plan_cells()
-        planned = [c for chunk in plan_chunks(cells, 2, batch=None)
+        planned = [c for _, chunk in plan_chunks(cells, 2, batch=None)
                    for c in chunk if batch_mod.batch_eligible(c)]
         runs = [shape for shape, _ in groupby(map(batch_shape, planned))]
         first_seen = list(dict.fromkeys(
@@ -382,7 +431,8 @@ class TestChunkSizing:
                                    (batchable, "off", False)):
             size = default_chunk_size(len(cells), workers, batch=wide)
             chunks = plan_chunks(cells, workers, batch=batch)
-            assert chunks == chunk_cells(cells, size), (batch, wide)
+            assert chunks == [(wide, chunk) for chunk
+                              in chunk_cells(cells, size)], (batch, wide)
 
     @needs_numpy
     def test_explicit_chunk_size_caps_both_runs(self):
@@ -390,11 +440,11 @@ class TestChunkSizing:
         chunks = plan_chunks(cells, 2, batch=None, chunk_size=4)
         n_batch = sum(map(batch_mod.batch_eligible, cells))
         n_scalar = len(cells) - n_batch
-        assert [len(c) for c in chunks] == [
+        assert [len(c) for _, c in chunks] == [
             len(c) for c in chunk_cells(range(n_batch), 4)
             + chunk_cells(range(n_scalar), 4)]
         assert all(len({batch_mod.batch_eligible(c) for c in chunk}) == 1
-                   for chunk in chunks)
+                   for _, chunk in chunks)
 
     def test_rejects_a_non_positive_chunk_size(self):
         with pytest.raises(ConfigurationError, match="chunk_size"):
@@ -406,7 +456,8 @@ class TestChunkSizing:
         pairs = [(c.key(), c) for c in cells]
         keyed = plan_chunks(pairs, 2, batch=None, cell=lambda p: p[1])
         bare = plan_chunks(cells, 2, batch=None)
-        assert [[c for _, c in chunk] for chunk in keyed] == bare
+        assert [(wide, [c for _, c in chunk])
+                for wide, chunk in keyed] == bare
 
 
 @needs_numpy
@@ -414,7 +465,7 @@ class TestFleetTelemetry:
     def test_worker_marks_batched_chunks(self, tmp_path):
         spec = eligible_spec()
         store = SqliteStore(tmp_path / "q.db", campaign=spec.name)
-        queue, _ = enqueue_campaign(spec, store)
+        queue, _ = enqueue_campaign(spec, store, batch="on")
         report = run_worker(store, campaign=spec.name, worker_id="w0",
                             poll_s=0.01)
         assert report.cells_done == 6
@@ -430,7 +481,7 @@ class TestFleetTelemetry:
     def test_scalar_worker_leaves_chunks_unmarked(self, tmp_path):
         spec = eligible_spec(name="scalar-fleet")
         store = SqliteStore(tmp_path / "q.db", campaign=spec.name)
-        queue, _ = enqueue_campaign(spec, store)
+        queue, _ = enqueue_campaign(spec, store, batch="on")
         report = run_worker(store, campaign=spec.name, worker_id="w0",
                             poll_s=0.01, batch="off")
         assert report.cells_batched == 0
@@ -440,7 +491,7 @@ class TestFleetTelemetry:
     def test_status_renders_batch_telemetry(self, tmp_path):
         spec = eligible_spec()
         store = SqliteStore(tmp_path / "q.db", campaign=spec.name)
-        enqueue_campaign(spec, store)
+        enqueue_campaign(spec, store, batch="on")
         run_worker(store, campaign=spec.name, worker_id="w0", poll_s=0.01)
         status = fleet_status(store, campaign=spec.name)
         assert status.recent_chunks
@@ -453,7 +504,7 @@ class TestFleetTelemetry:
         """A batched fleet and a scalar serial run: same report bytes."""
         spec = eligible_spec(name="mixed-fleet")
         store = SqliteStore(tmp_path / "q.db", campaign=spec.name)
-        enqueue_campaign(spec, store)
+        enqueue_campaign(spec, store, batch="on")
         run_worker(store, campaign=spec.name, worker_id="w0", poll_s=0.01)
         serial = JsonlStore(tmp_path / "serial.jsonl")
         run_cells(spec.cells(), serial, workers=1, batch="off")

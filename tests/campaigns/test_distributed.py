@@ -494,29 +494,32 @@ class TestEnqueueRoutingOverride:
         monkeypatch.setattr(executor, "usable_cpus", lambda: 1)
 
     def spec(self):
-        return fast_spec(name="route", seeds=range(30))   # 60 cells
+        # 64 two-agent cells: one group wide enough for ``auto`` to batch
+        return fast_spec(name="route", seeds=range(32))
 
     @pytest.mark.parametrize("batch", ["off", "auto", None])
     def test_enqueue_plans_by_the_override(self, tmp_path, batch):
+        from repro.campaigns.executor import MIN_BATCH_LANES
         from repro.core.batch import numpy_available
 
         spec = self.spec()
+        assert 64 * 2 >= MIN_BATCH_LANES
         queue, report = enqueue_campaign(
             spec, SqliteStore(tmp_path / "q.db"), batch=batch)
-        assert report.enqueued_cells == 60
+        assert report.enqueued_cells == 64
         if batch == "off" or not numpy_available():
-            # default_chunk_size(60, 1): 4 scalar chunks of 15
+            # default_chunk_size(64, 1): 4 scalar chunks of 16
             assert report.chunks == 4 and report.chunk_size <= 25
         else:
             # batchable cells: one lockstep chunk, as with no override
-            assert report.chunks == 1 and report.chunk_size == 60
+            assert report.chunks == 1 and report.chunk_size == 64
 
     def test_run_distributed_threads_the_override(self, tmp_path):
         spec = self.spec()
         store = SqliteStore(tmp_path / "d.db", campaign=spec.name)
         run = run_distributed(spec, store, workers=1, lease_ttl_s=10,
                               batch="off")
-        assert run.executed == 60 and run.batched == 0
+        assert run.executed == 64 and run.batched == 0
         queue = WorkQueue(store)
         assert queue.counts().done == 4
         assert all(c.n_cells <= 25 and not c.batched

@@ -1,8 +1,9 @@
 """Mode parity: serial, pool and distributed runs share one loop.
 
-One mixed cell list — batch-eligible cells of two shapes (one with a
-fault plan), scalar-only cells (a peeking adversary) and a cell that
-errors — goes through ``run_cells`` serially, on a
+One mixed cell list — batch-eligible cells of two shapes (a group at
+:data:`~repro.campaigns.executor.MIN_BATCH_LANES`, some of it with a
+fault plan, and a narrow group), scalar-only cells (a peeking adversary)
+and a cell that errors — goes through ``run_cells`` serially, on a
 two-process pool, and through ``run_distributed``.  All three must write
 the same records (modulo the ``elapsed_s``/``span_id`` telemetry), report
 the same accounting, and find nothing left to do on a second pass: this
@@ -11,10 +12,13 @@ pins the shared claim → run → commit loop's bookkeeping.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 import pytest
 
 from repro.campaigns import CampaignSpec, CellConfig, SqliteStore, run_cells
 from repro.campaigns.distributed import run_distributed
+from repro.campaigns.executor import MIN_BATCH_LANES
 from repro.core.batch import batch_eligible, numpy_available
 
 MODES = ("serial", "pool", "distributed")
@@ -28,9 +32,12 @@ def mixed_cells() -> tuple[CampaignSpec, list[CellConfig]]:
               "agents": 2, "placement": "offset-spread",
               "horizon": "known_bound_time(N) + 5"},
         grid={"seed": [0, 1, 2], "ring_size": [6, 8]},
+        # With the crash variant, 64 two-agent known-bound cells: a
+        # group at the minimum, which ``auto`` batches; the 6 unconscious
+        # cells are a narrow group, which it runs scalar.
         variants=[{"label": "unconscious", "algorithm": "unconscious",
                    "horizon": "10 * n", "stop_on_exploration": True},
-                  {"label": "batchable"},
+                  {"label": "batchable", "grid": {"seed": list(range(29))}},
                   {"label": "crash", "faults": "crash:1@4"},
                   {"label": "meetings", "adversary": "prevent-meetings"}],
     )
@@ -38,9 +45,11 @@ def mixed_cells() -> tuple[CampaignSpec, list[CellConfig]]:
                         placement="explicit", positions=None, label="broken")
     # Interleave the variants, so every mode's chunk plan must regroup
     # the two batch shapes and set the scalar cells apart.
-    cells = spec.cell_list()
-    per_variant = len(cells) // len(spec.variants)
-    cells = [c for i in range(per_variant) for c in cells[i::per_variant]]
+    by_label: dict[str, list[CellConfig]] = {}
+    for cell in spec.cell_list():
+        by_label.setdefault(cell.label, []).append(cell)
+    rows = zip_longest(*by_label.values())
+    cells = [c for row in rows for c in row if c is not None]
     return spec, cells + [broken]
 
 
@@ -102,10 +111,14 @@ def test_every_mode_reports_the_same_accounting(outcomes):
 
 
 def test_every_mode_batches_the_eligible_cells(outcomes):
+    """Every eligible cell of the wide group batches; the narrow group's
+    run scalar."""
     if not numpy_available():
         pytest.skip("batch path needs numpy")
     _, cells = mixed_cells()
-    eligible = sum(1 for c in cells if batch_eligible(c))
+    eligible = sum(1 for c in cells
+                   if batch_eligible(c) and c.algorithm == "known-bound")
+    assert eligible * 2 == MIN_BATCH_LANES
     for mode in MODES:
         assert outcomes[mode][0].batched == eligible, mode
         assert f" batched={eligible} " in outcomes[mode][0].summary(), mode

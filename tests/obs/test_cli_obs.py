@@ -103,9 +103,9 @@ class TestProgressLogging:
 class TestMetricsVerb:
     STORE = "sqlite:m.db"
 
-    def run_with_metrics(self):
+    def run_with_metrics(self, *extra):
         code = main([*RUN, "--limit", "4", "--metrics",
-                     "--store", self.STORE])
+                     "--store", self.STORE, *extra])
         assert code == 0
 
     def test_run_prints_metrics_report(self, capsys):
@@ -135,7 +135,7 @@ class TestMetricsVerb:
             "executor.cell_s", {})
 
     def test_prom_format_and_out_file(self, capsys, tmp_path):
-        self.run_with_metrics()
+        self.run_with_metrics("--batch", "on")  # a 4-cell group: narrow
         capsys.readouterr()
         target = tmp_path / "repro.prom"
         assert main(["campaign", "metrics", "--spec", "smoke",
