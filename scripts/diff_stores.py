@@ -9,10 +9,11 @@ errors — ignoring only :data:`IGNORED_FIELDS`:
 * ``span_id``  — trace correlation id, present only when a run executed
   with ``--trace``/``--trace-jsonl`` and random by construction.
 
-The CI batch lane and ``make batch-diff`` run it over a ``--batch
-auto`` store and a ``--batch off`` store of the same campaign: any
-other byte of difference means the vector path leaked into the
-persisted results.
+The CI batch lane and ``make batch-diff`` run it over a vectorized
+store (``--batch on``, or ``--batch auto`` on a group wide enough to
+batch) and a ``--batch off`` store of the same campaign: any other
+byte of difference means the vector path leaked into the persisted
+results.
 """
 
 from __future__ import annotations

@@ -299,9 +299,10 @@ class WorkQueue:
         the inserts share one transaction, so concurrent enqueues
         serialise instead of racing each other into duplicates.
 
-        ``batch`` is the run's routing override, the one its workers
-        execute under: chunks are planned by the route their cells will
-        really take (``None`` = each cell's own ``batch`` field).
+        ``batch`` is the routing override (``None`` = ``auto``) the
+        chunks are planned under: each chunk is labelled batch or
+        scalar, and a worker follows that label unless its own
+        ``--batch`` says ``on`` or ``off``.
         """
         from ..executor import plan_chunks
 

@@ -59,8 +59,9 @@ def enqueue_campaign(
 ) -> tuple[WorkQueue, EnqueueReport]:
     """Expand a spec and enqueue its pending cells as claimable chunks.
 
-    ``batch`` is the routing override the draining workers will run
-    under (``None`` for a fleet whose workers each pick their own).
+    ``batch`` is the routing override the chunks are planned under
+    (``None`` = ``auto``); workers follow each chunk's batch or scalar
+    label unless their own override says ``on`` or ``off``.
     """
     store = open_store(store, campaign=spec.name)
     queue = WorkQueue(store, lease_ttl_s=lease_ttl_s)

@@ -46,6 +46,7 @@ from .. import executor as executor_module  # noqa: F401  (test hook)
 from ..executor import (  # noqa: F401  (run_chunk is re-exported)
     Chunk,
     WorkerReport,
+    check_batch_mode,
     drain,
     run_chunk,
     run_inline,
@@ -220,8 +221,12 @@ def run_worker(
     per worker precisely because it is *not* configuration: routing
     through :class:`~repro.core.batch.BatchCore` changes neither keys
     nor records, so a mixed fleet (some hosts without NumPy) stays
-    coherent.
+    coherent.  ``None`` (or ``auto``) follows each chunk's planned
+    label; ``on`` batches the eligible cells of every chunk, ``off``
+    none.  An unknown mode raises
+    :class:`~repro.core.errors.ConfigurationError` before any claim.
     """
+    check_batch_mode(batch)
     queue = WorkQueue(
         store, campaign=campaign, lease_ttl_s=lease_ttl_s,
         max_attempts=max_attempts, clock=clock)

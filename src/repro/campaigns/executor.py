@@ -18,11 +18,12 @@ Chunks reach the store as they complete, so an interrupted campaign
 loses at most the chunks in flight; :func:`run_cells` consults
 ``store.completed_keys()`` first and never re-runs a recorded cell.
 :func:`plan_chunks` cuts the chunks of serial, pool and distributed
-runs alike, by the routing rule (:func:`route_cells`) that
-:func:`run_chunk` applies too.  It never mixes routes in one chunk: a
-shape group wide enough to batch (:data:`MIN_BATCH_LANES`) fills the
-vector width on its own, and every other cell keeps its spec order in
-25-cell chunks.  Only a process that runs a batch imports NumPy.
+runs alike, and it is the one place that decides a chunk's route.  It
+never mixes routes in one chunk: a shape group wide enough to batch
+(:data:`MIN_BATCH_LANES`) fills the vector width on its own, and every
+other cell keeps its spec order in 25-cell chunks.  :func:`run_chunk`
+follows the chunk's label unless its own override says ``on`` or
+``off``.  Only a process that runs a batch imports NumPy.
 """
 
 from __future__ import annotations
@@ -33,15 +34,14 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from ..core.batch import (
+    BATCH_WIDTH,
     batch_eligible,
     batch_ineligible_key,
     batch_ineligible_reason,
     batch_shape,
-    batch_width,
     numpy_available,
     run_batch_cells,
 )
@@ -69,6 +69,14 @@ BATCH_REJECT_PREFIX = "executor.batch_reject."
 #: on the scalar engine (crossover table: ARCHITECTURE.md, "Which
 #: groups batch").
 MIN_BATCH_LANES = 128
+
+
+def check_batch_mode(batch: str | None) -> None:
+    """Refuse a routing override outside :data:`BATCH_MODES` (``None``
+    means ``auto``)."""
+    if batch is not None and batch not in BATCH_MODES:
+        raise ConfigurationError(
+            f"batch must be one of {BATCH_MODES}, got {batch!r}")
 
 
 def batch_reject_counts(snapshot: dict[str, dict] | None) -> dict[str, int]:
@@ -154,61 +162,6 @@ def _execute_cell(cell: CellConfig) -> dict[str, Any]:
     return record
 
 
-def _effective_batch(cell: CellConfig, override: str | None) -> str:
-    """The routing mode one cell runs under: CLI override beats the cell."""
-    if override is not None:
-        return override
-    return getattr(cell, "batch", "auto")
-
-
-def _wants_batch(cell: CellConfig, override: str | None) -> bool:
-    """True when routing *and* eligibility say this cell may batch."""
-    return (_effective_batch(cell, override) != "off"
-            and numpy_available()
-            and batch_eligible(cell))
-
-
-def route_cells(
-    items: Sequence[Any],
-    batch: str | None,
-    *,
-    cell: Callable[[Any], CellConfig] = lambda item: item,
-    planned: bool = False,
-) -> tuple[dict[tuple[str, int], list[Any]], list[Any]]:
-    """Split ``items`` by route: ``({shape: batch items}, scalar items)``.
-
-    The one routing rule of :func:`plan_chunks` and :func:`run_chunk`.
-    A cell may batch when the ``batch`` override (else its own field)
-    is not ``off``, NumPy is installed and the cell is
-    :func:`~repro.core.batch.batch_eligible`.  Those cells are grouped
-    by :func:`~repro.core.batch.batch_shape`, and under ``auto`` a group
-    batches only when it is wide: its cells times its agents reach
-    :data:`MIN_BATCH_LANES`.  A group holding a cell routed ``on``
-    batches at any width, and so does every group of a ``planned``
-    batch chunk, which the planner found wide over the whole run.  Both
-    lists keep the input order; shapes come in order of first
-    appearance.  ``cell`` extracts the cell from one item.
-    """
-    wanted: dict[tuple[str, int], list[Any]] = {}
-    forced = set()
-    routes = []
-    for item in items:
-        c = cell(item)
-        shape = batch_shape(c) if _wants_batch(c, batch) else None
-        routes.append(shape)
-        if shape is not None:
-            wanted.setdefault(shape, []).append(item)
-            if _effective_batch(c, batch) == "on":
-                forced.add(shape)
-    groups = {(algorithm, agents): group
-              for (algorithm, agents), group in wanted.items()
-              if planned or (algorithm, agents) in forced
-              or len(group) * agents >= MIN_BATCH_LANES}
-    scalar = [item for item, shape in zip(items, routes)
-              if shape not in groups]
-    return groups, scalar
-
-
 def run_chunk(
     cells: Sequence[CellConfig],
     *,
@@ -216,16 +169,18 @@ def run_chunk(
     abort: Callable[[], bool] | None = None,
     planned: bool = False,
 ) -> tuple[list[dict[str, Any]], int]:
-    """Run one chunk of cells, batching the wide groups in lockstep.
+    """Run one chunk of cells, batching its eligible cells in lockstep.
 
-    The single execution point of every mode: :func:`route_cells` picks
-    the cells that run through :class:`~repro.core.batch.BatchCore`
-    (``planned`` marks a chunk :func:`plan_chunks` cut as a batch chunk,
-    which is never re-routed); the rest run through
-    :func:`execute_cell` one by one.  Records come back in input order
-    with the exact schema the scalar path appends, so stores cannot tell
-    the paths apart.  Returns ``(records, batched)`` where ``batched``
-    counts cells that actually took the vector path.
+    The single execution point of every mode.  It does not route:
+    :func:`plan_chunks` did, and ``planned`` marks a chunk it cut as a
+    batch chunk.  The chunk's :func:`~repro.core.batch.batch_eligible`
+    cells run through :class:`~repro.core.batch.BatchCore` when NumPy
+    is present and ``batch`` is ``on``, or is not ``off`` and the chunk
+    is ``planned``; the rest run through :func:`execute_cell` one by
+    one.  Records come back in input order with the exact schema the
+    scalar path appends, so stores cannot tell the paths apart.
+    Returns ``(records, batched)`` where ``batched`` counts cells that
+    actually took the vector path.
 
     ``abort`` (polled between scalar cells) lets a lease-losing worker
     stop early; already-produced records are returned for the caller to
@@ -234,25 +189,24 @@ def run_chunk(
     Observability (all no-ops unless enabled): cell spans nest under the
     caller's open span (the chunk span :func:`drain` emits); routing
     decisions feed the ``executor.*`` counters — per-reason batch
-    rejections (``executor.batch_reject.<key>``, ``narrow`` for a group
-    below :data:`MIN_BATCH_LANES`) and vector-path degradations
+    rejections (``executor.batch_reject.<key>``, ``narrow`` for an
+    eligible cell of a scalar chunk, which the planner found below
+    :data:`MIN_BATCH_LANES`) and vector-path degradations
     (``executor.degrade_to_scalar``).
     """
-    if batch is not None and batch not in BATCH_MODES:
-        raise ConfigurationError(
-            f"batch must be one of {BATCH_MODES}, got {batch!r}")
     rec = obs_spans.recorder()
     reg = obs_metrics.registry() if obs_metrics.enabled() else None
     records: list[dict[str, Any] | None] = [None] * len(cells)
-    groups, _ = route_cells(list(enumerate(cells)), batch,
-                            cell=itemgetter(1), planned=planned)
-    vector = [pair for group in groups.values() for pair in group]
+    vectorize = numpy_available() and (
+        batch == "on" or (planned and batch != "off"))
+    vector = ([(i, cell) for i, cell in enumerate(cells)
+               if batch_eligible(cell)] if vectorize else [])
     if reg is not None:
         reg.counter("executor.chunks").inc()
         reg.histogram("executor.chunk_cells").observe(len(cells))
         routed = {i for i, _ in vector}
         for i, cell in enumerate(cells):
-            if _effective_batch(cell, batch) == "off" or i in routed:
+            if batch == "off" or i in routed:
                 continue
             if not numpy_available():
                 reason_key = "no_numpy"
@@ -376,7 +330,7 @@ class Chunk:
     abort: Callable[[], bool] | None = None
     span_id: str | None = None
     #: Cut by :func:`plan_chunks` as a batch chunk (``run_chunk``'s
-    #: ``planned``): its groups batch at any width.
+    #: ``planned``): it batches unless the runner's override is ``off``.
     planned: bool = False
 
 
@@ -602,8 +556,7 @@ def default_chunk_size(
     against IPC, capped at 25 so a straggler chunk never dominates.
 
     With ``batch=True`` (sizing one shape group that batches) the cap
-    rises to :func:`~repro.core.batch.batch_width` (the
-    ``REPRO_BATCH_WIDTH``-overridable vector width) and the target
+    rises to :data:`~repro.core.batch.BATCH_WIDTH` and the target
     becomes one chunk per worker: a batched chunk is a single lockstep
     NumPy run, so wide chunks amortise the per-chunk setup and fill the
     vector width instead of slicing it into 25-cell slivers.
@@ -617,7 +570,7 @@ def default_chunk_size(
     if workers is None:
         workers = usable_cpus()
     if batch:
-        return max(1, min(batch_width(), -(-pending // workers)))
+        return max(1, min(BATCH_WIDTH, -(-pending // workers)))
     return max(1, min(25, -(-pending // (workers * 4))))
 
 
@@ -645,11 +598,16 @@ def plan_chunks(
 ) -> list[tuple[bool, list[Any]]]:
     """Cut a run's pending cells into chunks that never mix routes.
 
-    The one chunk planner of serial, pool and distributed runs; returns
-    ``(batch, items)`` pairs, ``batch`` marking a batch chunk (which
-    :func:`run_chunk` runs with ``planned=True``, never re-routing it).
-    :func:`route_cells` decides over the whole run which shape groups
-    batch.  Each of those is cut on its own into :func:`even_chunks` of
+    The one chunk planner of serial, pool and distributed runs, and the
+    one routing decision: returns ``(batch, items)`` pairs, ``batch``
+    marking a batch chunk (which :func:`run_chunk` runs with
+    ``planned=True``).  A cell may batch when the ``batch`` override is
+    not ``off``, NumPy is installed and the cell is
+    :func:`~repro.core.batch.batch_eligible`.  Those cells are grouped
+    by :func:`~repro.core.batch.batch_shape`; a group batches under
+    ``on`` at any width, otherwise only when it is wide over the whole
+    run: its cells times its agents reach :data:`MIN_BATCH_LANES`.
+    Each such group is cut on its own into :func:`even_chunks` of
     at most ``default_chunk_size(len(group), workers, batch=True)``
     cells, so a chunk is one lockstep run of one shape and a wide group
     leaves no narrow tail.  The other cells, narrow groups included,
@@ -662,7 +620,18 @@ def plan_chunks(
     """
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-    groups, scalar = route_cells(items, batch, cell=cell)
+    may_batch = batch != "off" and numpy_available()
+    shapes = [batch_shape(c) if may_batch and batch_eligible(c) else None
+              for c in map(cell, items)]
+    groups: dict[tuple[str, int], list[Any]] = {}
+    for item, shape in zip(items, shapes):
+        if shape is not None:
+            groups.setdefault(shape, []).append(item)
+    groups = {(algorithm, agents): group
+              for (algorithm, agents), group in groups.items()
+              if batch == "on" or len(group) * agents >= MIN_BATCH_LANES}
+    scalar = [item for item, shape in zip(items, shapes)
+              if shape not in groups]
     chunks = []
     for group in groups.values():
         size = chunk_size or default_chunk_size(len(group), workers, batch=True)
@@ -686,12 +655,10 @@ def prepare_cells(
     key.  ``batch="on"`` is refused unless NumPy is importable and every
     cell is batch-eligible.
     """
+    check_batch_mode(batch)
     cells = list(cells)
     if debug_invariants is not None:
         cells = [replace(c, debug_invariants=debug_invariants) for c in cells]
-    if batch is not None and batch not in BATCH_MODES:
-        raise ConfigurationError(
-            f"batch must be one of {BATCH_MODES}, got {batch!r}")
     if batch == "on":
         if not numpy_available():
             raise ConfigurationError(
@@ -720,12 +687,12 @@ def run_cells(
 ) -> CampaignRun:
     """Execute every cell not already attempted; return what happened.
 
-    ``batch`` overrides every cell's own ``batch`` field for this run:
-    ``"auto"`` routes eligible cells through the vectorized
-    :class:`~repro.core.batch.BatchCore` (scalar fallback otherwise),
-    ``"off"`` forces the scalar path, ``"on"`` demands the vector path
-    and refuses up front if NumPy is missing or any cell is ineligible.
-    Routing never changes store keys or record contents.
+    ``batch`` routes this run (``None`` = ``"auto"``): ``"auto"`` runs
+    each wide shape group of eligible cells through the vectorized
+    :class:`~repro.core.batch.BatchCore` (:func:`plan_chunks`) and the
+    rest scalar, ``"off"`` forces the scalar path, ``"on"`` demands the
+    vector path and refuses up front if NumPy is missing or any cell is
+    ineligible.  Routing never changes store keys or record contents.
 
     ``workers=None`` uses every usable CPU (:func:`usable_cpus`);
     ``workers<=1`` runs the chunks in-process (same chunks and records,

@@ -184,11 +184,6 @@ class CellConfig:
     #: it participates in :meth:`key` (excluded only at its default, so
     #: pre-resilience stores keep resuming).
     faults: str = ""
-    #: Execution routing preference — ``auto`` (batch when eligible),
-    #: ``on`` (require the batch path) or ``off`` (always scalar).  Like
-    #: ``label`` this never enters :meth:`key`: both paths are proven to
-    #: produce identical records, so routing must not fork store keys.
-    batch: str = "auto"
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -201,9 +196,6 @@ class CellConfig:
             raise ConfigurationError(f"agents must be >= 1, got {self.agents}")
         if self.max_rounds < 1:
             raise ConfigurationError(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if self.batch not in ("auto", "on", "off"):
-            raise ConfigurationError(
-                f"batch must be 'auto', 'on' or 'off', got {self.batch!r}")
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form (JSON-able, round-trips via :meth:`from_dict`)."""
@@ -217,11 +209,12 @@ class CellConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CellConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        # Records and queued chunks from before routing was a run-level
+        # setting carry a ``batch`` field; it never entered the key.
+        kwargs = {k: v for k, v in data.items() if k != "batch"}
+        unknown = set(kwargs) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigurationError(f"unknown cell fields: {sorted(unknown)}")
-        kwargs = dict(data)
         if kwargs.get("flipped") is not None:
             kwargs["flipped"] = tuple(kwargs["flipped"])
         if kwargs.get("positions") is not None:
@@ -236,14 +229,12 @@ class CellConfig:
         yields a fresh key, while re-expanding the same spec reproduces
         the same keys across runs and processes.  ``label`` is excluded
         (an aggregation tag: renaming a variant must not invalidate its
-        cached results), and so is ``batch`` (a routing preference: the
-        batch and scalar paths are proven record-identical, so switching
-        them must resume, not re-run).  Fields grown after the first
-        release (:data:`_KEY_EXCLUDED_DEFAULTS`) are excluded while at
-        their default, so stores written by older versions still resume.
+        cached results).  Fields grown after the first release
+        (:data:`_KEY_EXCLUDED_DEFAULTS`) are excluded while at their
+        default, so stores written by older versions still resume.
         """
         fields_for_hash = {k: v for k, v in self.to_dict().items()
-                           if k not in ("label", "batch")}
+                           if k != "label"}
         for name, default in _KEY_EXCLUDED_DEFAULTS.items():
             if fields_for_hash.get(name) == default:
                 del fields_for_hash[name]

@@ -58,9 +58,12 @@ stdlib-``logging`` backbone every progress line now flows through.
 eligible cells through the vectorized batch executor
 (:mod:`repro.core.batch`): ``auto`` batches a shape group (algorithm,
 agents) only when it is wide enough to beat the scalar engine
-(``executor.MIN_BATCH_LANES``), ``on`` batches every eligible cell.  It
-is pure execution routing, never cell identity: store keys, records and
-reports are byte-identical to the scalar path.
+(``executor.MIN_BATCH_LANES``), ``on`` batches every eligible cell.
+The chunk planner makes that decision once per run (at enqueue time
+for the distributed verbs) and labels each chunk batch or scalar; a
+``worker`` without ``--batch`` follows the labels, ``on``/``off``
+override them.  It is pure execution routing, never cell identity:
+store keys, records and reports are byte-identical to the scalar path.
 
 ``--store`` accepts a backend URI everywhere: ``sqlite:results/t2.db``
 selects the concurrent, indexed SQLite backend, ``jsonl:`` (or a bare
@@ -360,9 +363,11 @@ def _add_fleet_args(p: argparse.ArgumentParser) -> None:
                         "agent count through the lockstep NumPy core when "
                         "cells x agents >= %d (the scalar engine is faster "
                         "below), on batches every cell and refuses "
-                        "ineligible ones, off forces the scalar path; "
-                        "never changes results or store keys, so a mixed "
-                        "fleet is fine (default: auto)" % MIN_BATCH_LANES)
+                        "ineligible ones, off forces the scalar path; a "
+                        "worker left at auto follows each enqueued "
+                        "chunk's batch or scalar label; never changes "
+                        "results or store keys, so a mixed fleet is fine "
+                        "(default: auto)" % MIN_BATCH_LANES)
     p.add_argument("--metrics", action="store_true",
                    help="record counters/histograms (queue claim latency, "
                         "engine phase timings, batch share) and print a "

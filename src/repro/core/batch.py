@@ -66,8 +66,8 @@ batch holds, so a batch pays off only once it is wide.  Under ``auto``
 the campaign router (:mod:`repro.campaigns.executor`) therefore batches
 a shape group only when its cells × agents reach
 :data:`~repro.campaigns.executor.MIN_BATCH_LANES`; narrower groups run
-on the scalar engine.  ``REPRO_BATCH_WIDTH`` overrides the default cap
-of :data:`BATCH_WIDTH` cells per batch.
+on the scalar engine.  One batch holds at most :data:`BATCH_WIDTH`
+cells.
 
 Scale: the visited bitmap is bit-packed (``n_max / 8`` bytes per cell)
 and the split caps count packed bytes — a 10^5-node ring batches a
@@ -111,16 +111,11 @@ _np = None
 HAVE_NUMPY = (find_spec("numpy") is not None
               and os.environ.get("REPRO_NO_NUMPY", "") != "1")
 
-#: Default number of cells per lockstep batch — also the chunk-size cap
+#: Most cells one lockstep batch holds — also the chunk-size cap
 #: :func:`repro.campaigns.executor.default_chunk_size` gives a campaign's
 #: batchable cells, which the chunk planner keeps apart from its scalar
-#: ones (fill the vector width instead of 25-cell IPC chunks).  Override
-#: per process with ``REPRO_BATCH_WIDTH`` (validated by
-#: :func:`batch_width`).
+#: ones (fill the vector width instead of 25-cell IPC chunks).
 BATCH_WIDTH = 256
-
-#: Upper bound a ``REPRO_BATCH_WIDTH`` override may request.
-MAX_BATCH_WIDTH = 1 << 16
 
 #: Algorithms with a :class:`~repro.core.batch_kernels.VectorProgram`.
 BATCH_ALGORITHMS = frozenset(PROGRAMS)
@@ -153,27 +148,6 @@ _MAX_VISITED_BYTES = 1 << 26
 def numpy_available() -> bool:
     """Dynamic read of :data:`HAVE_NUMPY` (monkeypatch-friendly)."""
     return HAVE_NUMPY
-
-
-def batch_width() -> int:
-    """The configured lane width (``REPRO_BATCH_WIDTH`` or the default).
-
-    Raises :class:`ConfigurationError` on a non-integer, non-positive or
-    absurd override — silently clamping would hide the typo that turned
-    a million-cell sweep into width-1 batches.
-    """
-    raw = os.environ.get("REPRO_BATCH_WIDTH", "").strip()
-    if not raw:
-        return BATCH_WIDTH
-    try:
-        width = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_BATCH_WIDTH={raw!r} is not an integer") from None
-    if not 1 <= width <= MAX_BATCH_WIDTH:
-        raise ConfigurationError(
-            f"REPRO_BATCH_WIDTH={width} outside [1, {MAX_BATCH_WIDTH}]")
-    return width
 
 
 def _batch_ineligibility(cell: "CellConfig") -> tuple[str, str] | None:
@@ -909,7 +883,6 @@ def _split_batches(indexed_cells):
     10^5-node ring still batches a thousand cells wide; the pairwise cap
     is unchanged (bools don't pack — the tensor is transient anyway).
     """
-    width = batch_width()
     batches = []
     current: list = []
     k = indexed_cells[0][1].agents
@@ -919,7 +892,7 @@ def _split_batches(indexed_cells):
         count = len(current) + 1
         if current and (count * k * k > _MAX_PAIRWISE
                         or count * ((n_next + 7) // 8) > _MAX_VISITED_BYTES
-                        or count > width):
+                        or count > BATCH_WIDTH):
             batches.append(current)
             current = []
             n_next = cell.ring_size
@@ -977,12 +950,10 @@ __all__ = [
     "BATCH_WIDTH",
     "BatchCore",
     "HAVE_NUMPY",
-    "MAX_BATCH_WIDTH",
     "batch_eligible",
     "batch_ineligible_key",
     "batch_ineligible_reason",
     "batch_shape",
-    "batch_width",
     "numpy_available",
     "run_batch_cells",
 ]

@@ -99,11 +99,11 @@ class TestRunChunkRouting:
         assert batched == 0 and len(records) == 6
 
     @pytest.mark.parametrize("batch, seeds, planned, wide", [
-        # cells x agents = 4 * seeds: one seed short of the minimum
-        ("auto", MIN_BATCH_LANES // 4 - 1, False, False),
-        ("auto", MIN_BATCH_LANES // 4, False, True),   # at the minimum
         ("on", 3, False, True),                        # on: any width
-        ("auto", 3, True, True),    # a planned batch chunk: never re-routed
+        ("auto", 3, True, True),    # a planned batch chunk: any width
+        # an unplanned chunk is never re-routed, however wide (the
+        # width rule is the planner's: TestPlannerRouting)
+        ("auto", MIN_BATCH_LANES // 4, False, False),
     ])
     def test_record_shape_identical_across_routing(self, batch, seeds,
                                                    planned, wide):
@@ -137,18 +137,52 @@ class TestRunChunkRouting:
         assert batched == 0
         assert len(records) == 1
 
-    def test_cell_level_batch_field_routes_like_the_flag(self):
-        from dataclasses import replace
 
-        cells = [replace(c, batch="off") for c in eligible_spec().cell_list()]
-        records, batched = run_chunk(cells)  # no override: cells decide
-        assert batched == 0 and len(records) == 6
-        # the override wins over the cell field
-        _, forced = run_chunk(cells, batch="on")
-        assert forced == 6
-        # a cell field ``on`` batches its narrow group like the flag
-        _, on = run_chunk([replace(c, batch="on") for c in cells])
-        assert on == 6
+@needs_numpy
+class TestPlannerRouting:
+    """:func:`plan_chunks` alone decides a chunk's route, and
+    :func:`run_chunk` follows the label."""
+
+    @staticmethod
+    def run_plan(chunks, **options):
+        """Run planned chunks with metrics on: ``(records, batched,
+        rejects)``."""
+        obs_metrics.configure(enabled=True)
+        obs_metrics.reset()
+        try:
+            runs = [run_chunk(chunk, planned=planned, **options)
+                    for planned, chunk in chunks]
+            rejects = batch_reject_counts(obs_metrics.snapshot())
+        finally:
+            obs_metrics.configure(enabled=None)
+            obs_metrics.reset()
+        records = [r for chunk_records, _ in runs for r in chunk_records]
+        return records, sum(n for _, n in runs), rejects
+
+    @pytest.mark.parametrize("seeds, wide", [
+        # cells x agents = 4 * seeds: one seed short of the minimum
+        (MIN_BATCH_LANES // 4 - 1, False),
+        (MIN_BATCH_LANES // 4, True),   # at the minimum
+    ])
+    def test_width_rule_routes_whole_chunks(self, seeds, wide):
+        cells = eligible_spec(seeds=range(seeds)).cell_list()
+        chunks = plan_chunks(cells, 1, batch="auto")
+        assert {planned for planned, _ in chunks} == {wide}
+        auto, n_auto, rejects = self.run_plan(chunks, batch="auto")
+        assert n_auto == (len(cells) if wide else 0)
+        assert rejects == ({} if wide else {"narrow": len(cells)})
+        off, n_off = run_chunk(cells, batch="off")
+        assert n_off == 0 and len(auto) == len(off)
+        for a, o in zip(auto, off):
+            assert a["key"] == o["key"]
+            assert a["config"] == o["config"]
+            assert a["metrics"] == o["metrics"]
+            assert set(a) == set(o)  # same fields, incl. elapsed_s
+
+    def test_no_numpy_plans_scalar_chunks(self, monkeypatch):
+        monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
+        cells = eligible_spec(seeds=range(MIN_BATCH_LANES)).cell_list()
+        assert {p for p, _ in plan_chunks(cells, 1, batch="auto")} == {False}
 
 
 @needs_numpy
@@ -235,6 +269,50 @@ class TestKeyRegression:
         assert resumed.executed == 0 and resumed.skipped == 6
 
 
+class TestLegacyBatchField:
+    """Cells once carried a ``batch`` routing field, and every record and
+    queued chunk written then holds ``"batch": "auto"``.
+    ``fixtures/batch_field_store.jsonl`` is such a store, written for
+    :attr:`TestKeyRegression.FIXTURE_SPEC`; both kinds still load."""
+
+    SPEC = TestKeyRegression.FIXTURE_SPEC
+
+    def test_records_load_and_keep_their_keys(self):
+        lines = (FIXTURES / "batch_field_store.jsonl").read_text()
+        records = [json.loads(line) for line in lines.splitlines()]
+        assert {r["config"]["batch"] for r in records} == {"auto"}
+        for record in records:
+            cell = CellConfig.from_dict(record["config"])
+            assert cell.key() == record["key"]
+            assert cell.to_dict() == {k: v for k, v in
+                                      record["config"].items()
+                                      if k != "batch"}
+
+    def test_resume_over_batch_field_store_skips_everything(self, tmp_path):
+        path = tmp_path / "legacy.jsonl"
+        path.write_text((FIXTURES / "batch_field_store.jsonl").read_text())
+        resumed = run_cells(self.SPEC.cells(), JsonlStore(path), workers=1)
+        assert resumed.executed == 0 and resumed.skipped == 6
+
+    def test_queued_chunk_with_batch_field_runs(self, tmp_path):
+        store = SqliteStore(tmp_path / "q.db", campaign=self.SPEC.name)
+        enqueue_campaign(self.SPEC, store)
+        conn = store.connection()
+        for chunk_id, payload in conn.execute(
+                "SELECT id, cells FROM chunks").fetchall():
+            legacy = [dict(cell, batch="auto") for cell in json.loads(payload)]
+            conn.execute("UPDATE chunks SET cells = ? WHERE id = ?",
+                         (json.dumps(legacy), chunk_id))
+        conn.commit()
+        report = run_worker(store, campaign=self.SPEC.name, worker_id="w0",
+                            poll_s=0.01)
+        assert report.cells_done == 6 and report.cells_failed == 0
+        serial = JsonlStore(tmp_path / "serial.jsonl")
+        run_cells(self.SPEC.cells(), serial, workers=1, batch="off")
+        assert (metrics_by_key(store.records())
+                == metrics_by_key(serial.records()))
+
+
 class TestStrictMode:
     @needs_numpy
     def test_on_rejects_ineligible_cells_up_front(self, tmp_path):
@@ -280,6 +358,15 @@ class TestStrictMode:
         with pytest.raises(ConfigurationError, match="batch"):
             run_cells(eligible_spec().cell_list(),
                       JsonlStore(tmp_path / "r.jsonl"), batch="sideways")
+
+    def test_worker_rejects_unknown_mode_before_claiming(self, tmp_path):
+        spec = eligible_spec(name="bad-mode")
+        store = SqliteStore(tmp_path / "q.db", campaign=spec.name)
+        queue, _ = enqueue_campaign(spec, store)
+        with pytest.raises(ConfigurationError, match="batch"):
+            run_worker(store, campaign=spec.name, worker_id="w0",
+                       poll_s=0.01, batch="sideways")
+        assert queue.counts().leased == 0
 
 
 class TestNumpyFallback:
@@ -487,6 +574,35 @@ class TestFleetTelemetry:
         assert report.cells_batched == 0
         counts = queue.counts()
         assert counts.batched_done == 0 and counts.cells_batched == 0
+
+    def test_workers_follow_labels_unless_overridden(self, tmp_path):
+        """Chunks enqueued under auto carry the planner's route; a
+        default worker follows it, ``on`` and ``off`` override it."""
+        wide = eligible_spec(seeds=range(MIN_BATCH_LANES // 4)).cell_list()
+        narrow = [replace(c, algorithm="known-bound", label="kb")
+                  for c in eligible_spec(seeds=range(20)).cell_list()]
+        spec = eligible_spec(name="labelled-fleet")
+        store = SqliteStore(tmp_path / "q.db", campaign=spec.name)
+        queue = WorkQueue(store)
+        queue.enqueue(wide + narrow, chunk_size=32)
+        assert list(store.connection().execute(
+            "SELECT n_cells, batched FROM chunks ORDER BY id")) == [
+            (32, 1), (32, 1), (32, 0), (8, 0)]
+
+        def work(worker_id, max_chunks=None, batch=None):
+            report = run_worker(store, campaign=spec.name,
+                                worker_id=worker_id, poll_s=0.01,
+                                max_chunks=max_chunks, batch=batch)
+            return report.cells_done, report.cells_batched
+
+        assert work("off", 1, batch="off") == (32, 0)  # a batch chunk
+        assert work("default", 2) == (64, 32)          # batch + scalar
+        assert work("on", batch="on") == (8, 8)        # a scalar chunk
+        assert queue.finished()
+        serial = JsonlStore(tmp_path / "serial.jsonl")
+        run_cells(wide + narrow, serial, workers=1, batch="off")
+        assert (metrics_by_key(store.records())
+                == metrics_by_key(serial.records()))
 
     def test_status_renders_batch_telemetry(self, tmp_path):
         spec = eligible_spec()

@@ -40,7 +40,6 @@ from repro.core.batch import (
     BatchCore,
     batch_eligible,
     batch_ineligible_reason,
-    batch_width,
     numpy_available,
     run_batch_cells,
 )
@@ -542,24 +541,7 @@ class TestMixedEligibility:
 
 
 class TestWidthAndScale:
-    """REPRO_BATCH_WIDTH validation and the packed-bitmap memory cap."""
-
-    def test_batch_width_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_WIDTH", "64")
-        assert batch_width() == 64
-        from repro.core.batch import BATCH_WIDTH
-
-        monkeypatch.delenv("REPRO_BATCH_WIDTH")
-        assert batch_width() == BATCH_WIDTH
-        monkeypatch.setenv("REPRO_BATCH_WIDTH", "")  # empty = unset
-        assert batch_width() == BATCH_WIDTH
-
-    @pytest.mark.parametrize(
-        "value", ["0", "-3", "abc", "1.5", str((1 << 16) + 1)])
-    def test_batch_width_rejects_bad_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_BATCH_WIDTH", value)
-        with pytest.raises(ConfigurationError, match="REPRO_BATCH_WIDTH"):
-            batch_width()
+    """The batch width cap and the packed-bitmap memory cap."""
 
     def test_split_batches_counts_packed_visited_bytes(self, monkeypatch):
         """Pins the packed sizing: 1024 cells x 10^5 nodes is ONE batch.
@@ -572,7 +554,7 @@ class TestWidthAndScale:
         """
         from repro.core.batch import _MAX_VISITED_BYTES, _split_batches
 
-        monkeypatch.setenv("REPRO_BATCH_WIDTH", "1024")
+        monkeypatch.setattr("repro.core.batch.BATCH_WIDTH", 1024)
         n = 100_000
         cells = [CellConfig(algorithm="known-bound", ring_size=n, agents=2,
                             max_rounds=5, seed=s, adversary="random")
@@ -590,7 +572,7 @@ class TestWidthAndScale:
         assert not differential_cells(cells, paths=("optimized",))
 
     def test_width_one_still_correct(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_WIDTH", "1")
+        monkeypatch.setattr("repro.core.batch.BATCH_WIDTH", 1)
         cells = GRID[:4]
         from repro.core.batch import _split_batches
 

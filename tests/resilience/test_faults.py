@@ -9,11 +9,12 @@ cells replay deterministically, and the fault hook routes scalar
 
 import pytest
 
-from repro.campaigns.executor import execute_cell
+from repro.campaigns.executor import execute_cell, run_chunk
 from repro.campaigns.registry import build_cell_engine, validate_cell
 from repro.campaigns.spec import CellConfig
 from repro.core import EventKind
-from repro.core.batch import _batch_ineligibility, batch_eligible
+from repro.core.batch import (
+    _batch_ineligibility, batch_eligible, numpy_available)
 from repro.core.errors import ConfigurationError
 from repro.obs.metrics import PhaseTimer
 from repro.resilience import FaultPlan
@@ -193,10 +194,13 @@ class TestCampaignIntegration:
             key, reason = _batch_ineligibility(cell(faults=plan))
             assert key == "faults" and plan in reason, plan
 
+    @pytest.mark.skipif(not numpy_available(),
+                        reason="batch path needs numpy")
     def test_batch_auto_equals_batch_off_for_fault_cells(self):
         config = cell(faults="crash:1@4")
-        auto = execute_cell(CellConfig.from_dict(dict(config.to_dict(), batch="auto")))
-        off = execute_cell(CellConfig.from_dict(dict(config.to_dict(), batch="off")))
+        [auto], batched = run_chunk([config], planned=True)
+        [off], _ = run_chunk([config], batch="off")
+        assert batched == 1
         assert auto["metrics"] == off["metrics"]
         assert auto["metrics"]["crashed_count"] == 1
 
