@@ -1,35 +1,16 @@
 """Edge adversaries: benign baselines and the paper's proof constructions."""
 
-from .simple import (
-    FunctionAdversary,
-    FixedMissingEdge,
-    NoRemoval,
-    PeriodicMissingEdge,
-    RandomMissingEdge,
-)
-from .blocking import BlockAgentAdversary, MeetingPreventionAdversary
-from .impossibility import (
-    NSStarvationAdversary,
-    Theorem19Adversary,
-    theorem10_configuration,
-)
-from .restricted import DeltaRecurrentAdversary, TIntervalAdversary
-from .worst_case import ETPingPongAdversary, Figure2Schedule, ZigZagForcingAdversary
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BlockAgentAdversary",
-    "DeltaRecurrentAdversary",
-    "ETPingPongAdversary",
-    "Figure2Schedule",
-    "FixedMissingEdge",
-    "FunctionAdversary",
-    "MeetingPreventionAdversary",
-    "NoRemoval",
-    "NSStarvationAdversary",
-    "PeriodicMissingEdge",
-    "RandomMissingEdge",
-    "Theorem19Adversary",
-    "TIntervalAdversary",
-    "ZigZagForcingAdversary",
-    "theorem10_configuration",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".blocking": ("BlockAgentAdversary", "MeetingPreventionAdversary"),
+    ".impossibility": (
+        "NSStarvationAdversary", "Theorem19Adversary",
+        "theorem10_configuration"),
+    ".restricted": ("DeltaRecurrentAdversary", "TIntervalAdversary"),
+    ".simple": (
+        "FixedMissingEdge", "FunctionAdversary", "NoRemoval",
+        "PeriodicMissingEdge", "RandomMissingEdge"),
+    ".worst_case": (
+        "ETPingPongAdversary", "Figure2Schedule", "ZigZagForcingAdversary"),
+})

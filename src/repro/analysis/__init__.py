@@ -1,35 +1,13 @@
 """Analysis tooling: safety checks, sweeps, complexity fits, Catch Tree."""
 
-from .checker import check_safety, classify_runs
-from .complexity import FitResult, best_fit, fit_model, MODELS
-from .catch_log import CatchRecord, log_catches, successor_violations
-from .catch_tree import CatchEvent, CatchTree, FORBIDDEN_SEQUENCES
-from .model_check import (
-    ForcedEdgeAdversary,
-    SearchResult,
-    effective_edge_choices,
-    exhaustive_worst_case,
-    verify_theorem3,
-    verify_theorem5,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CatchEvent",
-    "CatchRecord",
-    "CatchTree",
-    "FORBIDDEN_SEQUENCES",
-    "FitResult",
-    "ForcedEdgeAdversary",
-    "MODELS",
-    "SearchResult",
-    "best_fit",
-    "check_safety",
-    "classify_runs",
-    "effective_edge_choices",
-    "exhaustive_worst_case",
-    "fit_model",
-    "log_catches",
-    "successor_violations",
-    "verify_theorem3",
-    "verify_theorem5",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".catch_log": ("CatchRecord", "log_catches", "successor_violations"),
+    ".catch_tree": ("CatchEvent", "CatchTree", "FORBIDDEN_SEQUENCES"),
+    ".checker": ("check_safety", "classify_runs"),
+    ".complexity": ("FitResult", "MODELS", "best_fit", "fit_model"),
+    ".model_check": (
+        "ForcedEdgeAdversary", "SearchResult", "effective_edge_choices",
+        "exhaustive_worst_case", "verify_theorem3", "verify_theorem5"),
+})

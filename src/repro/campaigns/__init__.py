@@ -43,118 +43,30 @@ Quick start::
         print(fit)          # shape verdicts straight from the store
 """
 
-from .aggregate import (
-    DEFAULT_GROUP_BY,
-    GroupStats,
-    TableRow,
-    aggregate_records,
-    aggregate_store,
-    metrics_from_result,
-    render_rows,
-    summarize_metrics,
-)
-from .distributed import (
-    LeaseLost,
-    WorkQueue,
-    enqueue_campaign,
-    fleet_status,
-    render_status,
-    run_distributed,
-    run_worker,
-)
-from .executor import (
-    CampaignRun,
-    chunk_cells,
-    default_chunk_size,
-    execute_cell,
-    plan_chunks,
-    run_campaign,
-    run_cells,
-)
-from .presets import DEFAULT_SPEC, SPECS, get_spec, load_spec
-from .registry import (
-    ADVERSARIES,
-    ALGORITHMS,
-    AUTO_SCHEDULER,
-    COMBINED_ADVERSARIES,
-    GRAPH_ADVERSARIES,
-    GRAPH_EXPLORERS,
-    SCHEDULERS,
-    TOPOLOGIES,
-    AlgorithmEntry,
-    build_cell_engine,
-    build_graph_cell_engine,
-    default_horizon,
-    is_graph_cell,
-    validate_cell,
-)
-from .spec import CampaignSpec, CellConfig, resolve_horizon, resolve_positions
-from .stores import (
-    ExportResult,
-    FitRow,
-    JsonlStore,
-    Query,
-    ResultStore,
-    SqliteStore,
-    export_store,
-    fit_rows,
-    open_store,
-    render_fit_rows,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ADVERSARIES",
-    "ALGORITHMS",
-    "AUTO_SCHEDULER",
-    "COMBINED_ADVERSARIES",
-    "AlgorithmEntry",
-    "CampaignRun",
-    "CampaignSpec",
-    "CellConfig",
-    "DEFAULT_GROUP_BY",
-    "DEFAULT_SPEC",
-    "ExportResult",
-    "FitRow",
-    "GRAPH_ADVERSARIES",
-    "GRAPH_EXPLORERS",
-    "GroupStats",
-    "JsonlStore",
-    "LeaseLost",
-    "Query",
-    "ResultStore",
-    "SCHEDULERS",
-    "SPECS",
-    "SqliteStore",
-    "TOPOLOGIES",
-    "TableRow",
-    "WorkQueue",
-    "aggregate_records",
-    "aggregate_store",
-    "build_cell_engine",
-    "build_graph_cell_engine",
-    "chunk_cells",
-    "default_chunk_size",
-    "default_horizon",
-    "enqueue_campaign",
-    "execute_cell",
-    "export_store",
-    "fit_rows",
-    "fleet_status",
-    "get_spec",
-    "is_graph_cell",
-    "load_spec",
-    "metrics_from_result",
-    "open_store",
-    "plan_chunks",
-    "render_fit_rows",
-    "render_rows",
-    "render_status",
-    "resolve_horizon",
-    "resolve_positions",
-    "run_campaign",
-    "run_cells",
-    "run_distributed",
-    "run_worker",
-    "summarize_metrics",
-    "validate_cell",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".aggregate": (
+        "DEFAULT_GROUP_BY", "GroupStats", "TableRow", "aggregate_records",
+        "aggregate_store", "metrics_from_result", "render_rows",
+        "summarize_metrics"),
+    ".distributed": (
+        "WorkQueue", "enqueue_campaign", "fleet_status", "render_status",
+        "run_distributed", "run_worker"),
+    ".executor": (
+        "CampaignRun", "chunk_cells", "default_chunk_size", "execute_cell",
+        "plan_chunks", "run_campaign", "run_cells"),
+    ".leases": ("LeaseLost",),
+    ".presets": ("DEFAULT_SPEC", "SPECS", "get_spec", "load_spec"),
+    ".registry": (
+        "ADVERSARIES", "ALGORITHMS", "AUTO_SCHEDULER", "COMBINED_ADVERSARIES",
+        "GRAPH_ADVERSARIES", "GRAPH_EXPLORERS", "SCHEDULERS", "TOPOLOGIES",
+        "AlgorithmEntry", "build_cell_engine", "build_graph_cell_engine",
+        "default_horizon", "is_graph_cell", "validate_cell"),
+    ".spec": (
+        "CampaignSpec", "CellConfig", "resolve_horizon", "resolve_positions"),
+    ".stores": (
+        "ExportResult", "FitRow", "JsonlStore", "Query", "ResultStore",
+        "SqliteStore", "export_store", "fit_rows", "open_store",
+        "render_fit_rows"),
+})

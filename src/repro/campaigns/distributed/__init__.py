@@ -30,49 +30,16 @@ Multi-host quickstart (see README)::
     python -m repro campaign status --spec paper-tables --store sqlite:shared/results.db --watch
 """
 
-from .queue import (
-    DEFAULT_LEASE_TTL_S,
-    DEFAULT_MAX_ATTEMPTS,
-    Claim,
-    EnqueueReport,
-    LeaseInfo,
-    LeaseLost,
-    QueueCounts,
-    WorkQueue,
-    WorkerInfo,
-    worker_identity,
-)
-from .status import (
-    FleetStatus,
-    enqueue_campaign,
-    fleet_status,
-    render_batch_rejects,
-    render_status,
-    run_distributed,
-    store_metrics,
-    watch_status,
-)
-from .worker import WorkerReport, run_worker
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "Claim",
-    "DEFAULT_LEASE_TTL_S",
-    "DEFAULT_MAX_ATTEMPTS",
-    "EnqueueReport",
-    "FleetStatus",
-    "LeaseInfo",
-    "LeaseLost",
-    "QueueCounts",
-    "WorkQueue",
-    "WorkerInfo",
-    "WorkerReport",
-    "enqueue_campaign",
-    "fleet_status",
-    "render_batch_rejects",
-    "render_status",
-    "run_distributed",
-    "run_worker",
-    "store_metrics",
-    "watch_status",
-    "worker_identity",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".queue": (
+        "Claim", "DEFAULT_LEASE_TTL_S", "DEFAULT_MAX_ATTEMPTS",
+        "EnqueueReport", "LeaseInfo", "LeaseLost", "QueueCounts",
+        "WorkQueue", "WorkerInfo", "worker_identity"),
+    ".status": (
+        "FleetStatus", "enqueue_campaign", "fleet_status",
+        "render_batch_rejects", "render_status", "run_distributed",
+        "store_metrics", "watch_status"),
+    ".worker": ("WorkerReport", "run_worker"),
+})

@@ -45,48 +45,13 @@ from ...core.errors import ConfigurationError
 from ...obs import metrics as obs_metrics
 from ...resilience.chaos import chaos_policy
 from ...resilience.retry import retry
+from ..executor import plan_chunks
+from ..leases import DEFAULT_LEASE_TTL_S, DEFAULT_MAX_ATTEMPTS, LeaseLost
 from ..registry import validate_cell
 from ..spec import CellConfig
 from ..stores import ResultStore, open_store
 from ..stores.base import SCHEMA_VERSION
 from ..stores.sqlite import INSERT_RESULT_SQL, result_rows
-
-#: Default lease time-to-live: a lease whose heartbeat is older than this
-#: is considered orphaned and may be stolen.  Workers heartbeat at a
-#: quarter of the TTL, so one missed beat never costs a healthy worker
-#: its lease.
-DEFAULT_LEASE_TTL_S = 30.0
-
-#: Claim attempts after which a chunk is *parked* (state ``failed``)
-#: instead of stolen again.  A chunk whose cells kill the worker process
-#: outright (OOM, segfault — no Python exception, so no error record)
-#: would otherwise be re-stolen forever, killing every worker that
-#: touches it and never letting the campaign finish.  Parked chunks are
-#: terminal for :meth:`WorkQueue.finished`, show up in ``campaign
-#: status``, and their cells become enqueueable again by a fresh
-#: ``campaign enqueue``.
-DEFAULT_MAX_ATTEMPTS = 5
-
-
-class LeaseLost(RuntimeError):
-    """The lease was stolen (or released) out from under the worker."""
-
-
-def has_live_chunks(store) -> bool:
-    """Are pending/leased chunks registered for this store's campaign?
-
-    Cheap probe used by the pool executor: writing results past the
-    lease barrier (plain ``append_many``) while a fleet is draining the
-    same campaign could record a cell twice, so ``run_cells`` refuses
-    when this is true.
-    """
-    if not getattr(store, "supports_leases", False) or not store.exists():
-        return False
-    (live,) = store.connection().execute(
-        "SELECT COUNT(*) FROM chunks WHERE campaign_key = ? "
-        "AND state IN ('pending', 'leased')",
-        (store.campaign or "",)).fetchone()
-    return live > 0
 
 
 def worker_identity(suffix: str | None = None) -> str:
@@ -304,8 +269,6 @@ class WorkQueue:
         scalar, and a worker follows that label unless its own
         ``--batch`` says ``on`` or ``off``.
         """
-        from ..executor import plan_chunks
-
         cells = list(cells)
         for cell in cells:
             validate_cell(cell)

@@ -19,7 +19,8 @@ lives in the queue it drains, :class:`LeasedQueue`:
    re-enqueues racing a finish).  That check reads the keys the chunk
    stored at enqueue and asks the store about just those, in one
    indexed lookup (``completed_keys(among=...)``): its cost is the
-   chunk's size, not the store's, and no cell is re-hashed;
+   chunk's size, not the store's.  No cell is re-hashed: the stored
+   keys also go into the records;
 2. ``complete`` stops the keeper; a lost lease (a heartbeat came back
    ``False``) discards the chunk — the thief records it — otherwise
    records and chunk retirement commit atomically, or
@@ -159,10 +160,11 @@ class LeasedQueue:
         # completed cell.  The lookup reads the store fresh, not a
         # cached snapshot.
         done = self.store.completed_keys(among=claim.cell_keys)
-        todo = [CellConfig.from_dict(cell)
-                for cell, key in zip(claim.cells, claim.cell_keys)
+        todo = [(cell, key) for cell, key in zip(claim.cells, claim.cell_keys)
                 if key not in done]
-        return Chunk(claim.chunk_id, todo, attrs, claim_s=claim_s,
+        return Chunk(claim.chunk_id,
+                     [CellConfig.from_dict(cell) for cell, _ in todo],
+                     [key for _, key in todo], attrs, claim_s=claim_s,
                      skipped=len(claim.cells) - len(todo),
                      abort=self._keepers[claim.chunk_id].lost.is_set,
                      planned=claim.planned)

@@ -34,23 +34,23 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
-from ..core.batch import (
+from ..core.batch_rules import (
     BATCH_WIDTH,
     batch_eligible,
     batch_ineligible_key,
     batch_ineligible_reason,
     batch_shape,
     numpy_available,
-    run_batch_cells,
 )
 from ..core.errors import ConfigurationError
 from ..obs import metrics as obs_metrics
 from ..obs import spans as obs_spans
 from ..obs.logs import get_logger
 from .aggregate import metrics_from_result
-from .distributed.queue import LeaseLost, has_live_chunks
+from .leases import LeaseLost, has_live_chunks
 from .registry import build_cell_engine, validate_cell
 from .spec import CampaignSpec, CellConfig
 from .stores import ResultStore, open_store
@@ -98,8 +98,11 @@ def batch_reject_counts(snapshot: dict[str, dict] | None) -> dict[str, int]:
     return dict(sorted(rejects.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
-def execute_cell(cell: CellConfig) -> dict[str, Any]:
+def execute_cell(cell: CellConfig, key: str | None = None) -> dict[str, Any]:
     """Run one cell to completion and package the outcome as a store record.
+
+    ``key`` is the cell's :meth:`~repro.campaigns.spec.CellConfig.key`
+    when the caller has it already (``None`` = compute it here).
 
     Every topology takes the same path: the registry builds a facade over
     the unified :class:`~repro.core.sim.SimulationCore`, which returns a
@@ -112,12 +115,13 @@ def execute_cell(cell: CellConfig) -> dict[str, Any]:
     can be traced back to the worker/host/chunk that produced it; with
     tracing off, records are byte-identical to the pre-obs schema.
     """
+    if key is None:
+        key = cell.key()
     rec = obs_spans.recorder()
     if rec is None:
-        return _execute_cell(cell)
-    with rec.span("cell", cell.algorithm, key=cell.key(),
-                  route="scalar") as span:
-        record = _execute_cell(cell)
+        return _execute_cell(cell, key)
+    with rec.span("cell", cell.algorithm, key=key, route="scalar") as span:
+        record = _execute_cell(cell, key)
         if "error" in record:
             span.status = "error"
             span.attrs["error"] = record["error"]
@@ -125,7 +129,7 @@ def execute_cell(cell: CellConfig) -> dict[str, Any]:
     return record
 
 
-def _execute_cell(cell: CellConfig) -> dict[str, Any]:
+def _execute_cell(cell: CellConfig, key: str) -> dict[str, Any]:
     start = time.perf_counter()
     timer = obs_metrics.phase_timer()
     try:
@@ -139,7 +143,7 @@ def _execute_cell(cell: CellConfig) -> dict[str, Any]:
             timer.flush()
         metrics = metrics_from_result(result)
         record = {
-            "key": cell.key(),
+            "key": key,
             "config": cell.to_dict(),
             "metrics": metrics,
             "elapsed_s": round(time.perf_counter() - start, 6),
@@ -147,7 +151,7 @@ def _execute_cell(cell: CellConfig) -> dict[str, Any]:
     except Exception as exc:  # record the failure as an attempted outcome
         # (resumes skip it unless retry_failed re-drives it explicitly)
         record = {
-            "key": cell.key(),
+            "key": key,
             "config": cell.to_dict(),
             "error": f"{type(exc).__name__}: {exc}",
             "elapsed_s": round(time.perf_counter() - start, 6),
@@ -162,9 +166,18 @@ def _execute_cell(cell: CellConfig) -> dict[str, Any]:
     return record
 
 
+def run_batch_cells(cells: Sequence[CellConfig]) -> list:
+    """:func:`repro.core.batch.run_batch_cells`, imported on first use:
+    only a process that runs a batch loads BatchCore and NumPy."""
+    from ..core.batch import run_batch_cells as run
+
+    return run(cells)
+
+
 def run_chunk(
     cells: Sequence[CellConfig],
     *,
+    keys: Sequence[str] | None = None,
     batch: str | None = None,
     abort: Callable[[], bool] | None = None,
     planned: bool = False,
@@ -173,14 +186,16 @@ def run_chunk(
 
     The single execution point of every mode.  It does not route:
     :func:`plan_chunks` did, and ``planned`` marks a chunk it cut as a
-    batch chunk.  The chunk's :func:`~repro.core.batch.batch_eligible`
-    cells run through :class:`~repro.core.batch.BatchCore` when NumPy
-    is present and ``batch`` is ``on``, or is not ``off`` and the chunk
-    is ``planned``; the rest run through :func:`execute_cell` one by
-    one.  Records come back in input order with the exact schema the
+    batch chunk.  The chunk's
+    :func:`~repro.core.batch_rules.batch_eligible` cells run through
+    :class:`~repro.core.batch.BatchCore` when NumPy is present and
+    ``batch`` is ``on``, or is not ``off`` and the chunk is ``planned``;
+    the rest run through :func:`execute_cell` one by one.  Records come back in input order with the exact schema the
     scalar path appends, so stores cannot tell the paths apart.
     Returns ``(records, batched)`` where ``batched`` counts cells that
-    actually took the vector path.
+    actually took the vector path.  ``keys`` are the cells' store keys,
+    parallel to ``cells``, when the caller computed them already
+    (``None`` = compute them here).
 
     ``abort`` (polled between scalar cells) lets a lease-losing worker
     stop early; already-produced records are returned for the caller to
@@ -194,6 +209,8 @@ def run_chunk(
     :data:`MIN_BATCH_LANES`) and vector-path degradations
     (``executor.degrade_to_scalar``).
     """
+    if keys is None:
+        keys = [cell.key() for cell in cells]
     rec = obs_spans.recorder()
     reg = obs_metrics.registry() if obs_metrics.enabled() else None
     records: list[dict[str, Any] | None] = [None] * len(cells)
@@ -233,7 +250,7 @@ def run_chunk(
             per_cell = round((time.perf_counter() - start) / len(vector), 6)
             for (i, cell), result in zip(vector, results):
                 records[i] = {
-                    "key": cell.key(),
+                    "key": keys[i],
                     "config": cell.to_dict(),
                     "metrics": metrics_from_result(result),
                     "elapsed_s": per_cell,
@@ -241,7 +258,7 @@ def run_chunk(
                 if rec is not None:
                     records[i]["span_id"] = rec.emit(
                         "cell", cell.algorithm, elapsed_s=per_cell,
-                        attrs={"key": cell.key(), "route": "batch"})
+                        attrs={"key": keys[i], "route": "batch"})
             batched = len(vector)
             if reg is not None:
                 reg.counter("executor.cells").inc(batched)
@@ -251,7 +268,7 @@ def run_chunk(
             continue
         if abort is not None and abort():
             break
-        records[i] = execute_cell(cell)
+        records[i] = execute_cell(cell, keys[i])
     return [r for r in records if r is not None], batched
 
 
@@ -259,30 +276,30 @@ def run_chunk(
 # runners: where a claimed chunk executes
 # ---------------------------------------------------------------------------
 
-def _timed_chunk(cells, batch, span_id, abort=None, planned=False):
+def _timed_chunk(cells, keys, batch, span_id, abort=None, planned=False):
     """``run_chunk`` under the chunk span ``span_id``, plus its wall start
     (epoch seconds) and duration: ``(records, batched, start_s, run_s)``."""
     rec = obs_spans.recorder()
     start_s, t0 = time.time(), time.perf_counter()
     with rec.within(span_id) if rec is not None else nullcontext():
-        records, batched = run_chunk(cells, batch=batch, abort=abort,
-                                     planned=planned)
+        records, batched = run_chunk(cells, keys=keys, batch=batch,
+                                     abort=abort, planned=planned)
     return records, batched, start_s, time.perf_counter() - t0
 
 
 def _run_chunk(task, batch: str | None = None):
     """Pool-worker entry point: run one chunk of serialised cells.
 
-    ``task`` is ``(n, cell_dicts, span_id, planned)``; returns ``(n,
+    ``task`` is ``(n, cell_dicts, keys, span_id, planned)``; returns ``(n,
     records, batched, start_s, run_s, metrics_snapshot)``.  The snapshot
     is a per-chunk delta (the child registry is drained after each
     chunk) so the parent can merge pool snapshots without double
     counting.
     """
-    n, payload, span_id, planned = task
+    n, payload, keys, span_id, planned = task
     obs_spans.ensure_recorder()  # pool children: env-driven JSONL sink
     outcome = _timed_chunk(
-        [CellConfig.from_dict(d) for d in payload], batch, span_id,
+        [CellConfig.from_dict(d) for d in payload], keys, batch, span_id,
         planned=planned)
     snap: dict | None = None
     if obs_metrics.enabled():
@@ -294,16 +311,17 @@ def _run_chunk(task, batch: str | None = None):
 def run_inline(chunks, *, batch: str | None = None):
     """Runner: execute each claimed chunk here, as it is claimed."""
     for chunk in chunks:
-        yield chunk, (*_timed_chunk(chunk.cells, batch, chunk.span_id,
-                                    chunk.abort, chunk.planned), None)
+        yield chunk, (*_timed_chunk(chunk.cells, chunk.keys, batch,
+                                    chunk.span_id, chunk.abort,
+                                    chunk.planned), None)
 
 
 def run_pooled(chunks, *, workers: int, batch: str | None = None):
     """Runner: every claimed chunk goes to a pool of ``workers`` forked
     processes; outcomes come back in completion order."""
     by_id = {chunk.id: chunk for chunk in chunks}
-    tasks = [(n, [c.to_dict() for c in chunk.cells], chunk.span_id,
-              chunk.planned) for n, chunk in by_id.items()]
+    tasks = [(n, [c.to_dict() for c in chunk.cells], chunk.keys,
+              chunk.span_id, chunk.planned) for n, chunk in by_id.items()]
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
     with ctx.Pool(processes=workers) as pool:
@@ -322,6 +340,10 @@ class Chunk:
 
     id: int
     cells: list[CellConfig]
+    #: The cells' store keys, parallel to :attr:`cells`: computed once,
+    #: where the run dedupes (serial and pool) or enqueues (distributed)
+    #: its cells, and carried to the records from there.
+    keys: list[str]
     #: Queue-specific chunk span attrs (attempt, stolen_from, ...).
     attrs: dict[str, Any] = field(default_factory=dict)
     claim_s: float = 0.0
@@ -342,15 +364,20 @@ class LocalQueue:
     run resumes from the store.  ``records`` keeps what was committed.
     """
 
-    def __init__(self, store: ResultStore,
-                 chunks: Iterable[tuple[bool, list[CellConfig]]]) -> None:
+    def __init__(
+            self, store: ResultStore,
+            chunks: Iterable[tuple[bool, list[tuple[str, CellConfig]]]],
+    ) -> None:
         self.store = store
         self.records: list[dict[str, Any]] = []
         self._chunks = enumerate(chunks)
 
     def claim(self) -> Chunk | None:
-        n, (planned, cells) = next(self._chunks, (None, (False, None)))
-        return None if cells is None else Chunk(n, cells, planned=planned)
+        n, (planned, items) = next(self._chunks, (None, (False, None)))
+        if items is None:
+            return None
+        return Chunk(n, [cell for _, cell in items],
+                     [key for key, _ in items], planned=planned)
 
     def complete(self, chunk: Chunk, records, **telemetry) -> None:
         self.store.append_many(records)
@@ -556,7 +583,7 @@ def default_chunk_size(
     against IPC, capped at 25 so a straggler chunk never dominates.
 
     With ``batch=True`` (sizing one shape group that batches) the cap
-    rises to :data:`~repro.core.batch.BATCH_WIDTH` and the target
+    rises to :data:`~repro.core.batch_rules.BATCH_WIDTH` and the target
     becomes one chunk per worker: a batched chunk is a single lockstep
     NumPy run, so wide chunks amortise the per-chunk setup and fill the
     vector width instead of slicing it into 25-cell slivers.
@@ -603,10 +630,11 @@ def plan_chunks(
     marking a batch chunk (which :func:`run_chunk` runs with
     ``planned=True``).  A cell may batch when the ``batch`` override is
     not ``off``, NumPy is installed and the cell is
-    :func:`~repro.core.batch.batch_eligible`.  Those cells are grouped
-    by :func:`~repro.core.batch.batch_shape`; a group batches under
-    ``on`` at any width, otherwise only when it is wide over the whole
-    run: its cells times its agents reach :data:`MIN_BATCH_LANES`.
+    :func:`~repro.core.batch_rules.batch_eligible`.  Those cells are
+    grouped by :func:`~repro.core.batch_rules.batch_shape`; a group
+    batches under ``on`` at any width, otherwise only when it is wide
+    over the whole run: its cells times its agents reach
+    :data:`MIN_BATCH_LANES`.
     Each such group is cut on its own into :func:`even_chunks` of
     at most ``default_chunk_size(len(group), workers, batch=True)``
     cells, so a chunk is one lockstep run of one shape and a wide group
@@ -719,7 +747,10 @@ def run_cells(
     skip = set(store.completed_keys())
     if not retry_failed:
         skip |= store.error_keys()
-    pending = [c for c in cells if c.key() not in skip]
+    # Each cell is keyed once: the key dedupes it here and rides with
+    # it through its chunk into the record.
+    pending = [(key, cell) for cell in cells
+               if (key := cell.key()) not in skip]
 
     if pending and store.supports_leases:
         # Writing past the lease barrier while a fleet drains the same
@@ -737,7 +768,8 @@ def run_cells(
         workers = usable_cpus()
     workers = max(1, min(workers, len(pending) or 1))
     queue = LocalQueue(store, plan_chunks(pending, workers, batch=batch,
-                                          chunk_size=chunk_size))
+                                          chunk_size=chunk_size,
+                                          cell=itemgetter(1)))
     runner = (functools.partial(run_inline, batch=batch) if workers == 1
               else functools.partial(run_pooled, workers=workers,
                                      batch=batch))

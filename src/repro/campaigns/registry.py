@@ -13,21 +13,16 @@ on the command line is exactly a name accepted in a campaign spec.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..adversary import (
-    BlockAgentAdversary,
-    Figure2Schedule,
+from ..adversary.simple import (
     FixedMissingEdge,
-    MeetingPreventionAdversary,
     NoRemoval,
-    NSStarvationAdversary,
     PeriodicMissingEdge,
     RandomMissingEdge,
-    Theorem19Adversary,
-    ZigZagForcingAdversary,
 )
 from ..algorithms import (
     ETExactSizeNoChirality,
@@ -54,6 +49,7 @@ from ..schedulers import (
 from .spec import CellConfig, resolve_positions
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..adversary.impossibility import Theorem19Adversary
     from ..core.engine import Engine
 
 
@@ -102,12 +98,20 @@ ALGORITHMS: dict[str, AlgorithmEntry] = {
         TransportModel.ET),
 }
 
-def _theorem19(cell: CellConfig) -> Theorem19Adversary:
+def _construction(module: str, name: str) -> Any:
+    """A proof construction's class from ``repro.adversary.<module>``,
+    imported when a cell first builds one: most runs never do."""
+    return getattr(importlib.import_module(f"..adversary.{module}",
+                                           __package__), name)
+
+
+def _theorem19(cell: CellConfig) -> "Theorem19Adversary":
     if cell.bound is None:
         raise ConfigurationError(
             "adversary 'theorem19' needs bound=n1 (the small ring size the "
             "algorithm believes in); the cell's ring_size is the host ring")
-    return Theorem19Adversary(small_size=cell.bound)
+    return _construction("impossibility", "Theorem19Adversary")(
+        small_size=cell.bound)
 
 
 #: name -> adversary factory.  The last four are the impossibility /
@@ -121,12 +125,15 @@ ADVERSARIES: dict[str, Callable[[CellConfig], EdgeAdversary]] = {
     "random": lambda c: RandomMissingEdge(seed=c.seed),
     "fixed": lambda c: FixedMissingEdge(c.edge),
     "periodic": lambda c: PeriodicMissingEdge(c.edge, period=4, duty=2),
-    "block-agent": lambda c: BlockAgentAdversary(0),
-    "prevent-meetings": lambda c: MeetingPreventionAdversary(),
-    "ns-starvation": lambda c: NSStarvationAdversary(),
-    "figure2": lambda c: Figure2Schedule(anchor=c.edge),
+    "block-agent": lambda c: _construction("blocking", "BlockAgentAdversary")(0),
+    "prevent-meetings": lambda c: _construction(
+        "blocking", "MeetingPreventionAdversary")(),
+    "ns-starvation": lambda c: _construction(
+        "impossibility", "NSStarvationAdversary")(),
+    "figure2": lambda c: _construction(
+        "worst_case", "Figure2Schedule")(anchor=c.edge),
     "theorem19": _theorem19,
-    "zigzag": lambda c: ZigZagForcingAdversary(
+    "zigzag": lambda c: _construction("worst_case", "ZigZagForcingAdversary")(
         cap=c.adversary_arg if c.adversary_arg is not None
         else max(1, c.ring_size // 3)),
 }

@@ -29,7 +29,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..core.errors import ConfigurationError
@@ -253,6 +253,11 @@ class CellConfig:
 #: Spec/variant keys that are control syntax, not CellConfig fields.
 _SPEC_CONTROL_KEYS = {"grid", "label", "horizon"}
 
+#: CellConfig fields without a default: every spec variant must set them
+#: (``max_rounds`` directly or through a ``horizon``).
+_REQUIRED_FIELDS = frozenset(
+    f.name for f in fields(CellConfig) if f.default is MISSING)
+
 #: Fields added after the first release, excluded from the content hash
 #: while they sit at their default: a defaulted new field describes the
 #: *same simulation* the old schema described, so pre-existing result
@@ -319,6 +324,22 @@ class CampaignSpec:
             }
             grid = variant["grid"]
             horizon = variant.get("horizon")
+            given = scalars.keys() | grid.keys()
+            if "batch" in given:
+                # Cells dropped the field when routing became a run
+                # setting; from_dict still drops it from stored records.
+                raise ConfigurationError(
+                    f"spec {self.name!r}: 'batch' is no longer a cell "
+                    "field; choose the route per run with "
+                    "--batch auto|on|off")
+            if horizon is not None:
+                given |= {"max_rounds"}
+            missing = sorted(_REQUIRED_FIELDS - given)
+            if missing:
+                raise ConfigurationError(
+                    f"spec {self.name!r}: cells need "
+                    + ", ".join(map(repr, missing))
+                    + (" (or a 'horizon')" if "max_rounds" in missing else ""))
             # Sorted keys make expansion order canonical: a spec serialised
             # through JSON/YAML (which may reorder dict keys) expands to the
             # same cell sequence as the original.

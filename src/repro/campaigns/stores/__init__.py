@@ -19,52 +19,18 @@ backend: ``sqlite:results/t2.db``, ``jsonl:results/t2.jsonl``, or a bare
 path (suffix-sniffed, JSONL by default).
 """
 
-from .base import (
-    LIST_FIELDS,
-    SCHEMA_VERSION,
-    SQLITE_SUFFIXES,
-    ResultStore,
-    open_store,
-    record_matches,
-    store_backends,
-)
-from .export import (
-    ExportResult,
-    export_columns,
-    export_store,
-    flatten_record,
-    parquet_available,
-)
-from .jsonl import JsonlStore
-from .query import (
-    FitRow,
-    Query,
-    fit_rows,
-    render_error_rows,
-    render_fit_rows,
-    render_scatter,
-)
-from .sqlite import SqliteStore
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "ExportResult",
-    "FitRow",
-    "JsonlStore",
-    "LIST_FIELDS",
-    "Query",
-    "ResultStore",
-    "SCHEMA_VERSION",
-    "SQLITE_SUFFIXES",
-    "SqliteStore",
-    "export_columns",
-    "export_store",
-    "fit_rows",
-    "flatten_record",
-    "open_store",
-    "parquet_available",
-    "record_matches",
-    "render_error_rows",
-    "render_fit_rows",
-    "render_scatter",
-    "store_backends",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": (
+        "LIST_FIELDS", "SCHEMA_VERSION", "SQLITE_SUFFIXES", "ResultStore",
+        "open_store", "record_matches", "store_backends"),
+    ".export": (
+        "ExportResult", "export_columns", "export_store", "flatten_record",
+        "parquet_available"),
+    ".jsonl": ("JsonlStore",),
+    ".query": (
+        "FitRow", "Query", "fit_rows", "render_error_rows",
+        "render_fit_rows", "render_scatter"),
+    ".sqlite": ("SqliteStore",),
+})

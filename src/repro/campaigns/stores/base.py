@@ -30,6 +30,7 @@ right backend::
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 from pathlib import Path
@@ -250,12 +251,20 @@ class ResultStore:
 SQLITE_SUFFIXES = frozenset({".db", ".sqlite", ".sqlite3"})
 
 
-def store_backends() -> dict[str, Callable[..., ResultStore]]:
-    """scheme -> backend class (late imports to avoid cycles)."""
-    from .jsonl import JsonlStore
-    from .sqlite import SqliteStore
+#: URI scheme -> (module, class) of each backend.  :func:`open_store`
+#: imports only the backend it opens (late imports also avoid cycles).
+_BACKENDS = {"jsonl": (".jsonl", "JsonlStore"),
+             "sqlite": (".sqlite", "SqliteStore")}
 
-    return {JsonlStore.scheme: JsonlStore, SqliteStore.scheme: SqliteStore}
+
+def _backend(scheme: str) -> Callable[..., ResultStore]:
+    module, name = _BACKENDS[scheme]
+    return getattr(importlib.import_module(module, __package__), name)
+
+
+def store_backends() -> dict[str, Callable[..., ResultStore]]:
+    """scheme -> backend class (imports every backend)."""
+    return {scheme: _backend(scheme) for scheme in _BACKENDS}
 
 
 def open_store(
@@ -278,17 +287,16 @@ def open_store(
             target._completed = None  # the caches were read unscoped
             target._errored = None
         return target
-    backends = store_backends()
     text = os.fspath(target)
     scheme, sep, rest = text.partition(":")
-    if sep and scheme in backends:
+    if sep and scheme in _BACKENDS:
         if not rest:
             raise ConfigurationError(f"store URI {text!r} is missing a path")
-        return backends[scheme](rest, campaign=campaign)
+        return _backend(scheme)(rest, campaign=campaign)
     if sep and _DIM_RE.match(scheme) and len(scheme) > 1:
         # looks like a scheme (not a Windows drive letter), but unknown
         raise ConfigurationError(
-            f"unknown store scheme {scheme!r} (choose from {sorted(backends)})")
+            f"unknown store scheme {scheme!r} (choose from {sorted(_BACKENDS)})")
     path = Path(text)
-    cls = backends["sqlite" if path.suffix in SQLITE_SUFFIXES else "jsonl"]
+    cls = _backend("sqlite" if path.suffix in SQLITE_SUFFIXES else "jsonl")
     return cls(path, campaign=campaign)

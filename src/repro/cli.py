@@ -86,10 +86,9 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
-from .analysis.render import watch
 from .campaigns.aggregate import aggregate_records, render_rows
-from .campaigns.distributed.queue import DEFAULT_LEASE_TTL_S, DEFAULT_MAX_ATTEMPTS
 from .campaigns.executor import MIN_BATCH_LANES, prepare_cells, run_cells
+from .campaigns.leases import DEFAULT_LEASE_TTL_S, DEFAULT_MAX_ATTEMPTS
 from .campaigns.presets import DEFAULT_SPEC, SPECS, get_spec, load_spec
 from .campaigns.registry import (
     ADVERSARIES,
@@ -101,7 +100,6 @@ from .campaigns.registry import (
 from .campaigns.spec import CellConfig
 from .campaigns.stores import (
     ResultStore,
-    export_store,
     fit_rows,
     open_store,
     render_error_rows,
@@ -109,11 +107,8 @@ from .campaigns.stores import (
     render_scatter,
 )
 from .core.errors import ConfigurationError
-from .obs import expo as obs_expo
 from .obs import logs as obs_logs
 from .obs import spans as obs_spans
-from .obs.history import add_bench_parsers, bench_main
-from .theory.tables import render_map
 
 _log = obs_logs.get_logger(__name__)
 
@@ -321,7 +316,27 @@ def make_parser() -> argparse.ArgumentParser:
         "bench",
         help="bench-history regression guard (record/check headlines)")
     bsub = bench.add_subparsers(dest="bench_command", required=True)
-    add_bench_parsers(bsub)
+    p = bsub.add_parser(
+        "record", help="append a bench file's headlines to the history")
+    p.add_argument("--bench", default="BENCH_engine.json", metavar="PATH",
+                   help="bench results file (default: BENCH_engine.json)")
+    p.add_argument("--history", default="BENCH_history.jsonl", metavar="PATH",
+                   help="history file to append to "
+                        "(default: BENCH_history.jsonl)")
+    p.add_argument("--sha", default=None, metavar="SHA",
+                   help="git SHA to stamp (default: GITHUB_SHA env, then "
+                        "git rev-parse, then 'unknown')")
+    p = bsub.add_parser(
+        "check",
+        help="exit 1 when the latest entry regresses vs the trailing median")
+    p.add_argument("--history", default="BENCH_history.jsonl", metavar="PATH",
+                   help="history file (default: BENCH_history.jsonl)")
+    p.add_argument("--fraction", type=float, default=0.7, metavar="F",
+                   help="fail when a headline drops below F x the trailing "
+                        "median (default: 0.7)")
+    p.add_argument("--window", type=int, default=10, metavar="N",
+                   help="trailing entries per headline in the median "
+                        "(default: 10)")
     return parser
 
 
@@ -501,6 +516,8 @@ class _Milestones:
 
 def _print_metrics(snapshot, title: str) -> None:
     if snapshot:
+        from .obs import expo as obs_expo
+
         print(obs_expo.render_table(snapshot, title=title))
 
 
@@ -600,6 +617,7 @@ def _campaign_status(args, spec) -> int:
 def _campaign_metrics(args, spec) -> int:
     """``metrics`` and ``profile``: views of the merged fleet snapshots."""
     from .campaigns.distributed import store_metrics
+    from .obs import expo as obs_expo
     from .obs import profile as obs_profile
 
     store = _existing_store(args, spec, sqlite=True)
@@ -708,6 +726,8 @@ def _campaign_report(args, spec) -> int:
 
 
 def _campaign_export(args, spec) -> int:
+    from .campaigns.stores.export import export_store
+
     print(export_store(_existing_store(args, spec), args.out,
                        format=args.format).summary())
     return 0
@@ -762,8 +782,42 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
 
+def _bench_main(args) -> int:
+    """``bench record`` and ``bench check`` over :mod:`repro.obs.history`."""
+    from .obs import history
+
+    if args.bench_command == "record":
+        bench_path = Path(args.bench)
+        if not bench_path.exists():
+            print(f"no bench file at {bench_path}", file=sys.stderr)
+            return 2
+        entry = history.record(bench_path, args.history, git_sha=args.sha)
+        pairs = " ".join(f"{k}={v:g}" for k, v in entry["headlines"].items())
+        print(f"recorded {entry['git_sha']} ({entry['mode']}) -> "
+              f"{args.history}: {pairs}")
+        return 0
+    history_path = Path(args.history)
+    if not history_path.exists():
+        print(f"no bench history at {history_path}", file=sys.stderr)
+        return 2
+    problems = history.check(history_path,
+                             fraction=args.fraction, window=args.window)
+    if problems:
+        for problem in problems:
+            print(f"bench regression: {problem}", file=sys.stderr)
+        return 1
+    entries = history.load_history(history_path)
+    print(f"bench history ok: {len(entries)} entr"
+          f"{'y' if len(entries) == 1 else 'ies'}, latest "
+          f"{entries[-1].get('git_sha', '?') if entries else 'n/a'} "
+          f"within {args.fraction:g}x of the trailing median")
+    return 0
+
+
 def _dispatch(args) -> int:
     if args.command == "atlas":
+        from .theory.tables import render_map
+
         print("Feasibility map (Tables 1-4):")
         print(render_map())
         return 0
@@ -779,10 +833,12 @@ def _dispatch(args) -> int:
         return campaign_main(args)
 
     if args.command == "bench":
-        return bench_main(args)
+        return _bench_main(args)
 
     engine, horizon, unconscious = build_from_args(args)
     if args.command == "watch":
+        from .analysis.render import watch
+
         watch(engine, horizon)
         return 0
 

@@ -44,8 +44,10 @@ The frontier spans the paper's oblivious matrix and two extensions:
   the pass.
 
 Eligibility — the single predicate shared by the executor, the
-distributed worker and the test suite (:func:`batch_eligible`) — still
-excludes what genuinely has no array form:
+distributed worker and the test suite
+(:func:`~repro.core.batch_rules.batch_eligible`, kept in
+:mod:`repro.core.batch_rules` so that routing never loads this module) —
+still excludes what genuinely has no array form:
 
 * the other *peeking* adversaries (``prevent-meetings``,
   ``ns-starvation``, ``figure2``, ``theorem19``, ``zigzag``): they peek
@@ -66,17 +68,17 @@ batch holds, so a batch pays off only once it is wide.  Under ``auto``
 the campaign router (:mod:`repro.campaigns.executor`) therefore batches
 a shape group only when its cells × agents reach
 :data:`~repro.campaigns.executor.MIN_BATCH_LANES`; narrower groups run
-on the scalar engine.  One batch holds at most :data:`BATCH_WIDTH`
-cells.
+on the scalar engine.  One batch holds at most
+:data:`~repro.core.batch_rules.BATCH_WIDTH` cells.
 
 Scale: the visited bitmap is bit-packed (``n_max / 8`` bytes per cell)
 and the split caps count packed bytes — a 10^5-node ring batches a
 thousand cells wide within the default cap.
 
 NumPy is a declared dependency but its absence only disables batching:
-:data:`HAVE_NUMPY` gates the routing (``REPRO_NO_NUMPY=1`` forces the
-scalar path, which is also how CI tests the fallback).  It is found, not
-imported: the first :class:`BatchCore` a process builds imports NumPy
+:data:`~repro.core.batch_rules.HAVE_NUMPY` gates the routing
+(``REPRO_NO_NUMPY=1`` forces the scalar path, which is also how CI
+tests the fallback).  It is found, not imported: the first :class:`BatchCore` a process builds imports NumPy
 and binds it to this module's and the kernels' ``_np``, so a run that
 batches nothing (``--batch off``, or only groups the router finds too
 narrow) never loads it.
@@ -84,18 +86,21 @@ narrow) never loads it.
 
 from __future__ import annotations
 
-import os
 import time
-from importlib.util import find_spec
 from typing import TYPE_CHECKING, Sequence
 
 from ..obs import metrics as obs_metrics
-from ..resilience.faults import FaultPlan
 from .batch_kernels import (
-    K_ENTER, K_MOVE, K_TERM, PROGRAMS, Look, build_program, load_numpy)
+    K_ENTER, K_MOVE, K_TERM, Look, build_program, load_numpy)
+from .batch_rules import (  # noqa: F401  (batch_ineligible_key: re-exported)
+    BATCH_WIDTH,
+    batch_ineligible_key,
+    batch_ineligible_reason,
+    batch_shape,
+    numpy_available,
+)
 from .errors import ConfigurationError
 from .results import AgentStats, RunResult
-from .sim import MAX_ROUNDS_LIMIT
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..campaigns.spec import CellConfig
@@ -103,131 +108,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: NumPy once the first :class:`BatchCore` is built (``None`` before).
 _np = None
 
-#: Whether the batch path is available in this process: NumPy is
-#: installed (found, not imported) and ``REPRO_NO_NUMPY`` is not ``1``.
-#: Module-level so tests can monkeypatch it; consult
-#: :func:`numpy_available` from other modules (it reads this attribute
-#: dynamically).
-HAVE_NUMPY = (find_spec("numpy") is not None
-              and os.environ.get("REPRO_NO_NUMPY", "") != "1")
-
-#: Most cells one lockstep batch holds — also the chunk-size cap
-#: :func:`repro.campaigns.executor.default_chunk_size` gives a campaign's
-#: batchable cells, which the chunk planner keeps apart from its scalar
-#: ones (fill the vector width instead of 25-cell IPC chunks).
-BATCH_WIDTH = 256
-
-#: Algorithms with a :class:`~repro.core.batch_kernels.VectorProgram`.
-BATCH_ALGORITHMS = frozenset(PROGRAMS)
-
-#: Adversaries whose edge choice is a function of (round, own RNG), plus
-#: ``block-agent``, which peeks only at agent 0's intended move.
-BATCH_ADVERSARIES = frozenset(
-    {"none", "fixed", "periodic", "random", "block-agent"})
-
-#: Transport models with an array form (ET's guarantees live in its
-#: scheduler, so its move phase is NS's; PT adds the port ride).
-BATCH_TRANSPORTS = frozenset({"ns", "pt", "et"})
-
-#: Schedulers with an array form or an engine-free ``choose`` ("auto"
-#: resolves per transport via the registry).
-BATCH_SCHEDULERS = frozenset(
-    {"auto", "fsync", "round-robin", "random-fair", "et-fair"})
-
-#: Scalar-path minimum ``bound`` per algorithm (ctor-enforced); an
-#: explicit smaller bound must fall back so the scalar error reproduces.
-_MIN_BOUND = {"known-bound": 3, "pt-bound": 3, "pt-bound-3": 2, "et-exact": 3}
-
 #: Cap on the pairwise occupancy tensor (cells * agents^2 bools) and the
 #: *packed* visited bitmap (cells * ring-size/8 bytes) per batch; bigger
 #: groups are split by :func:`run_batch_cells`.
 _MAX_PAIRWISE = 1 << 22
 _MAX_VISITED_BYTES = 1 << 26
-
-
-def numpy_available() -> bool:
-    """Dynamic read of :data:`HAVE_NUMPY` (monkeypatch-friendly)."""
-    return HAVE_NUMPY
-
-
-def _batch_ineligibility(cell: "CellConfig") -> tuple[str, str] | None:
-    """``(key, reason)`` why ``cell`` must run scalar (``None`` = batchable).
-
-    The contract: for an eligible cell, :class:`BatchCore` produces the
-    exact :class:`~repro.core.results.RunResult` the scalar engine would.
-    Configurations the scalar path *rejects* (bad bound, out-of-range
-    fixed edge or landmark, invalid flip vector...) are therefore
-    ineligible too, so the fallback path reproduces the identical error
-    record.
-
-    ``key`` is a short stable identifier the executor uses to label
-    rejection-reason counters (``executor.batch_reject.<key>``);
-    ``reason`` is the human message.
-    """
-    if cell.topology != "ring":
-        return "topology", f"topology {cell.topology!r} is not the ring"
-    if cell.algorithm not in BATCH_ALGORITHMS:
-        return "algorithm", f"algorithm {cell.algorithm!r} has no vectorized kernel"
-    if cell.adversary not in BATCH_ADVERSARIES:
-        return "adversary", f"adversary {cell.adversary!r} peeks or schedules"
-    if cell.faults:
-        try:
-            FaultPlan.parse(cell.faults).validate_agents(cell.agents)
-        except ConfigurationError as exc:
-            return ("faults", f"fault plan {cell.faults!r} is invalid "
-                              f"(scalar path rejects it): {exc}")
-    if cell.transport not in BATCH_TRANSPORTS:
-        return "transport", f"transport {cell.transport!r} has no array form"
-    if cell.scheduler not in BATCH_SCHEDULERS:
-        return ("scheduler",
-                f"scheduler {cell.scheduler!r} interleaves with the engine")
-    if cell.landmark is not None and not 0 <= cell.landmark < cell.ring_size:
-        return ("landmark",
-                f"landmark {cell.landmark} outside ring of size "
-                f"{cell.ring_size} (scalar path rejects it)")
-    if cell.debug_invariants:
-        return "debug_invariants", "per-round invariant audit requested"
-    if not 0 < cell.max_rounds <= MAX_ROUNDS_LIMIT:
-        return ("max_rounds",
-                f"max_rounds {cell.max_rounds} outside (0, {MAX_ROUNDS_LIMIT}]")
-    min_bound = _MIN_BOUND.get(cell.algorithm)
-    if (min_bound is not None and cell.bound is not None
-            and cell.bound < min_bound):
-        return ("bound",
-                f"bound {cell.bound} < {min_bound} (scalar path rejects it)")
-    if cell.adversary in ("fixed", "periodic") and not 0 <= cell.edge < cell.ring_size:
-        return "edge", f"edge {cell.edge} outside ring of size {cell.ring_size}"
-    if cell.chirality and cell.flipped:
-        return "chirality", "chirality with flipped agents (scalar path rejects it)"
-    if any(not 0 <= i < cell.agents for i in cell.flipped):
-        return "flipped", "flipped index out of range (scalar path rejects it)"
-    if cell.placement == "explicit":
-        if cell.positions is None:
-            return ("placement",
-                    "explicit placement without positions (scalar path rejects it)")
-    else:
-        if cell.positions is not None:
-            return "placement", "positions given for a non-explicit placement"
-        if cell.placement not in ("spread", "offset-spread", "thirds", "origin"):
-            return "placement", f"unknown placement {cell.placement!r}"
-    return None
-
-
-def batch_ineligible_reason(cell: "CellConfig") -> str | None:
-    """Human-readable reason ``cell`` must run scalar (``None`` = batchable)."""
-    verdict = _batch_ineligibility(cell)
-    return None if verdict is None else verdict[1]
-
-
-def batch_ineligible_key(cell: "CellConfig") -> str | None:
-    """Short stable rejection key for metrics (``None`` = batchable)."""
-    verdict = _batch_ineligibility(cell)
-    return None if verdict is None else verdict[0]
-
-
-def batch_eligible(cell: "CellConfig") -> bool:
-    """Can ``cell`` run on :class:`BatchCore`? (shared routing predicate)"""
-    return _batch_ineligibility(cell) is None
 
 
 class BatchCore:
@@ -281,7 +166,7 @@ class BatchCore:
 
     def __init__(self, cells: Sequence["CellConfig"]) -> None:
         global _np
-        if not HAVE_NUMPY:
+        if not numpy_available():
             raise ConfigurationError("BatchCore requires numpy (HAVE_NUMPY is false)")
         if not cells:
             raise ConfigurationError("BatchCore needs at least one cell")
@@ -903,12 +788,6 @@ def _split_batches(indexed_cells):
     return batches
 
 
-def batch_shape(cell: "CellConfig") -> tuple[str, int]:
-    """The two axes one :class:`BatchCore` requires uniform: the
-    algorithm and the agent count.  Cells of one shape can share a batch."""
-    return cell.algorithm, cell.agents
-
-
 def run_batch_cells(cells: Sequence["CellConfig"]) -> list[RunResult]:
     """Run eligible cells in lockstep; results align with the input order.
 
@@ -918,9 +797,10 @@ def run_batch_cells(cells: Sequence["CellConfig"]) -> list[RunResult]:
     each group is split so the pairwise occupancy tensor and the packed
     visited bitmap stay modest.  Raises :class:`ConfigurationError` if
     NumPy is unavailable or any cell is ineligible; routing callers are
-    expected to have filtered with :func:`batch_eligible` already.
+    expected to have filtered with
+    :func:`~repro.core.batch_rules.batch_eligible` already.
     """
-    if not HAVE_NUMPY:
+    if not numpy_available():
         raise ConfigurationError("run_batch_cells requires numpy")
     results: list[RunResult | None] = [None] * len(cells)
     groups: dict[tuple[str, int], list] = {}
@@ -942,18 +822,4 @@ def run_batch_cells(cells: Sequence["CellConfig"]) -> list[RunResult]:
     return results  # type: ignore[return-value]
 
 
-__all__ = [
-    "BATCH_ADVERSARIES",
-    "BATCH_ALGORITHMS",
-    "BATCH_SCHEDULERS",
-    "BATCH_TRANSPORTS",
-    "BATCH_WIDTH",
-    "BatchCore",
-    "HAVE_NUMPY",
-    "batch_eligible",
-    "batch_ineligible_key",
-    "batch_ineligible_reason",
-    "batch_shape",
-    "numpy_available",
-    "run_batch_cells",
-]
+__all__ = ["BatchCore", "run_batch_cells"]

@@ -4,7 +4,8 @@ Every batchable algorithm is a :class:`VectorProgram` — a small masked
 *state-machine driver* that mirrors ``StateMachineAlgorithm.compute``
 exactly, column-wise.  :data:`PROGRAMS` lists them all (registry name ->
 factory); adding an algorithm means one program here beside its scalar
-``build_states``:
+``build_states``, plus its name in
+:data:`~repro.core.batch_rules.BATCH_ALGORITHMS`:
 
 * per-agent columns ``state`` (int code), ``entered`` (has the current
   state's on-enter/reset already run) and ``last_dir`` (the last direction
@@ -794,8 +795,8 @@ def _make_lmnc(*, arbitrary_start: bool) -> VectorProgram:
 # Dispatch
 # ---------------------------------------------------------------------------
 
-#: Every vectorised algorithm: registry name -> program factory.  The
-#: single source of :data:`repro.core.batch.BATCH_ALGORITHMS`.
+#: Every vectorised algorithm: registry name -> program factory.  Its keys
+#: are :data:`repro.core.batch_rules.BATCH_ALGORITHMS` (a test pins it).
 PROGRAMS: dict[str, Callable[[], VectorProgram]] = {
     "known-bound": _make_known_bound,
     "unconscious": _make_unconscious,

@@ -28,12 +28,12 @@ Submodules:
 * :mod:`repro.obs.history` — bench-history time series and regression
   guard (``python -m repro bench record|check``).
 
-``analyze``/``profile``/``validate``/``history`` are read-side tools
-and import lazily where it matters; this package import stays cheap
-because the hot emit paths only need ``metrics``/``spans``/``logs``.
+``analyze``/``expo``/``profile``/``validate``/``history`` are read-side
+tools and import lazily where it matters; this package import stays
+cheap because the hot emit paths only need ``metrics``/``spans``/``logs``.
 """
 
-from . import expo, logs, metrics, spans
+from . import logs, metrics, spans
 
 __all__ = ["analyze", "expo", "history", "logs", "metrics", "profile",
            "spans", "validate"]

@@ -22,12 +22,10 @@ hosts and modes.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
 import subprocess
-import sys
 import time
 from pathlib import Path
 from typing import Any, Mapping
@@ -42,7 +40,6 @@ __all__ = [
     "extract_headlines",
     "host_fingerprint",
     "load_history",
-    "main",
     "record",
 ]
 
@@ -204,72 +201,3 @@ def check(history_path: Path | str, *, fraction: float = 0.7,
                 f"median {med:g} (latest {latest.get('git_sha', '?')}, "
                 f"n={len(trailing)})")
     return problems
-
-
-# --------------------------------------------------------------------------
-# CLI (python -m repro bench record|check)
-# --------------------------------------------------------------------------
-
-def add_bench_parsers(sub) -> None:
-    """Attach the ``record``/``check`` subparsers (shared with the shim)."""
-    p = sub.add_parser(
-        "record", help="append a bench file's headlines to the history")
-    p.add_argument("--bench", default="BENCH_engine.json", metavar="PATH",
-                   help="bench results file (default: BENCH_engine.json)")
-    p.add_argument("--history", default="BENCH_history.jsonl", metavar="PATH",
-                   help="history file to append to "
-                        "(default: BENCH_history.jsonl)")
-    p.add_argument("--sha", default=None, metavar="SHA",
-                   help="git SHA to stamp (default: GITHUB_SHA env, then "
-                        "git rev-parse, then 'unknown')")
-    p = sub.add_parser(
-        "check",
-        help="exit 1 when the latest entry regresses vs the trailing median")
-    p.add_argument("--history", default="BENCH_history.jsonl", metavar="PATH",
-                   help="history file (default: BENCH_history.jsonl)")
-    p.add_argument("--fraction", type=float, default=0.7, metavar="F",
-                   help="fail when a headline drops below F x the trailing "
-                        "median (default: 0.7)")
-    p.add_argument("--window", type=int, default=10, metavar="N",
-                   help="trailing entries per headline in the median "
-                        "(default: 10)")
-
-
-def bench_main(args) -> int:
-    """Dispatch for the parsed ``bench`` namespace (CLI + shim)."""
-    if args.bench_command == "record":
-        bench_path = Path(args.bench)
-        if not bench_path.exists():
-            print(f"no bench file at {bench_path}", file=sys.stderr)
-            return 2
-        entry = record(bench_path, args.history, git_sha=args.sha)
-        pairs = " ".join(f"{k}={v:g}" for k, v in entry["headlines"].items())
-        print(f"recorded {entry['git_sha']} ({entry['mode']}) -> "
-              f"{args.history}: {pairs}")
-        return 0
-    if args.bench_command == "check":
-        history_path = Path(args.history)
-        if not history_path.exists():
-            print(f"no bench history at {history_path}", file=sys.stderr)
-            return 2
-        problems = check(history_path,
-                         fraction=args.fraction, window=args.window)
-        if problems:
-            for problem in problems:
-                print(f"bench regression: {problem}", file=sys.stderr)
-            return 1
-        entries = load_history(history_path)
-        print(f"bench history ok: {len(entries)} entr"
-              f"{'y' if len(entries) == 1 else 'ies'}, latest "
-              f"{entries[-1].get('git_sha', '?') if entries else 'n/a'} "
-              f"within {args.fraction:g}x of the trailing median")
-        return 0
-    raise ValueError(f"unknown bench command {args.bench_command!r}")
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="bench-history", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="bench_command", required=True)
-    add_bench_parsers(sub)
-    return bench_main(parser.parse_args(argv))

@@ -22,20 +22,18 @@ everything in between:
   keys, chunk/span referential integrity) with quarantine-and-continue.
 """
 
-from .chaos import ChaosCrash, ChaosPolicy, chaos_policy, reset_chaos_policy
-from .faults import FaultInjector, FaultPlan
-from .fsck import Finding, FsckReport, fsck_store
+from .._lazy import lazy_exports
+
+# The one name eager on purpose: ``retry`` is also the name of its
+# submodule, and the import system binds a submodule to its package
+# attribute when it loads.  A lazy ``retry`` would be shadowed by the
+# module as soon as any store imports ``repro.resilience.retry``.
 from .retry import retry
 
-__all__ = [
-    "ChaosCrash",
-    "ChaosPolicy",
-    "chaos_policy",
-    "reset_chaos_policy",
-    "FaultInjector",
-    "FaultPlan",
-    "Finding",
-    "FsckReport",
-    "fsck_store",
-    "retry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".chaos": (
+        "ChaosCrash", "ChaosPolicy", "chaos_policy", "reset_chaos_policy"),
+    ".faults": ("FaultInjector", "FaultPlan"),
+    ".fsck": ("Finding", "FsckReport", "fsck_store"),
+    ".retry": ("retry",),
+})

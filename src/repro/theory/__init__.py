@@ -1,27 +1,13 @@
 """The paper's theory surface: closed-form bounds and the feasibility map."""
 
-from .bounds import (
-    fsync_known_bound_time,
-    fsync_lower_bound_two_agents,
-    no_chirality_timeout,
-    partial_termination_lower_bound,
-    pt_bound_moves_lower,
-    pt_landmark_moves_lower,
-)
-from .tables import TABLE_ROWS, Knowledge, Model, ResultKind, Termination, TableRow, lookup
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Knowledge",
-    "Model",
-    "ResultKind",
-    "TABLE_ROWS",
-    "TableRow",
-    "Termination",
-    "fsync_known_bound_time",
-    "fsync_lower_bound_two_agents",
-    "lookup",
-    "no_chirality_timeout",
-    "partial_termination_lower_bound",
-    "pt_bound_moves_lower",
-    "pt_landmark_moves_lower",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".bounds": (
+        "fsync_known_bound_time", "fsync_lower_bound_two_agents",
+        "no_chirality_timeout", "partial_termination_lower_bound",
+        "pt_bound_moves_lower", "pt_landmark_moves_lower"),
+    ".tables": (
+        "TABLE_ROWS", "Knowledge", "Model", "ResultKind", "TableRow",
+        "Termination", "lookup"),
+})

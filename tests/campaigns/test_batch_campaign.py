@@ -44,15 +44,15 @@ from repro.campaigns.executor import (
     plan_chunks,
     run_chunk,
 )
-from repro.core import batch as batch_mod
-from repro.core.batch import BATCH_WIDTH, batch_shape
+from repro.core import batch_rules
+from repro.core.batch_rules import BATCH_WIDTH, batch_shape
 from repro.core.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 needs_numpy = pytest.mark.skipif(
-    not batch_mod.numpy_available(), reason="batch path needs numpy")
+    not batch_rules.numpy_available(), reason="batch path needs numpy")
 
 
 def eligible_spec(name="batch-test", seeds=(0, 1, 2), sizes=(6, 8)) -> CampaignSpec:
@@ -180,7 +180,7 @@ class TestPlannerRouting:
             assert set(a) == set(o)  # same fields, incl. elapsed_s
 
     def test_no_numpy_plans_scalar_chunks(self, monkeypatch):
-        monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
+        monkeypatch.setattr(batch_rules, "HAVE_NUMPY", False)
         cells = eligible_spec(seeds=range(MIN_BATCH_LANES)).cell_list()
         assert {p for p, _ in plan_chunks(cells, 1, batch="auto")} == {False}
 
@@ -349,7 +349,7 @@ class TestStrictMode:
         assert "10 cell(s) are not batch-eligible" in capsys.readouterr().err
 
     def test_on_without_numpy_is_an_error(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
+        monkeypatch.setattr(batch_rules, "HAVE_NUMPY", False)
         with pytest.raises(ConfigurationError, match="NumPy"):
             run_cells(eligible_spec().cell_list(),
                       JsonlStore(tmp_path / "r.jsonl"), batch="on")
@@ -369,6 +369,22 @@ class TestStrictMode:
         assert queue.counts().leased == 0
 
 
+#: Modules a scalar run never calls into, so it must not import them.
+NOT_IMPORTED = frozenset({
+    "repro.core.batch", "repro.core.batch_kernels",
+    "repro.campaigns.distributed", "repro.obs.analyze",
+    "repro.campaigns.stores.export", "repro.resilience.fsck",
+    "repro.resilience.chaos", "repro.theory.tables", "repro.analysis.render",
+    "repro.analysis.checker", "repro.analysis.catch_log",
+    "repro.analysis.catch_tree", "repro.analysis.model_check",
+    "repro.adversary.blocking", "repro.adversary.impossibility",
+    "repro.adversary.restricted", "repro.adversary.worst_case"})
+NOT_IMPORTED_PREFIXES = ("repro.campaigns.distributed.",)
+
+#: Most ``repro`` modules ``import repro.cli`` may load.
+IMPORT_BUDGET = 64
+
+
 class TestNumpyFallback:
     """No NumPy: everything runs scalar, nothing else changes."""
 
@@ -378,24 +394,32 @@ class TestNumpyFallback:
         ["--spec", "smoke"],                      # auto: narrow groups only
     ])
     def test_scalar_runs_never_import_numpy(self, tmp_path, argv):
-        """Only a process that builds a BatchCore loads NumPy."""
-        script = "import sys\nfrom repro.cli import main\n"
+        """Only a process that builds a BatchCore loads NumPy, and a
+        scalar run loads none of the modules it never calls into (the
+        import budget: ARCHITECTURE.md, "What a run imports")."""
+        script = "import json, sys\nfrom repro.cli import main\n"
         if argv is not None:
             script += (f"assert main(['campaign', 'run', *{argv!r}, "
                        "'--workers', '1', '--no-report']) == 0\n")
-        script += "print('numpy' in sys.modules)\n"
-        src = Path(batch_mod.__file__).resolve().parents[2]
+        script += "print(json.dumps(sorted(sys.modules)))\n"
+        src = Path(batch_rules.__file__).resolve().parents[2]
         env = {k: v for k, v in os.environ.items()
                if not k.startswith("REPRO_")}
         env["PYTHONPATH"] = str(src)
         out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                              env=env, capture_output=True, text=True,
                              check=True).stdout
-        assert out.splitlines()[-1] == "False"
+        loaded = json.loads(out.splitlines()[-1])
+        assert "numpy" not in loaded
+        repro = [m for m in loaded if m.split(".")[0] == "repro"]
+        assert not [m for m in repro if m.startswith(NOT_IMPORTED_PREFIXES)
+                    or m in NOT_IMPORTED]
+        if argv is None:
+            assert len(repro) <= IMPORT_BUDGET
 
     def test_auto_degrades_to_scalar(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
-        assert not batch_mod.numpy_available()
+        monkeypatch.setattr(batch_rules, "HAVE_NUMPY", False)
+        assert not batch_rules.numpy_available()
         spec = eligible_spec()
         store = JsonlStore(tmp_path / "r.jsonl")
         run = run_cells(spec.cells(), store, workers=1, batch="auto")
@@ -407,7 +431,7 @@ class TestNumpyFallback:
         spec = eligible_spec()
         batched = JsonlStore(tmp_path / "b.jsonl")
         run_cells(spec.cells(), batched, workers=1, batch="on")
-        monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
+        monkeypatch.setattr(batch_rules, "HAVE_NUMPY", False)
         scalar = JsonlStore(tmp_path / "s.jsonl")
         run_cells(spec.cells(), scalar, workers=1, batch="auto")
         assert metrics_by_key(batched.records()) == metrics_by_key(scalar.records())
@@ -478,7 +502,7 @@ class TestChunkSizing:
     @needs_numpy
     def test_no_chunk_mixes_batchable_and_scalar_cells(self):
         chunks = plan_chunks(mixed_plan_cells(), 2, batch=None)
-        routes = [{batch_mod.batch_eligible(c) for c in chunk}
+        routes = [{batch_rules.batch_eligible(c) for c in chunk}
                   for _, chunk in chunks]
         assert all(len(r) == 1 for r in routes)
         assert {True} in routes and {False} in routes
@@ -489,11 +513,11 @@ class TestChunkSizing:
         cells = mixed_plan_cells()
         planned = [c for _, chunk in plan_chunks(cells, 2, batch=None)
                    for c in chunk]
-        for shape in {(c.algorithm, c.agents, batch_mod.batch_eligible(c))
+        for shape in {(c.algorithm, c.agents, batch_rules.batch_eligible(c))
                       for c in cells}:
             def of_shape(seq):
                 return [c for c in seq if (
-                    c.algorithm, c.agents, batch_mod.batch_eligible(c)) == shape]
+                    c.algorithm, c.agents, batch_rules.batch_eligible(c)) == shape]
             assert of_shape(planned) == of_shape(cells), shape
 
     @needs_numpy
@@ -501,10 +525,10 @@ class TestChunkSizing:
         """One run per shape, the shapes in order of first appearance."""
         cells = mixed_plan_cells()
         planned = [c for _, chunk in plan_chunks(cells, 2, batch=None)
-                   for c in chunk if batch_mod.batch_eligible(c)]
+                   for c in chunk if batch_rules.batch_eligible(c)]
         runs = [shape for shape, _ in groupby(map(batch_shape, planned))]
         first_seen = list(dict.fromkeys(
-            batch_shape(c) for c in cells if batch_mod.batch_eligible(c)))
+            batch_shape(c) for c in cells if batch_rules.batch_eligible(c)))
         assert len(first_seen) == 2
         assert runs == first_seen
 
@@ -525,12 +549,12 @@ class TestChunkSizing:
     def test_explicit_chunk_size_caps_both_runs(self):
         cells = mixed_plan_cells()
         chunks = plan_chunks(cells, 2, batch=None, chunk_size=4)
-        n_batch = sum(map(batch_mod.batch_eligible, cells))
+        n_batch = sum(map(batch_rules.batch_eligible, cells))
         n_scalar = len(cells) - n_batch
         assert [len(c) for _, c in chunks] == [
             len(c) for c in chunk_cells(range(n_batch), 4)
             + chunk_cells(range(n_scalar), 4)]
-        assert all(len({batch_mod.batch_eligible(c) for c in chunk}) == 1
+        assert all(len({batch_rules.batch_eligible(c) for c in chunk}) == 1
                    for _, chunk in chunks)
 
     def test_rejects_a_non_positive_chunk_size(self):
@@ -680,7 +704,7 @@ class TestPresetBatchIntent:
         "preset", ["batch-smoke", "batch-wide", "faults-smoke"])
     def test_all_cells_of_batch_presets_are_eligible(self, preset):
         from repro.campaigns.presets import get_spec
-        from repro.core.batch import batch_ineligible_reason
+        from repro.core.batch_rules import batch_ineligible_reason
 
         for cell in get_spec(preset).cell_list():
             reason = batch_ineligible_reason(cell)
@@ -699,7 +723,7 @@ class TestPresetBatchIntent:
         """The preset's faulted half (27 of 45 cells) takes the vector
         path, so the all-eligible check above is not vacuous for it."""
         from repro.campaigns.presets import get_spec
-        from repro.core.batch import batch_ineligible_key
+        from repro.core.batch_rules import batch_ineligible_key
 
         faulted = [c for c in get_spec("faults-smoke").cell_list() if c.faults]
         assert len(faulted) == 27

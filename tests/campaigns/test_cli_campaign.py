@@ -69,6 +69,24 @@ class TestCampaignCli:
         assert "executed=4" in out
         assert store.exists()
 
+    @pytest.mark.parametrize("base, message", [
+        ({"ring_size": 6}, "cells need 'max_rounds' (or a 'horizon')"),
+        ({"ring_size": 6, "max_rounds": 50, "batch": "off"},
+         "'batch' is no longer a cell field"),
+    ])
+    def test_bad_spec_file_exits_2_with_one_line(self, in_tmp, capsys,
+                                                 base, message):
+        spec_path = in_tmp / "bad.json"
+        spec_path.write_text(json.dumps({
+            "name": "bad", "base": {"algorithm": "known-bound", **base},
+            "grid": {"seed": [0, 1]}}))
+        code = main(["campaign", "run", "--spec-file", str(spec_path),
+                     "--workers", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_parallel_run_on_the_cli(self, in_tmp, capsys):
         code = main(["campaign", "run", "--spec", "smoke", "--workers", "2",
                      "--chunk-size", "2", "--no-report"])

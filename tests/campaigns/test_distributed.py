@@ -102,9 +102,9 @@ def _slow_worker_main(path, campaign, worker_id, ttl, delay_s):
 
     real = worker_mod.executor_module.execute_cell
 
-    def slow(cell):
+    def slow(cell, key=None):
         time.sleep(delay_s)
-        return real(cell)
+        return real(cell, key)
 
     worker_mod.executor_module.execute_cell = slow
     run_worker(f"sqlite:{path}", campaign=campaign, worker_id=worker_id,
@@ -640,7 +640,7 @@ class TestReviewRegressions:
         queue = make_queue(tmp_path, spec, lease_ttl_s=10)
         queue.enqueue(spec.cell_list(), chunk_size=100)
 
-        def interrupted(cell):
+        def interrupted(cell, key=None):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(
@@ -663,7 +663,7 @@ class TestReviewRegressions:
         queue = make_queue(tmp_path, spec, lease_ttl_s=0.3)
         queue.enqueue(spec.cell_list(), chunk_size=100)
 
-        def broken(cell):
+        def broken(cell, key=None):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(

@@ -101,9 +101,9 @@ class TestRunCells:
         executed = []
         original = executor_mod.execute_cell
 
-        def counting(cell):
+        def counting(cell, key=None):
             executed.append(cell.key())
-            return original(cell)
+            return original(cell, key)
 
         monkeypatch.setattr(executor_mod, "execute_cell", counting)
         # batch="off" pins the scalar path so the counting hook sees

@@ -19,7 +19,7 @@ import pytest
 from repro.campaigns import CampaignSpec, CellConfig, SqliteStore, run_cells
 from repro.campaigns.distributed import run_distributed
 from repro.campaigns.executor import MIN_BATCH_LANES
-from repro.core.batch import batch_eligible, numpy_available
+from repro.core.batch_rules import batch_eligible, numpy_available
 
 MODES = ("serial", "pool", "distributed")
 TELEMETRY = {"elapsed_s", "span_id"}
@@ -123,6 +123,30 @@ def test_every_mode_batches_the_eligible_cells(outcomes):
         assert outcomes[mode][0].batched == eligible, mode
         assert f" batched={eligible} " in outcomes[mode][0].summary(), mode
         assert outcomes[mode][1].batched == 0, mode
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_mode_keys_each_cell_once(mode, tmp_path, monkeypatch):
+    """A run hashes each cell once, where it dedupes (serial, pool) or
+    enqueues (distributed) it; the key rides with the chunk into the
+    record.  Forked pool and queue workers log their calls too."""
+    spec, cells = mixed_cells()
+    log = tmp_path / "key-calls.txt"
+    key = CellConfig.key
+
+    def logged_key(cell):
+        value = key(cell)
+        with log.open("a") as fh:
+            fh.write(value + "\n")
+        return value
+
+    monkeypatch.setattr(CellConfig, "key", logged_key)
+    store = SqliteStore(tmp_path / "r.db", campaign=spec.name)
+    execute(mode, spec, cells, store)
+    monkeypatch.undo()
+    calls = log.read_text().split()
+    assert sorted(calls) == sorted(c.key() for c in cells)
+    assert set(calls) == set(results(store))
 
 
 def test_a_second_pass_executes_nothing(outcomes):

@@ -184,6 +184,33 @@ class TestCampaignSpec:
         rebuilt = CampaignSpec.from_dict(spec.to_dict())
         assert [c.key() for c in rebuilt.cells()] == [c.key() for c in spec.cells()]
 
+    @pytest.mark.parametrize("where", ["base", "variant", "grid"])
+    def test_batch_key_is_refused(self, where):
+        """Routing is a run setting; a spec's ``batch`` would be dropped
+        without a word (stored records still drop it silently)."""
+        spec = self.spec()
+        if where == "base":
+            spec.base["batch"] = "off"
+        elif where == "variant":
+            spec.variants = [{"batch": "on"}]
+        else:
+            spec.grid["batch"] = ["on", "off"]
+        with pytest.raises(ConfigurationError, match="'batch'.*--batch"):
+            spec.cell_list()
+
+    @pytest.mark.parametrize("field", ["algorithm", "ring_size", "max_rounds"])
+    def test_missing_required_field_is_named(self, field):
+        base = {"algorithm": "known-bound", "ring_size": 6, "max_rounds": 50}
+        del base[field]
+        spec = CampaignSpec(name="t", base=base, grid={"seed": [0, 1]})
+        with pytest.raises(ConfigurationError, match=repr(field)):
+            spec.cell_list()
+
+    def test_horizon_stands_in_for_max_rounds(self):
+        spec = CampaignSpec(name="t", base={
+            "algorithm": "known-bound", "ring_size": 6, "horizon": "3 * n"})
+        assert [c.max_rounds for c in spec.cells()] == [18]
+
     def test_restricted_limits_cells(self):
         spec = self.spec()
         limited = spec.restricted(2)

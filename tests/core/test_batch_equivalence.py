@@ -32,16 +32,15 @@ from repro.analysis.differential import (
     result_payload,
 )
 from repro.campaigns.spec import CellConfig
-from repro.core.batch import (
+from repro.core.batch import BatchCore, run_batch_cells
+from repro.core.batch_rules import (
     BATCH_ADVERSARIES,
     BATCH_ALGORITHMS,
     BATCH_SCHEDULERS,
     BATCH_TRANSPORTS,
-    BatchCore,
     batch_eligible,
     batch_ineligible_reason,
     numpy_available,
-    run_batch_cells,
 )
 from repro.core.batch_kernels import PROGRAMS, VectorProgram, build_program
 from repro.core.errors import ConfigurationError

@@ -349,7 +349,7 @@ class TestBatchVsGolden:
     """Qualifying golden cells replay through the vectorized BatchCore.
 
     Eligibility is decided by the *shared* routing predicate
-    (:func:`repro.core.batch.batch_eligible` — the same function the
+    (:func:`repro.core.batch_rules.batch_eligible` — the same function the
     executor and the distributed worker import), and each qualifying
     cell's BatchCore run must reproduce the ``result`` block of the
     pinned golden digest exactly.  The digest over the same scalar run
@@ -362,7 +362,7 @@ class TestBatchVsGolden:
         # SSYNC schedulers, the block-agent peek) leaves only the golden
         # cells of the other peeking adversaries on the scalar path;
         # cell 4 is landmark-no-chirality under block-agent.
-        from repro.core.batch import batch_eligible
+        from repro.core.batch_rules import batch_eligible
 
         from tests.core import golden_traces
 

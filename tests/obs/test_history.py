@@ -6,14 +6,18 @@ import json
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.obs.history import (
     HEADLINES,
     check,
     extract_headlines,
     load_history,
-    main,
     record,
 )
+
+
+def main(argv):
+    return cli_main(["bench", *argv])
 
 
 def bench(rounds_per_s=20000.0, speedup=8.0, mode="smoke"):

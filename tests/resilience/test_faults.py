@@ -13,7 +13,7 @@ from repro.campaigns.executor import execute_cell, run_chunk
 from repro.campaigns.registry import build_cell_engine, validate_cell
 from repro.campaigns.spec import CellConfig
 from repro.core import EventKind
-from repro.core.batch import (
+from repro.core.batch_rules import (
     _batch_ineligibility, batch_eligible, numpy_available)
 from repro.core.errors import ConfigurationError
 from repro.obs.metrics import PhaseTimer
