@@ -134,23 +134,35 @@ class Ctx:
 
     # -- predicates ----------------------------------------------------------
 
+    # ``meeting``/``catches``/``caught`` spell out the Snapshot predicates
+    # of the same names in line: guards evaluate them every round.
+
     @property
     def failed(self) -> bool:
         return self.snapshot.failed
 
     @property
     def meeting(self) -> bool:
-        return self.snapshot.meeting()
+        snapshot = self.snapshot
+        return snapshot.on_port is None and snapshot.others_in_node > 0
 
     @property
     def catches(self) -> bool:
-        if self.direction is None:
+        direction = self.direction
+        if direction is None:
             return False
-        return self.snapshot.catches(self.direction)
+        snapshot = self.snapshot
+        if snapshot.on_port is not None:
+            return False
+        if direction is LEFT:
+            return snapshot.other_on_left_port
+        return snapshot.other_on_right_port
 
     @property
     def caught(self) -> bool:
-        return self.snapshot.caught()
+        snapshot = self.snapshot
+        return (snapshot.on_port is not None and not snapshot.moved
+                and snapshot.others_in_node > 0)
 
     @property
     def is_landmark(self) -> bool:
@@ -164,6 +176,8 @@ class Ctx:
     def on_port(self) -> LocalDirection | None:
         return self.snapshot.on_port
 
+
+_new_ctx = object.__new__
 
 Predicate = Callable[[Ctx], bool]
 DirectionSpec = Union[LocalDirection, Callable[[Ctx], LocalDirection]]
@@ -275,7 +289,11 @@ class StateMachineAlgorithm:
         self.init_vars(memory)
 
     def compute(self, snapshot: Snapshot, memory: AgentMemory) -> Action:
-        ctx = Ctx(snapshot, memory)
+        # Ctx(snapshot, memory) without the Python-level __init__ frame.
+        ctx = _new_ctx(Ctx)
+        ctx.snapshot = snapshot
+        ctx.memory = memory
+        ctx.direction = None
         vars = memory.vars
         entered_this_round = False
         dispatch = self._dispatch

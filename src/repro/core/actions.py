@@ -26,6 +26,9 @@ from typing import Any, Hashable
 
 from .directions import LocalDirection
 
+_LEFT = LocalDirection.LEFT
+_RIGHT = LocalDirection.RIGHT
+
 
 class ActionKind(enum.Enum):
     MOVE = "move"          # try to leave through a port (the paper's left/right)
@@ -60,11 +63,23 @@ _MOVES: dict[LocalDirection, Action] = {
     d: Action(ActionKind.MOVE, d) for d in LocalDirection
 }
 
+_MOVE_LEFT = _MOVES[_LEFT]
+_MOVE_RIGHT = _MOVES[_RIGHT]
+
 _PORT_MOVES: dict[Hashable, Action] = {}
 
 
 def move(direction: LocalDirection) -> Action:
-    """Attempt to traverse the edge in the agent's local ``direction``."""
+    """Attempt to traverse the edge in the agent's local ``direction``.
+
+    The two members dispatch by identity: coercing and hashing an enum
+    runs Python-level ``Enum`` code, and every state-machine Compute
+    ends here.  Raw values (``"left"``) still resolve through the enum.
+    """
+    if direction is _LEFT:
+        return _MOVE_LEFT
+    if direction is _RIGHT:
+        return _MOVE_RIGHT
     return _MOVES[LocalDirection(direction)]
 
 

@@ -144,7 +144,11 @@ class AgentMemory:
         self.Btime += 1
 
     def tick(self) -> None:
-        """Advance the per-activation clocks (end of an active round)."""
+        """Advance the per-activation clocks (end of an active round).
+
+        ``SimulationCore._end_of_round`` repeats these updates in line
+        (it runs once per round); a change here must be made there too.
+        """
         self.Ttime += 1
         self.Etime += 1
         if self.size is not None:

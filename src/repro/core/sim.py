@@ -52,6 +52,13 @@ interning** (the Look phase reuses frozen snapshot instances — the
 topology owns the snapshot type), and an allocation-audited round loop
 (scratch containers are reused, trace details are only built when a
 trace is attached, the live-agent set is maintained instead of rebuilt).
+Campaign cells are short, so a round's fixed cost is mostly Python
+frames: the phases update the index in line where a position changes
+(``_resolve_actions`` for port releases and acquisitions, ``_traverse``
+for crossings, ``_crash``), the Look reads ``_occ`` without going through
+:meth:`SimulationCore.snapshot_for`, and the end of round walks the live
+set and ticks clocks in line.  ``tests/core/test_campaign_path.py``
+budgets the calls per round.
 ``optimized=False`` keeps the original scan-per-snapshot semantics as an
 executable reference; the equivalence tests in
 ``tests/core/test_hotpath_equivalence.py`` assert both paths produce
@@ -66,7 +73,7 @@ import enum
 import os
 import sys
 from time import perf_counter
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from .actions import Action, ActionKind, STAY
 from .agent import AgentState
@@ -79,6 +86,9 @@ from .trace import Event, EventKind
 
 _LEFT = LocalDirection.LEFT
 _RIGHT = LocalDirection.RIGHT
+_MOVE = ActionKind.MOVE
+_STAY = ActionKind.STAY
+_TERMINATE = ActionKind.TERMINATE
 
 
 class TransportModel(enum.Enum):
@@ -402,7 +412,12 @@ class SimulationCore:
         if timer is not None:
             t0 = perf_counter()
         missing = self._choose_missing()
-        active = self._validated_activation(self.scheduler.select(self))
+        live = self._live
+        active = {i for i in self.scheduler.select(self) if i in live}
+        if not active:
+            raise AdversaryViolation(
+                "scheduler activated no live agent (activation sets must be non-empty)"
+            )
         self.last_active = active
         if self.trace is not None:
             detail = (
@@ -425,7 +440,7 @@ class SimulationCore:
             t3 = perf_counter()
             timer.move += t3 - t2
 
-        self._end_of_round(active, movers)
+        self._end_of_round(active)
         if timer is not None:
             timer.end_of_round += perf_counter() - t3
             timer.rounds += 1
@@ -446,11 +461,18 @@ class SimulationCore:
         algorithm = self.algorithm
         agents = self.agents
         if self._optimized:
+            # snapshot_for, unrolled: one index read and one topology call.
+            # The Look reads ``failed`` before this round clears it.
+            occ = self._occ
+            look = self.topology.snapshot
+            compute = algorithm.compute
             for i in active:
                 agent = agents[i]
-                snapshot = self.snapshot_for(agent)
-                agent.memory.failed = False
-                decisions[i] = algorithm.compute(snapshot, agent.memory)
+                interior, holders = occ[agent.node]
+                snapshot = look(agent, interior, holders)
+                memory = agent.memory
+                memory.failed = False
+                decisions[i] = compute(snapshot, memory)
         else:
             snapshots = {i: self.snapshot_for(agents[i]) for i in active}
             for i in active:
@@ -474,8 +496,9 @@ class SimulationCore:
         if not 0 < max_rounds <= MAX_ROUNDS_LIMIT:
             raise ConfigurationError(f"max_rounds must be in (0, {MAX_ROUNDS_LIMIT}]")
         reason = "horizon"
+        live = self._live
         for _ in range(max_rounds):
-            if self.all_terminated:
+            if not live:
                 reason = self._halt_reason()
                 break
             if stop_on_exploration and self.exploration_complete:
@@ -503,55 +526,6 @@ class SimulationCore:
         if self._crashed and len(self._crashed) == len(self.agents):
             return "all-crashed"
         return "all-terminated"
-
-    # ------------------------------------------------------------------
-    # occupancy-index maintenance
-    # ------------------------------------------------------------------
-    # Exactly three kinds of position change exist, each with one helper;
-    # every helper bumps the touched nodes' version counters so cached
-    # peeks of co-located agents are invalidated.
-
-    def _occ_acquire_port(self, agent: AgentState, target) -> None:
-        """Interior (or the other port) -> ``target`` port, same node."""
-        node = agent.node
-        entry = self._occ[node]
-        holders = entry[1]
-        old_port = agent.port
-        if old_port is None:
-            entry[0] -= 1
-        else:
-            del holders[old_port]
-            self._released.add((node, old_port))
-        holders[target] = agent.index
-        versions = self._node_version
-        versions[node] = versions.get(node, 0) + 1
-
-    def _occ_vacate_port(self, agent: AgentState) -> None:
-        """Port -> interior of the same node (``ENTER_NODE``)."""
-        node = agent.node
-        entry = self._occ[node]
-        del entry[1][agent.port]
-        entry[0] += 1
-        self._released.add((node, agent.port))
-        versions = self._node_version
-        versions[node] = versions.get(node, 0) + 1
-
-    def _occ_traverse(self, agent: AgentState, new_node) -> None:
-        """Port of ``agent.node`` -> interior of ``new_node``."""
-        node = agent.node
-        entry = self._occ[node]
-        holders = entry[1]
-        del holders[agent.port]
-        if entry[0] == 0 and not holders:
-            del self._occ[node]
-        dest = self._occ.get(new_node)
-        if dest is None:
-            self._occ[new_node] = [1, {}]
-        else:
-            dest[0] += 1
-        versions = self._node_version
-        versions[node] = versions.get(node, 0) + 1
-        versions[new_node] = versions.get(new_node, 0) + 1
 
     # ------------------------------------------------------------------
     # fault injection
@@ -630,14 +604,23 @@ class SimulationCore:
         ports vacated earlier in this very call — explicitly by
         ``ENTER_NODE`` or implicitly by an agent winning the opposite
         port); the reference path snapshots the start set up front.
+
+        Both port-holding changes of this phase update the occupancy
+        index here, in line: ``ENTER_NODE`` moves a port holder into the
+        interior, a winner moves from the interior (or its other port)
+        onto the requested port.  Each bumps the node's version counter.
         """
         optimized = self._optimized
-        self._released.clear()
+        agents = self.agents
+        occ = self._occ
+        versions = self._node_version
+        released = self._released
+        released.clear()
         if optimized:
             occupied_at_start = None
         else:
             occupied_at_start = {
-                (a.node, a.port) for a in self.agents if a.port is not None
+                (a.node, a.port) for a in agents if a.port is not None
             }
         movers = self._movers
         movers.clear()
@@ -646,11 +629,11 @@ class SimulationCore:
         trace = self.trace
 
         for i, action in decisions.items():
-            agent = self.agents[i]
             kind = action.kind
-            if kind is ActionKind.STAY:
+            if kind is _STAY:
                 continue
-            if kind is ActionKind.MOVE:
+            agent = agents[i]
+            if kind is _MOVE:
                 direction = action.direction
                 if direction is not None:
                     target = (
@@ -668,49 +651,71 @@ class SimulationCore:
                     else:
                         group.append(i)
                 continue
-            if kind is ActionKind.TERMINATE:
+            if kind is _TERMINATE:
                 agent.terminated = True
                 self._live.discard(i)
                 self.termination_rounds[i] = self.round_no
                 if trace is not None:
                     self._emit(EventKind.TERMINATE, i, f"at v{agent.node}")
                 continue
-            # ENTER_NODE
-            if agent.port is not None:
-                self._occ_vacate_port(agent)
+            # ENTER_NODE: port -> interior of the same node.
+            port = agent.port
+            if port is not None:
+                node = agent.node
+                entry = occ[node]
+                del entry[1][port]
+                entry[0] += 1
+                released.add((node, port))
+                versions[node] = versions.get(node, 0) + 1
                 agent.port = None
                 agent.memory.Btime = 0
                 if trace is not None:
-                    self._emit(EventKind.ENTER_NODE, i, f"v{agent.node}")
+                    self._emit(EventKind.ENTER_NODE, i, f"v{node}")
 
+        tie_break = self._tie_break
+        default_tie_break = tie_break is _default_tie_break
         for (node, target), contenders in requests.items():
             if optimized:
-                entry = self._occ.get(node)
+                entry = occ.get(node)
                 occupied = (
                     entry is not None and target in entry[1]
-                ) or (node, target) in self._released
+                ) or (node, target) in released
             else:
                 occupied = (node, target) in occupied_at_start
             if occupied:
                 winner = -1
+            elif default_tie_break and len(contenders) == 1:
+                winner = contenders[0]
             else:
-                winner = self._tie_break(contenders)
+                winner = tie_break(contenders)
                 if winner not in contenders:
                     raise InvariantViolation("tie-break returned a non-contender")
             for i in contenders:
-                agent = self.agents[i]
+                agent = agents[i]
+                memory = agent.memory
                 # A fresh traversal attempt either way: the consecutive-wait
                 # clock restarts (it only accumulates while pushing on the
                 # same port across rounds).
-                agent.memory.Btime = 0
+                memory.Btime = 0
                 if i == winner:
-                    self._occ_acquire_port(agent, target)
-                    agent.port = target  # may implicitly vacate its other port
+                    # Interior (or the other port, implicitly vacated) ->
+                    # the target port of the same node.
+                    entry = occ[node]
+                    holders = entry[1]
+                    old_port = agent.port
+                    if old_port is None:
+                        entry[0] -= 1
+                    else:
+                        del holders[old_port]
+                        released.add((node, old_port))
+                    holders[target] = i
+                    versions[node] = versions.get(node, 0) + 1
+                    agent.port = target
                     movers.add(i)
                 else:
                     # Section 2.1: "otherwise it sets moved = false".
-                    agent.memory.failed = True
-                    agent.memory.moved = False
+                    memory.failed = True
+                    memory.moved = False
                     if trace is not None:
                         self._emit(
                             EventKind.PORT_DENIED, i,
@@ -723,8 +728,9 @@ class SimulationCore:
         missing = self._missing
         topology = self.topology
         faults = self.faults
+        agents = self.agents
         for i in sorted(movers):
-            agent = self.agents[i]
+            agent = agents[i]
             assert agent.port is not None
             edge = topology.edge_from(agent.node, agent.port)
             if edge in missing:
@@ -745,7 +751,7 @@ class SimulationCore:
         if self.transport is TransportModel.PT:
             last_active = self.last_active
             peek_cache = self._peek_cache
-            for agent in self.agents:
+            for agent in agents:
                 if (
                     agent.terminated
                     or agent.index in last_active
@@ -760,6 +766,11 @@ class SimulationCore:
                     peek_cache.pop(agent.index, None)
 
     def _traverse(self, agent: AgentState, kind: EventKind) -> None:
+        """Cross the edge behind the agent's port into the next node.
+
+        Updates the occupancy index in line (port of the origin ->
+        interior of the destination, both version counters bumped).
+        """
         assert agent.port is not None
         origin = agent.node
         port = agent.port
@@ -768,7 +779,20 @@ class SimulationCore:
         else:
             local = None
         destination = self.topology.neighbor(origin, port)
-        self._occ_traverse(agent, destination)
+        occ = self._occ
+        entry = occ[origin]
+        holders = entry[1]
+        del holders[port]
+        if entry[0] == 0 and not holders:
+            del occ[origin]
+        dest = occ.get(destination)
+        if dest is None:
+            occ[destination] = [1, {}]
+        else:
+            dest[0] += 1
+        versions = self._node_version
+        versions[origin] = versions.get(origin, 0) + 1
+        versions[destination] = versions.get(destination, 0) + 1
         agent.node = destination
         agent.port = None
         agent.memory.record_traversal(local)
@@ -789,18 +813,25 @@ class SimulationCore:
                         EventKind.EXPLORED, None, f"after {self.round_no + 1} rounds"
                     )
 
-    def _end_of_round(self, active: set[int], movers: set[int]) -> None:
+    def _end_of_round(self, active: set[int]) -> None:
+        """Tick the clocks of the live agents (terminated and crashed
+        agents never act again, and ``_live`` holds exactly the others)."""
         peek_cache = self._peek_cache
-        for agent in self.agents:
-            if agent.terminated or agent.crashed:
-                continue
-            if agent.index in active:
-                agent.memory.tick()
+        agents = self.agents
+        for i in self._live:
+            agent = agents[i]
+            if i in active:
+                # AgentMemory.tick, in line.
+                memory = agent.memory
+                memory.Ttime += 1
+                memory.Etime += 1
+                if memory.size is not None:
+                    memory.Ntime += 1
                 agent.rounds_since_active = 0
                 agent.activations += 1
                 # Active agents Computed against their real memory (and may
                 # have moved/blocked/been denied): drop their cached peeks.
-                peek_cache.pop(agent.index, None)
+                peek_cache.pop(i, None)
             else:
                 agent.rounds_since_active += 1
         if self._debug:
@@ -809,15 +840,6 @@ class SimulationCore:
     # ------------------------------------------------------------------
     # validation / bookkeeping
     # ------------------------------------------------------------------
-
-    def _validated_activation(self, selected: Iterable[int]) -> set[int]:
-        live = self._live
-        active = {i for i in selected if i in live}
-        if not active:
-            raise AdversaryViolation(
-                "scheduler activated no live agent (activation sets must be non-empty)"
-            )
-        return active
 
     def _check_invariants(self) -> None:
         seen: set[tuple] = set()

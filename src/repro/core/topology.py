@@ -21,7 +21,7 @@ from .agent import AgentState
 from .directions import GlobalDirection, LocalDirection
 from .errors import AdversaryViolation
 from .ring import Ring
-from .snapshot import Snapshot, intern_snapshot
+from .snapshot import _INTERNED, Snapshot, intern_snapshot
 
 _PLUS = GlobalDirection.PLUS
 _MINUS = GlobalDirection.MINUS
@@ -93,7 +93,12 @@ class RingTopology:
     # -- Look semantics -------------------------------------------------
 
     def snapshot(self, agent: AgentState, interior: int, holders: dict) -> Snapshot:
-        """O(1) Look from the occupancy-index entry of the agent's node."""
+        """O(1) Look from the occupancy-index entry of the agent's node.
+
+        The pool lookup of :func:`~repro.core.snapshot.intern_snapshot`
+        is inlined (one Look per active agent per round); only a value
+        never seen before in this process pays the call that interns it.
+        """
         port = agent.port
         if port is None:
             on_port = None
@@ -110,7 +115,7 @@ class RingTopology:
             left_holder, right_holder = minus_holder, plus_holder
         index = agent.index
         memory = agent.memory
-        return intern_snapshot(
+        key = (
             on_port,
             interior,
             left_holder is not None and left_holder != index,
@@ -119,6 +124,10 @@ class RingTopology:
             memory.moved,
             memory.failed,
         )
+        snap = _INTERNED.get(key)
+        if snap is None:
+            snap = intern_snapshot(*key)
+        return snap
 
     def snapshot_scan(
         self, agent: AgentState, agents: Sequence[AgentState]

@@ -22,13 +22,14 @@ Obs counters (no-ops unless metrics are enabled):
 
 from __future__ import annotations
 
+import os
 import sqlite3
+import sys
 import time
 import zlib
 from typing import Any, Callable
 
 from ..obs import metrics as obs_metrics
-from .chaos import chaos_policy
 
 #: Default attempt budget: enough to ride out a multi-worker lock
 #: convoy, small enough that a genuinely wedged database surfaces fast.
@@ -39,6 +40,23 @@ DEFAULT_BASE_S = 0.01
 
 #: Backoff ceiling — a retry never sleeps longer than this.
 DEFAULT_CAP_S = 0.25
+
+#: :data:`repro.resilience.chaos.CHAOS_ENV`, read here so that a run
+#: without chaos never loads the harness.
+_CHAOS_ENV = "REPRO_CHAOS"
+_CHAOS_MODULE = f"{__package__}.chaos"
+
+
+def _chaos_policy():
+    """:func:`~repro.resilience.chaos.chaos_policy`, importing the harness
+    only when :data:`_CHAOS_ENV` is set or something already loaded it
+    (which then owns the once-per-process parse)."""
+    chaos = sys.modules.get(_CHAOS_MODULE)
+    if chaos is None:
+        if not os.environ.get(_CHAOS_ENV, "").strip():
+            return None
+        from . import chaos
+    return chaos.chaos_policy()
 
 
 def backoff_delay(site: str, attempt: int, *,
@@ -77,7 +95,7 @@ def retry(
     ``site`` names the call site for jitter derivation, chaos targeting
     and log/metric labels (e.g. ``"queue.claim"``, ``"store.write"``).
     """
-    chaos = chaos_policy()
+    chaos = _chaos_policy()
     last_attempt = max(1, attempts)
     for attempt in range(1, last_attempt + 1):
         try:

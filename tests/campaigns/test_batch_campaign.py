@@ -392,6 +392,7 @@ class TestNumpyFallback:
         None,                                     # import repro.cli alone
         ["--spec", "smoke", "--batch", "off"],
         ["--spec", "smoke"],                      # auto: narrow groups only
+        ["--spec", "smoke", "--store", "sqlite:smoke.db"],  # retry, no chaos
     ])
     def test_scalar_runs_never_import_numpy(self, tmp_path, argv):
         """Only a process that builds a BatchCore loads NumPy, and a

@@ -57,7 +57,7 @@ class ScriptedAlgorithm:
 
 def engine_for(scripts, n=6, positions=(0,), adversary=None, scheduler=None,
                transport=TransportModel.NS, orientations=None, landmark=None,
-               trace=None):
+               trace=None, **options):
     return Engine(
         Ring(n, landmark=landmark),
         ScriptedAlgorithm(*scripts),
@@ -67,6 +67,7 @@ def engine_for(scripts, n=6, positions=(0,), adversary=None, scheduler=None,
         adversary=adversary or NoRemoval(),
         transport=transport,
         trace=trace,
+        **options,
     )
 
 
@@ -236,6 +237,33 @@ class TestPortMutualExclusion:
         assert engine.agents[0].node == 4  # reversed and crossed edge 3
         assert engine.agents[1].memory.failed
         assert engine.agents[1].node == 3
+
+    def test_custom_tie_break_picks_the_winner(self):
+        engine = engine_for([[move(LEFT)], [move(LEFT)]], n=6, positions=[3, 3],
+                            port_tie_break=max)
+        engine.step()
+        assert engine.agents[0].node == 3
+        assert engine.agents[1].node == 2
+
+    def test_custom_tie_break_is_consulted_for_a_single_contender(self):
+        seen = []
+
+        def policy(contenders):
+            seen.append(list(contenders))
+            return contenders[0]
+
+        engine = engine_for([[move(LEFT)]], n=6, positions=[3],
+                            port_tie_break=policy)
+        engine.step()
+        assert seen == [[0]]
+        assert engine.agents[0].node == 2
+
+    @pytest.mark.parametrize("positions", [[3], [3, 3]])
+    def test_tie_break_returning_a_non_contender_is_rejected(self, positions):
+        engine = engine_for([[move(LEFT)]] * len(positions), n=6,
+                            positions=positions, port_tie_break=lambda c: 99)
+        with pytest.raises(InvariantViolation, match="non-contender"):
+            engine.step()
 
     def test_crossing_agents_swap_without_detection(self):
         engine = engine_for([[move(RIGHT)], [move(LEFT)]], n=6, positions=[2, 3])

@@ -1,6 +1,10 @@
 """The unified retry/backoff helper every hardened transaction uses."""
 
+import os
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from repro.resilience.retry import (
     DEFAULT_ATTEMPTS,
     DEFAULT_BASE_S,
     DEFAULT_CAP_S,
+    _CHAOS_ENV,
     backoff_delay,
 )
 
@@ -105,3 +110,32 @@ class TestChaosIntegration:
             assert len(calls) == 32       # every call eventually succeeded
         finally:
             reset_chaos_policy()
+
+
+class TestChaosLoading:
+    def test_env_name_matches_the_harness(self):
+        from repro.resilience.chaos import CHAOS_ENV
+
+        assert _CHAOS_ENV == CHAOS_ENV
+
+    def test_no_chaos_env_never_loads_the_harness(self, tmp_path):
+        """A retry with ``REPRO_CHAOS`` unset leaves ``chaos`` unimported;
+        with it set, the harness loads."""
+        script = (
+            "import sys\n"
+            "from repro.resilience.retry import retry\n"
+            "assert retry(lambda: 'ok', site='t') == 'ok'\n"
+            "print('repro.resilience.chaos' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(src)
+        run = [sys.executable, "-c", script]
+        off = subprocess.run(run, cwd=tmp_path, env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        env["REPRO_CHAOS"] = "seed=1"
+        on = subprocess.run(run, cwd=tmp_path, env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+        assert off == ["False"]
+        assert on == ["True"]
