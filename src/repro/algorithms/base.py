@@ -134,8 +134,8 @@ class Ctx:
 
     # -- predicates ----------------------------------------------------------
 
-    # ``meeting``/``catches``/``caught`` spell out the Snapshot predicates
-    # of the same names in line: guards evaluate them every round.
+    # The three predicates of Section 3, read off the snapshot fields (the
+    # scalar engine's only copy; ``core/batch_kernels`` vectorises them).
 
     @property
     def failed(self) -> bool:
@@ -143,11 +143,18 @@ class Ctx:
 
     @property
     def meeting(self) -> bool:
+        """Both (or more) agents stand together in the node interior."""
         snapshot = self.snapshot
         return snapshot.on_port is None and snapshot.others_in_node > 0
 
     @property
     def catches(self) -> bool:
+        """Another agent sits on the port of my moving direction.
+
+        The paper evaluates ``catches`` for an agent that is in the node and
+        about to move; an agent already on a port cannot catch (the port in
+        its moving direction is the one it occupies itself).
+        """
         direction = self.direction
         if direction is None:
             return False
@@ -160,6 +167,8 @@ class Ctx:
 
     @property
     def caught(self) -> bool:
+        """I am on a port after a failed move and another agent is in the
+        node."""
         snapshot = self.snapshot
         return (snapshot.on_port is not None and not snapshot.moved
                 and snapshot.others_in_node > 0)

@@ -25,7 +25,9 @@ The paper's algorithms consult a small set of bookkeeping variables:
 
 Every counter is a pure function of the agent's own observation history, so
 the engine maintains them centrally instead of trusting each algorithm to
-re-implement the bookkeeping.  Algorithms read them through
+re-implement the bookkeeping.  The clocks (``Ttime``, ``Etime``, ``Ntime``)
+advance at the end of each active round, in
+``SimulationCore._end_of_round``.  Algorithms read them through
 :class:`AgentMemory` and own only their private variables (state, guesses,
 IDs, ...) in :attr:`AgentMemory.vars`.
 """
@@ -142,17 +144,6 @@ class AgentMemory:
         """Account for an activation spent waiting on a missing edge."""
         self.moved = False
         self.Btime += 1
-
-    def tick(self) -> None:
-        """Advance the per-activation clocks (end of an active round).
-
-        ``SimulationCore._end_of_round`` repeats these updates in line
-        (it runs once per round); a change here must be made there too.
-        """
-        self.Ttime += 1
-        self.Etime += 1
-        if self.size is not None:
-            self.Ntime += 1
 
     def observe_landmark(self) -> None:
         """Record standing at the landmark node (interior or port)."""

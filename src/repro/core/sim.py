@@ -821,7 +821,8 @@ class SimulationCore:
         for i in self._live:
             agent = agents[i]
             if i in active:
-                # AgentMemory.tick, in line.
+                # The per-activation clocks; Ntime runs once the size
+                # is known.
                 memory = agent.memory
                 memory.Ttime += 1
                 memory.Etime += 1

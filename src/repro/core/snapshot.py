@@ -38,6 +38,10 @@ class Snapshot:
             (``True`` iff its last traversal attempt succeeded).
         failed: the agent's previous port-acquisition attempt failed (the
             ``failed`` predicate of Section 3.1).
+
+    The other predicates of Section 3 (``meeting``, ``catches``,
+    ``caught``) are read off these fields by
+    :class:`~repro.algorithms.base.Ctx`, which algorithms consult.
     """
 
     on_port: LocalDirection | None
@@ -47,36 +51,6 @@ class Snapshot:
     is_landmark: bool
     moved: bool
     failed: bool
-
-    @property
-    def in_interior(self) -> bool:
-        """The observing agent stands in the node interior."""
-        return self.on_port is None
-
-    def other_on_port(self, direction: LocalDirection) -> bool:
-        """An(other) agent occupies the port in local ``direction``."""
-        if direction is LocalDirection.LEFT:
-            return self.other_on_left_port
-        return self.other_on_right_port
-
-    # -- the three predicates of Section 3 ---------------------------------
-
-    def meeting(self) -> bool:
-        """Both (or more) agents stand together in the node interior."""
-        return self.in_interior and self.others_in_node > 0
-
-    def catches(self, moving_direction: LocalDirection) -> bool:
-        """Another agent sits on the port of my moving direction.
-
-        The paper evaluates ``catches`` for an agent that is in the node and
-        about to move; an agent already on a port cannot catch (the port in
-        its moving direction is the one it occupies itself).
-        """
-        return self.in_interior and self.other_on_port(moving_direction)
-
-    def caught(self) -> bool:
-        """I am on a port after a failed move and another agent is in the node."""
-        return self.on_port is not None and not self.moved and self.others_in_node > 0
 
 
 #: Interning pool for :func:`intern_snapshot`.  The snapshot value space is
@@ -99,8 +73,8 @@ def intern_snapshot(
 ) -> Snapshot:
     """A shared :class:`Snapshot` instance for the given field values.
 
-    Behaviourally identical to calling ``Snapshot(...)`` (equality, hashing
-    and every predicate agree); only object identity is shared.  Algorithms
+    Behaviourally identical to calling ``Snapshot(...)`` (equality and
+    hashing agree); only object identity is shared.  Algorithms
     receive snapshots read-only, so reuse is invisible to them.
     """
     key = (on_port, others_in_node, other_on_left_port, other_on_right_port,

@@ -36,9 +36,7 @@ from typing import Callable
 
 from ..core.errors import ConfigurationError
 from ..obs import metrics as obs_metrics
-
-#: Environment variable carrying the chaos spec (empty/unset = no chaos).
-CHAOS_ENV = "REPRO_CHAOS"
+from .retry import CHAOS_ENV
 
 #: Commit points :meth:`ChaosPolicy.crash_point` recognises.
 CRASH_POINTS = ("before-commit", "after-commit")

@@ -41,19 +41,20 @@ DEFAULT_BASE_S = 0.01
 #: Backoff ceiling — a retry never sleeps longer than this.
 DEFAULT_CAP_S = 0.25
 
-#: :data:`repro.resilience.chaos.CHAOS_ENV`, read here so that a run
+#: Environment variable carrying the chaos spec (empty/unset = no chaos;
+#: see :mod:`repro.resilience.chaos`).  It lives here so that a run
 #: without chaos never loads the harness.
-_CHAOS_ENV = "REPRO_CHAOS"
+CHAOS_ENV = "REPRO_CHAOS"
 _CHAOS_MODULE = f"{__package__}.chaos"
 
 
 def _chaos_policy():
     """:func:`~repro.resilience.chaos.chaos_policy`, importing the harness
-    only when :data:`_CHAOS_ENV` is set or something already loaded it
+    only when :data:`CHAOS_ENV` is set or something already loaded it
     (which then owns the once-per-process parse)."""
     chaos = sys.modules.get(_CHAOS_MODULE)
     if chaos is None:
-        if not os.environ.get(_CHAOS_ENV, "").strip():
+        if not os.environ.get(CHAOS_ENV, "").strip():
             return None
         from . import chaos
     return chaos.chaos_policy()

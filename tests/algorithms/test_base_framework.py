@@ -300,6 +300,42 @@ class TestCtx:
         ctx.direction = LEFT
         assert ctx.catches
 
+    def test_meeting_requires_both_in_interior(self):
+        def meeting(**kw):
+            return Ctx(plain_snapshot(**kw), AgentMemory()).meeting
+
+        assert meeting(others_in_node=1)
+        assert not meeting(others_in_node=0)
+        assert not meeting(on_port=LEFT, others_in_node=1)
+
+    @pytest.mark.parametrize("direction, left, right, expected", [
+        (LEFT, True, False, True),
+        (RIGHT, True, False, False),
+        (RIGHT, False, True, True),
+        (LEFT, False, True, False),
+    ])
+    def test_catches_checks_port_in_moving_direction(self, direction, left,
+                                                     right, expected):
+        ctx = Ctx(plain_snapshot(other_on_left_port=left,
+                                 other_on_right_port=right), AgentMemory())
+        ctx.direction = direction
+        assert ctx.catches is expected
+
+    def test_agent_on_a_port_cannot_catch(self):
+        ctx = Ctx(plain_snapshot(on_port=RIGHT, other_on_left_port=True),
+                  AgentMemory())
+        ctx.direction = LEFT
+        assert not ctx.catches
+
+    def test_caught_requires_failed_move_and_witness(self):
+        def caught(**kw):
+            return Ctx(plain_snapshot(**kw), AgentMemory()).caught
+
+        assert caught(on_port=LEFT, others_in_node=1, moved=False)
+        assert not caught(on_port=LEFT, others_in_node=0, moved=False)
+        assert not caught(on_port=LEFT, others_in_node=1, moved=True)
+        assert not caught(others_in_node=1)
+
     def test_predicate_passthroughs(self):
         memory = AgentMemory()
         snap = plain_snapshot(others_in_node=2, is_landmark=True, failed=True)

@@ -19,8 +19,8 @@ from repro.campaigns.registry import build_cell_engine
 from tests.core import golden_campaign
 
 #: Calls into ``repro`` code per round, over one cell of each
-#: paper-tables label.  It measured 53.3 before the round loop's
-#: helpers were inlined and 35.7 after.
+#: paper-tables label (:func:`repro_calls_per_round`).  It measured 53.4
+#: before the round loop's helpers were inlined and 35.8 after.
 CALLS_PER_ROUND_BUDGET = 39.0
 
 #: Comprehensions are frames before Python 3.12 and inlined from 3.12

@@ -420,6 +420,29 @@ class TestSsyncActivation:
         assert engine.agents[1].rounds_since_active == 0
         assert engine.agents[0].activations == 3
 
+    def test_active_agents_tick_their_clocks(self):
+        engine = engine_for(
+            [[STAY] * 3, [STAY] * 3], n=8, positions=[3, 6],
+            scheduler=ScriptedScheduler([{0}, {0}, {0, 1}]),
+        )
+        for _ in range(3):
+            engine.step()
+        memories = [agent.memory for agent in engine.agents]
+        assert [(m.Ttime, m.Etime) for m in memories] == [(3, 3), (1, 1)]
+        assert [m.Ntime for m in memories] == [0, 0]  # size still unknown
+
+    def test_ntime_only_runs_after_size_known(self):
+        engine = engine_for([[move(RIGHT)] * 4], n=4, landmark=0)
+        memory = engine.agents[0].memory
+        for _ in range(3):
+            engine.step()
+        assert memory.size is None and memory.Ntime == 0
+        engine.step()  # back at the landmark: the loop is closed
+        assert memory.size == 4 and memory.Ntime == 1
+        engine.step()
+        engine.step()
+        assert memory.Ntime == 3 and memory.Ttime == 6
+
 
 class TestPassiveTransport:
     def _blocked_then_sleep(self, transport):

@@ -58,26 +58,13 @@ class TestTraversalAccounting:
 
 
 class TestClocks:
-    def test_tick_advances_both_clocks(self):
-        mem = AgentMemory()
-        mem.tick()
-        mem.tick()
-        assert mem.Ttime == 2
-        assert mem.Etime == 2
-
-    def test_ntime_only_runs_after_size_known(self):
-        mem = AgentMemory()
-        mem.tick()
-        assert mem.Ntime == 0
-        mem.size = 7
-        mem.tick()
-        mem.tick()
-        assert mem.Ntime == 2
+    """The engine advances the clocks (``tests/core/test_engine.py``,
+    ``TestSsyncActivation``); these pin what the explore reset keeps."""
 
     def test_reset_explore_clears_per_state_counters(self):
         mem = AgentMemory()
         mem.record_traversal(RIGHT)
-        mem.tick()
+        mem.Ttime = mem.Etime = 1
         mem.reset_explore()
         assert mem.Etime == 0
         assert mem.Esteps == 0
@@ -88,7 +75,7 @@ class TestClocks:
         """Figure 18's ExploreNoResetEsteps."""
         mem = AgentMemory()
         mem.record_traversal(RIGHT)
-        mem.tick()
+        mem.Ttime = mem.Etime = 1
         mem.reset_explore(keep_esteps=True)
         assert mem.Etime == 0
         assert mem.Esteps == 1
@@ -157,7 +144,7 @@ class TestClone:
             mem.record_traversal(RIGHT)
         mem.record_traversal(LEFT)
         mem.record_blocked()
-        mem.tick()
+        mem.Ttime = mem.Etime = 1
         mem.observe_landmark()
         mem.vars.update({"state": "Explore", "G": 4, "dir": LEFT,
                          "nested": {"a": 1}, "steps": [1, 2]})
@@ -173,7 +160,7 @@ class TestClone:
         mem = self._populated()
         clone = mem.clone()
         clone.record_traversal(RIGHT)
-        clone.tick()
+        clone.Ttime += 1
         clone.vars["G"] = 99
         clone.vars["state"] = "Done"
         assert mem.Tsteps == 4 and mem.Ttime == 1
