@@ -304,6 +304,54 @@ def test_graph_index_matches_scan_every_round():
         engine.step()
 
 
+class TestLockstepFixture:
+    """The lockstep comparisons above, frozen as digests.
+
+    ``tests/core/golden_lockstep_traces.json`` was recorded with the
+    optimized and reference paths asserted equal; both must replay it.
+    """
+
+    @pytest.fixture(scope="class")
+    def pins(self):
+        from tests.core import golden_traces
+
+        return golden_traces.load_lockstep_fixture()
+
+    @pytest.mark.parametrize("optimized", [True, False], ids=["opt", "ref"])
+    @pytest.mark.parametrize("index", range(14), ids=lambda i: f"cell{i}")
+    def test_ring_replay(self, pins, index, optimized):
+        from dataclasses import replace
+
+        from tests.core import golden_traces
+
+        for seed in golden_traces.RING_LOCKSTEP_SEEDS:
+            cell = replace(golden_traces.GOLDEN_CELLS[index], seed=seed)
+            assert (golden_traces.run_digest(cell, optimized=optimized)
+                    == pins["ring"][golden_traces.ring_key(cell)])
+
+    @pytest.mark.parametrize("optimized", [True, False], ids=["opt", "ref"])
+    @pytest.mark.parametrize("index", range(10), ids=lambda i: f"cell{i}")
+    def test_graph_replay(self, pins, index, optimized):
+        from dataclasses import replace
+
+        from tests.core import golden_traces
+
+        pytest.importorskip("networkx")
+        for seed in golden_traces.GRAPH_SEEDS:
+            cell = replace(golden_traces.GRAPH_CELLS[index], seed=seed)
+            assert (golden_traces.graph_digest(cell, optimized=optimized)
+                    == pins["graph"][golden_traces.graph_key(cell)])
+
+    @pytest.mark.parametrize("optimized", [True, False], ids=["opt", "ref"])
+    @pytest.mark.parametrize("index", range(20), ids=lambda i: f"config{i}")
+    def test_chaos_replay(self, pins, index, optimized):
+        from tests.core import golden_traces
+
+        config = pins["chaos"][index]
+        assert (golden_traces.chaos_digest(config, optimized=optimized)
+                == config["digest"])
+
+
 class TestUnifiedVsLegacyGolden:
     """The ring is byte-identical through the topology-generic core.
 
