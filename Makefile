@@ -14,12 +14,13 @@ test:
 bench:
 	$(PYTHON) benchmarks/bench_engine_hotpath.py
 
-## CI-sized benchmark (< 60 s) with the acceptance guard: fails if the
-## worst-case-adversary headline drops below 5x over the reference path.
+## CI-sized benchmark (< 60 s): absolute rounds/s for this host.  The
+## peek cache's saving is pinned as Computes per round by a tier-1 test
+## (tests/core/test_hotpath_equivalence.py).
 bench-smoke:
 	@mkdir -p results
 	$(PYTHON) benchmarks/bench_engine_hotpath.py --smoke \
-		--out results/BENCH_engine_smoke.json --min-speedup 5
+		--out results/BENCH_engine_smoke.json
 
 ## Graph-topology (unified core) numbers, merged into BENCH_engine.json
 ## without disturbing the ring sections — commit the refreshed file.

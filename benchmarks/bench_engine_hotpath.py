@@ -2,12 +2,13 @@
 
 Unlike the pytest-benchmark suites next to it, this is a standalone
 script: it sweeps ring sizes 10^2..10^5, agent counts 1..64 and the three
-transport models, measures rounds/second on the optimized engine, and —
-for a subset plus the headline worst-case configuration (n=1000, k=32,
-``ns-starvation``) — on the reference path (``optimized=False``), which
-preserves the pre-index engine's behaviour and allocation profile
-(O(k) Look scans, a fresh ``Snapshot`` per observation, uncached peeks).
-The speedup column is therefore measured, not estimated, on every run.
+transport models, the peeking adversaries, and the headline worst-case
+configuration (n=1000, k=32, ``ns-starvation``), and reports absolute
+rounds/second for each row.  Rates depend on the host, so compare them
+only between runs on the same machine (``python -m repro bench`` keys
+its history by a host fingerprint).  What the peek cache saves on the
+headline cell is pinned deterministically instead, as Computes per
+round, by ``tests/core/test_hotpath_equivalence.py``.
 
 Usage::
 
@@ -44,9 +45,9 @@ HEADLINE = dict(algorithm="known-bound", ring_size=1000, agents=32,
 WARMUP_ROUNDS = 30
 
 
-def measure(cell: CellConfig, *, optimized: bool, budget_s: float,
+def measure(cell: CellConfig, *, budget_s: float,
             max_rounds: int = 200_000, prepare=None) -> dict:
-    """Rounds/second for one configuration on one engine path.
+    """Rounds/second for one configuration.
 
     Engines that run out of live agents are rebuilt mid-measurement so
     short-lived algorithms still yield sustained-throughput numbers.
@@ -55,7 +56,7 @@ def measure(cell: CellConfig, *, optimized: bool, budget_s: float,
     phase timer.
     """
     def build():
-        engine = build_cell_engine(cell, optimized=optimized)
+        engine = build_cell_engine(cell)
         if prepare is not None:
             prepare(engine)
         return engine
@@ -130,13 +131,12 @@ def obs_overhead_entry(budget: float) -> dict:
     cell = CellConfig(max_rounds=10**8, **HEADLINE)
 
     def plain() -> float:
-        return measure(cell, optimized=True,
-                       budget_s=budget)["rounds_per_s"]
+        return measure(cell, budget_s=budget)["rounds_per_s"]
 
     def instrumented() -> float:
         def prepare(engine):
             engine.set_instrument(PhaseTimer())
-        return measure(cell, optimized=True, budget_s=budget,
+        return measure(cell, budget_s=budget,
                        prepare=prepare)["rounds_per_s"]
 
     baseline = disabled = enabled = 0.0
@@ -207,14 +207,11 @@ def run_graph(smoke: bool, budget_s: float | None) -> list[dict]:
             "topology": cell.topology, "algorithm": cell.algorithm,
             "nodes": cell.ring_size, "agents": cell.agents,
             "adversary": cell.adversary,
-            "optimized": measure(cell, optimized=True, budget_s=budget),
-            "reference": measure(cell, optimized=False, budget_s=budget),
+            **measure(cell, budget_s=budget),
         }
-        row["speedup"] = round(row["optimized"]["rounds_per_s"]
-                               / row["reference"]["rounds_per_s"], 2)
         rows.append(row)
-        print(f"  {label:<26} {row['optimized']['rounds_per_s']:>10,.0f} "
-              f"rounds/s  ({row['speedup']}x vs reference)", flush=True)
+        print(f"  {label:<26} {row['rounds_per_s']:>10,.0f} rounds/s",
+              flush=True)
     return rows
 
 
@@ -223,12 +220,10 @@ def run(smoke: bool, budget_s: float | None) -> dict:
         ring_sizes = [100, 1000]
         agent_counts = [1, 8, 16]
         budget = budget_s or 0.05
-        baseline_max_n = 100
     else:
         ring_sizes = [100, 1000, 10_000, 100_000]
         agent_counts = [1, 8, 64]
         budget = budget_s or 0.2
-        baseline_max_n = 1000
 
     sweeps = []
     for transport in ("ns", "pt", "et"):
@@ -238,51 +233,31 @@ def run(smoke: bool, budget_s: float | None) -> dict:
                 row = {
                     "workload": "sweep", "transport": transport,
                     "ring_size": n, "agents": k, "adversary": "random",
-                    "optimized": measure(cell, optimized=True, budget_s=budget),
+                    **measure(cell, budget_s=budget),
                 }
-                if n <= baseline_max_n:
-                    row["reference"] = measure(
-                        cell, optimized=False, budget_s=budget)
-                    row["speedup"] = round(
-                        row["optimized"]["rounds_per_s"]
-                        / row["reference"]["rounds_per_s"], 2)
                 sweeps.append(row)
                 print(f"  {transport} n={n:>6} k={k:<3} "
-                      f"{row['optimized']['rounds_per_s']:>10,.0f} rounds/s"
-                      + (f"  ({row['speedup']}x vs reference)"
-                         if "speedup" in row else ""),
-                      flush=True)
+                      f"{row['rounds_per_s']:>10,.0f} rounds/s", flush=True)
 
     for label, cell in worst_case_cells():
         row = {
             "workload": "worst-case", "label": label,
             "transport": cell.transport, "ring_size": cell.ring_size,
             "agents": cell.agents, "adversary": cell.adversary,
-            "optimized": measure(cell, optimized=True, budget_s=budget * 2),
-            "reference": measure(cell, optimized=False, budget_s=budget * 2),
+            **measure(cell, budget_s=budget * 2),
         }
-        row["speedup"] = round(row["optimized"]["rounds_per_s"]
-                               / row["reference"]["rounds_per_s"], 2)
         sweeps.append(row)
-        print(f"  {label:<28} {row['optimized']['rounds_per_s']:>10,.0f} "
-              f"rounds/s  ({row['speedup']}x vs reference)", flush=True)
+        print(f"  {label:<28} {row['rounds_per_s']:>10,.0f} rounds/s",
+              flush=True)
 
-    # The headline ratio gates CI (--min-speedup), so give it a full
-    # second per path even in smoke mode: sub-0.2s windows on shared
-    # runners are noisy enough to flake a hard threshold.
+    # The headline feeds the bench history, so give it a full second even
+    # in smoke mode: sub-0.2s windows on shared runners are noisy.
     headline_budget = max(budget * 4, 1.0)
     headline_cell = CellConfig(max_rounds=10**8, **HEADLINE)
-    optimized = measure(headline_cell, optimized=True, budget_s=headline_budget)
-    reference = measure(headline_cell, optimized=False, budget_s=headline_budget)
-    headline = {
-        "config": dict(HEADLINE),
-        "optimized": optimized,
-        "reference": reference,
-        "speedup": round(optimized["rounds_per_s"] / reference["rounds_per_s"], 2),
-    }
+    headline = {"config": dict(HEADLINE),
+                **measure(headline_cell, budget_s=headline_budget)}
     print(f"headline (n=1000, k=32, ns-starvation): "
-          f"{optimized['rounds_per_s']:,.0f} vs {reference['rounds_per_s']:,.0f} "
-          f"rounds/s -> {headline['speedup']}x", flush=True)
+          f"{headline['rounds_per_s']:,.0f} rounds/s", flush=True)
 
     results = {
         "benchmark": "engine-hotpath",
@@ -313,9 +288,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="seconds of measurement per configuration")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_engine.json"),
                         help="output JSON path (default: repo root)")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="exit non-zero if the headline speedup is below "
-                             "this factor (CI guard)")
     parser.add_argument("--max-obs-overhead", type=float, default=None,
                         metavar="PCT",
                         help="exit non-zero if disabled instrumentation "
@@ -340,11 +312,6 @@ def main(argv: list[str] | None = None) -> int:
     results = run(args.smoke, args.budget)
     out.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {out}")
-    if args.min_speedup is not None and \
-            results["headline"]["speedup"] < args.min_speedup:
-        print(f"FAIL: headline speedup {results['headline']['speedup']}x "
-              f"< required {args.min_speedup}x", file=sys.stderr)
-        return 1
     if args.max_obs_overhead is not None:
         pct = results["obs_overhead"]["disabled_overhead_pct"]
         if pct > args.max_obs_overhead:

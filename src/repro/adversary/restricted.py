@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..core.errors import ConfigurationError
-from .simple import RandomMissingEdge
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.engine import Engine
@@ -98,7 +97,3 @@ class DeltaRecurrentAdversary:
     def __repr__(self) -> str:
         return f"DeltaRecurrentAdversary({self._inner!r}, delta={self._delta})"
 
-
-def recurrence_suite(seed: int, delta: int) -> DeltaRecurrentAdversary:
-    """A random adversary confined to the delta-recurrent class."""
-    return DeltaRecurrentAdversary(RandomMissingEdge(seed=seed), delta)

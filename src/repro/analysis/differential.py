@@ -1,13 +1,14 @@
-"""Differential-testing harness: BatchCore vs the scalar simulation cores.
+"""Differential-testing harness: BatchCore vs the scalar simulation core.
 
 The vectorized batch engine (:mod:`repro.core.batch`) re-implements the
 round loop — FSYNC and the mask-replayable SSYNC schedulers, all three
 transports, every registry algorithm, fault plans and the block-agent
 adversary — as whole-array operations, so
-its correctness argument is *empirical by construction*: every claim of equivalence is backed by
-executing the same cells through :class:`~repro.core.batch.BatchCore`,
-``SimulationCore(optimized=True)`` and the reference path
-(``optimized=False``) and comparing everything observable.  This module
+its correctness argument is *empirical by construction*: every claim of
+equivalence is backed by executing the same cells through
+:class:`~repro.core.batch.BatchCore` and the scalar
+:class:`~repro.core.sim.SimulationCore` and comparing everything
+observable.  This module
 is that harness, packaged once so the equivalence suite, the golden-
 trace replay and ad-hoc sweeps all share one definition of "agrees":
 
@@ -15,8 +16,8 @@ trace replay and ad-hoc sweeps all share one definition of "agrees":
   :class:`~repro.core.results.RunResult` (exactly the ``result`` block
   the golden ring-trace digests pin, so "payload-equal" here means
   "digest-equal" there);
-* :func:`differential_cells` — run a batch composition through all
-  paths and collect :class:`Divergence` records (empty list = proven
+* :func:`differential_cells` — run a batch composition through both
+  cores and collect :class:`Divergence` records (empty list = proven
   equivalent for those cells);
 * :func:`lockstep_divergence` — step one cell round-by-round through
   both cores comparing full per-agent state (position, port, every
@@ -30,17 +31,13 @@ Run ad hoc::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from ..campaigns.registry import build_cell_engine
 from ..campaigns.spec import CellConfig
 from ..core.batch import BatchCore, batch_ineligible_reason, run_batch_cells
 from ..core.errors import ConfigurationError
 from ..core.results import RunResult
-
-#: The two scalar paths every batch result is compared against.
-SCALAR_PATHS = ("optimized", "reference")
-
 
 def result_payload(result: RunResult) -> dict[str, Any]:
     """The comparable essence of one run outcome.
@@ -71,19 +68,18 @@ def result_payload(result: RunResult) -> dict[str, Any]:
     return payload
 
 
-def scalar_result(cell: CellConfig, *, optimized: bool = True) -> RunResult:
+def scalar_result(cell: CellConfig) -> RunResult:
     """One cell through the scalar core (the campaign executor's path)."""
-    engine = build_cell_engine(cell, optimized=optimized)
+    engine = build_cell_engine(cell)
     return engine.run(
         cell.max_rounds, stop_on_exploration=cell.stop_on_exploration)
 
 
 @dataclass(frozen=True)
 class Divergence:
-    """One observed disagreement between the batch and a scalar path."""
+    """One observed disagreement between the batch and the scalar core."""
 
     cell: CellConfig
-    path: str        # "optimized" or "reference"
     field: str       # payload key that differed
     batch_value: Any
     scalar_value: Any
@@ -91,22 +87,18 @@ class Divergence:
     def __str__(self) -> str:  # readable pytest failure output
         return (f"[{self.cell.algorithm}/{self.cell.adversary} "
                 f"n={self.cell.ring_size} k={self.cell.agents} "
-                f"seed={self.cell.seed}] vs {self.path}: {self.field} "
+                f"seed={self.cell.seed}] {self.field} "
                 f"batch={self.batch_value!r} scalar={self.scalar_value!r}")
 
 
-def differential_cells(
-    cells: Iterable[CellConfig],
-    *,
-    paths: Sequence[str] = SCALAR_PATHS,
-) -> list[Divergence]:
-    """Run a batch composition through every path; collect divergences.
+def differential_cells(cells: Iterable[CellConfig]) -> list[Divergence]:
+    """Run a batch composition through both cores; collect divergences.
 
     The cells are executed *as one batch* (mixed sizes/seeds/adversaries,
     including cells that terminate at different rounds — exactly the
     composition a campaign chunk hands :func:`run_batch_cells`), then
-    each cell is re-run scalar per requested path and the payloads
-    compared field by field.  An empty return is the equivalence proof
+    each cell is re-run scalar and the payloads compared field by
+    field.  An empty return is the equivalence proof
     for this composition.
     """
     cells = list(cells)
@@ -119,15 +111,13 @@ def differential_cells(
     divergences: list[Divergence] = []
     for cell, batch_result in zip(cells, batch_results):
         batch_payload = result_payload(batch_result)
-        for path in paths:
-            scalar_payload = result_payload(
-                scalar_result(cell, optimized=(path == "optimized")))
-            for key in scalar_payload.keys() | batch_payload.keys():
-                if batch_payload.get(key) != scalar_payload.get(key):
-                    divergences.append(Divergence(
-                        cell=cell, path=path, field=key,
-                        batch_value=batch_payload.get(key),
-                        scalar_value=scalar_payload.get(key)))
+        scalar_payload = result_payload(scalar_result(cell))
+        for key in scalar_payload.keys() | batch_payload.keys():
+            if batch_payload.get(key) != scalar_payload.get(key):
+                divergences.append(Divergence(
+                    cell=cell, field=key,
+                    batch_value=batch_payload.get(key),
+                    scalar_value=scalar_payload.get(key)))
     return divergences
 
 
@@ -167,7 +157,7 @@ def lockstep_divergence(cell: CellConfig) -> str | None:
     mirroring is itself under test here.
     """
     core = BatchCore([cell])
-    engine = build_cell_engine(cell, optimized=True)
+    engine = build_cell_engine(cell)
     mismatch = _agent_mismatch(core.debug_state(0), engine)
     if mismatch is not None:
         return f"round 0 (initial): {mismatch}"
@@ -179,8 +169,7 @@ def lockstep_divergence(cell: CellConfig) -> str | None:
         if mismatch is not None:
             return f"round {rounds}: {mismatch}"
     batch_payload = result_payload(core.results()[0])
-    scalar_payload = result_payload(
-        scalar_result(cell, optimized=True))
+    scalar_payload = result_payload(scalar_result(cell))
     for key in scalar_payload.keys() | batch_payload.keys():
         if batch_payload.get(key) != scalar_payload.get(key):
             return (f"final result {key}: batch={batch_payload.get(key)!r} "
@@ -206,6 +195,5 @@ if __name__ == "__main__":  # pragma: no cover - manual smoke entry
     found = differential_cells(_demo_cells())
     for div in found:
         print(div)
-    print(f"{len(_demo_cells())} cells x {len(SCALAR_PATHS)} paths: "
-          f"{len(found)} divergences")
+    print(f"{len(_demo_cells())} cells: {len(found)} divergences")
     raise SystemExit(1 if found else 0)

@@ -48,7 +48,6 @@ def build_engine(
     transport: TransportModel = TransportModel.NS,
     trace: Trace | None = None,
     debug_invariants: bool | None = None,
-    optimized: bool = True,
 ) -> Engine:
     """Assemble an :class:`Engine` with sensible defaults.
 
@@ -56,8 +55,7 @@ def build_engine(
     explicit ``orientations`` sequence is given.  Default adversary is
     :class:`NoRemoval`, default scheduler FSYNC.  ``debug_invariants``
     gates the per-round model audit (``None`` = on under pytest, off
-    otherwise); ``optimized=False`` selects the reference (scan-based)
-    Look path — see the engine docs.
+    otherwise).
     """
     ring = Ring(ring_size, landmark=landmark)
     if orientations is None:
@@ -74,7 +72,6 @@ def build_engine(
         transport=transport,
         trace=trace,
         debug_invariants=debug_invariants,
-        optimized=optimized,
     )
 
 

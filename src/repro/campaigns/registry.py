@@ -227,22 +227,18 @@ def validate_cell(cell: CellConfig) -> None:
     TransportModel(cell.transport)
 
 
-def build_cell_engine(cell: CellConfig, *, trace=None, optimized: bool = True) -> "Engine":
+def build_cell_engine(cell: CellConfig, *, trace=None) -> "Engine":
     """Assemble the engine a cell describes (deterministic given the cell).
 
     One entry point for every topology: ring-algorithm cells build the
     ring facade, explorer cells the dynamic-graph facade — both are thin
     constructors over the same :class:`~repro.core.sim.SimulationCore`.
-    ``optimized=False`` builds the same configuration on the core's
-    reference (scan-based) Look path; the trace-equivalence tests run
-    seed-matched cells through both and assert identical behaviour.
     """
     from ..api import build_engine  # late import: api is a facade over us too
 
     validate_cell(cell)
     if is_graph_cell(cell):
-        return _attach_faults(
-            cell, _build_graph_engine(cell, trace=trace, optimized=optimized))
+        return _attach_faults(cell, _build_graph_engine(cell, trace=trace))
     entry = ALGORITHMS[cell.algorithm]
     transport = TransportModel(cell.transport)
     placement = entry.placement_override or cell.placement
@@ -271,7 +267,6 @@ def build_cell_engine(cell: CellConfig, *, trace=None, optimized: bool = True) -
         # for it only when a cell explicitly asks (unlike direct engine
         # construction, which defaults the audit on under pytest).
         debug_invariants=cell.debug_invariants,
-        optimized=optimized,
     ))
 
 
@@ -394,8 +389,7 @@ GRAPH_ADVERSARIES = frozenset(
 #: are only side-effect-free for *deterministic* explorers: the seeded
 #: random walk keeps a live RNG in its memory, which a speculative
 #: Compute would advance — making results depend on how often the
-#: adversary peeks and breaking optimized-vs-reference equivalence.
-#: validate_cell rejects those combinations outright.
+#: adversary peeks.  validate_cell rejects those combinations outright.
 _PEEKING_GRAPH_ADVERSARIES = frozenset(
     {"block-agent", "prevent-meetings", "ns-starvation"})
 
@@ -408,9 +402,7 @@ def is_graph_cell(cell: CellConfig) -> bool:
     return cell.algorithm in GRAPH_EXPLORERS
 
 
-def _build_graph_engine(
-    cell: CellConfig, *, trace=None, optimized: bool = True
-) -> Any:
+def _build_graph_engine(cell: CellConfig, *, trace=None) -> Any:
     """Assemble a :class:`~repro.extensions.dynamic_graph.DynamicGraphEngine`.
 
     ``ring_size`` is read as the node count, placements resolve over node
@@ -453,7 +445,6 @@ def _build_graph_engine(
         trace=trace,
         landmark=cell.landmark,
         debug_invariants=cell.debug_invariants,
-        optimized=optimized,
     )
     if cell.algorithm in _ORACLE_EXPLORERS:
         from ..extensions.explorers import attach_node_oracle
@@ -462,8 +453,7 @@ def _build_graph_engine(
     return engine
 
 
-def build_graph_cell_engine(cell: CellConfig, *, trace=None,
-                            optimized: bool = True) -> Any:
+def build_graph_cell_engine(cell: CellConfig, *, trace=None) -> Any:
     """Validate and build an explorer cell (graph-facade entry point).
 
     :func:`build_cell_engine` dispatches here automatically; this remains
@@ -474,4 +464,4 @@ def build_graph_cell_engine(cell: CellConfig, *, trace=None,
         raise ConfigurationError(
             f"cell {cell.algorithm!r} runs on the ring engine; "
             "use build_cell_engine")
-    return _build_graph_engine(cell, trace=trace, optimized=optimized)
+    return _build_graph_engine(cell, trace=trace)

@@ -55,15 +55,6 @@ class AgentState:
     def on_port(self) -> bool:
         return self.port is not None
 
-    def local_port(self) -> LocalDirection | None:
-        """The occupied port expressed in this agent's own frame."""
-        if self.port is None:
-            return None
-        return LocalDirection.LEFT if self.port is self.left_global else LocalDirection.RIGHT
-
-    def global_direction(self, local: LocalDirection) -> GlobalDirection:
-        return self.orientation.to_global(local)
-
     def describe(self) -> str:
         """Human-readable position (for traces and examples)."""
         if self.crashed:

@@ -16,8 +16,7 @@ module keeps the paper-facing surface:
 
 Ring behaviour is *trace-exact* through the unified core: the golden
 fixture ``tests/core/golden_ring_traces.json`` pins event streams,
-per-round peeks and results to the pre-refactor engine, for both the
-optimized and the reference (``optimized=False``) Look paths.
+per-round peeks and results to the pre-refactor engine.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ class Engine(SimulationCore):
         trace: Trace | None = None,
         port_tie_break: Callable[[Sequence[int]], int] = _default_tie_break,
         debug_invariants: bool | None = None,
-        optimized: bool = True,
     ) -> None:
         self.ring = ring
         super().__init__(
@@ -69,5 +67,4 @@ class Engine(SimulationCore):
             trace=trace,
             port_tie_break=port_tie_break,
             debug_invariants=debug_invariants,
-            optimized=optimized,
         )

@@ -20,7 +20,7 @@ core free of dependency cycles).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Hashable, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Any, Hashable, Protocol, runtime_checkable
 
 from .actions import Action
 from .memory import AgentMemory
@@ -92,9 +92,6 @@ class Topology(Protocol):
         """Build the agent's Look snapshot from its node's occupancy-index
         entry (``interior`` head-count *including* the observer when it
         stands in the interior; ``holders`` maps port -> agent index)."""
-
-    def snapshot_scan(self, agent: "AgentState", agents: Sequence["AgentState"]) -> Any:
-        """Reference Look: an O(k) scan over the team (``optimized=False``)."""
 
 
 @runtime_checkable

@@ -59,12 +59,10 @@ for crossings, ``_crash``), the Look reads ``_occ`` without going through
 :meth:`SimulationCore.snapshot_for`, and the end of round walks the live
 set and ticks clocks in line.  ``tests/core/test_campaign_path.py``
 budgets the calls per round.
-``optimized=False`` keeps the original scan-per-snapshot semantics as an
-executable reference; the equivalence tests in
-``tests/core/test_hotpath_equivalence.py`` assert both paths produce
-identical event streams and results, and the golden fixture in
-``tests/core/golden_ring_traces.json`` pins ring behaviour to the
-pre-refactor engine byte for byte.
+The golden fixtures in ``tests/core/`` pin behaviour byte for byte:
+``golden_ring_traces.json`` to the pre-refactor ring engine, and
+``golden_lockstep_traces.json`` to the retired O(k)-scan reference path
+(``tests/core/look_oracle.py`` keeps its scan Look as a test oracle).
 """
 
 from __future__ import annotations
@@ -135,8 +133,8 @@ class SimulationCore:
     The facades — :class:`repro.core.engine.Engine` (ring) and
     :class:`repro.extensions.dynamic_graph.DynamicGraphEngine` (arbitrary
     port-labelled graphs) — are thin constructors over this class; every
-    scheduler, transport model, termination mode, adversary hook and both
-    Look paths live here once, for all topologies.
+    scheduler, transport model, termination mode and adversary hook
+    lives here once, for all topologies.
     """
 
     def __init__(
@@ -152,7 +150,6 @@ class SimulationCore:
         trace=None,
         port_tie_break: Callable[[Sequence[int]], int] = _default_tie_break,
         debug_invariants: bool | None = None,
-        optimized: bool = True,
     ) -> None:
         if not positions:
             raise ConfigurationError("at least one agent is required")
@@ -172,7 +169,6 @@ class SimulationCore:
         # reads it once per round and times its phases only when set.
         self.instrument = None
         self._tie_break = port_tie_break
-        self._optimized = bool(optimized)
         self._debug = (
             _default_debug_invariants() if debug_invariants is None
             else bool(debug_invariants)
@@ -290,25 +286,12 @@ class SimulationCore:
     def snapshot_for(self, agent: AgentState):
         """Build the agent's Look snapshot of the current configuration.
 
-        On the optimized path this is an O(1) read of the occupancy index;
-        ``optimized=False`` keeps the original O(k) scan as the executable
-        reference the equivalence tests compare against.  The snapshot
-        *type* is topology-owned (ring: :class:`~repro.core.snapshot.Snapshot`,
+        An O(1) read of the occupancy index.  The snapshot *type* is
+        topology-owned (ring: :class:`~repro.core.snapshot.Snapshot`,
         graphs: :class:`~repro.extensions.dynamic_graph.GraphSnapshot`).
         """
-        if not self._optimized:
-            return self._snapshot_for_scan(agent)
         interior, holders = self._occ[agent.node]
         return self.topology.snapshot(agent, interior, holders)
-
-    def _snapshot_for_scan(self, agent: AgentState):
-        """Reference implementation: O(k) scan over the team (pre-index)."""
-        agents = self.agents
-        if self._crashed:
-            # A crashed agent vanished from the configuration; the scan
-            # must agree with the occupancy index it is checked against.
-            agents = [a for a in agents if not a.crashed]
-        return self.topology.snapshot_scan(agent, agents)
 
     def peek_intended_action(self, index: int) -> Action:
         """Simulate the agent's next Compute without side effects.
@@ -324,15 +307,12 @@ class SimulationCore:
         active or passively transported) or the occupancy of its node
         changes (detected via the node's monotonic version counter).  A
         cache miss still pays one :meth:`AgentMemory.clone` plus one
-        speculative Compute — see ``benchmarks/bench_engine_hotpath.py``
-        for what the cache is worth under the peek-heavy adversaries.
+        speculative Compute; ``tests/core/test_hotpath_equivalence.py``
+        budgets the Computes per round under a peek-heavy adversary.
         """
         agent = self.agents[index]
         if agent.terminated or agent.crashed:
             return STAY
-        if not self._optimized:
-            snapshot = self.snapshot_for(agent)
-            return self.algorithm.compute(snapshot, agent.memory.clone())
         return self._peek_entry(agent)[0]
 
     def peek_intended_edge(self, index: int):
@@ -349,20 +329,7 @@ class SimulationCore:
         agent = self.agents[index]
         if agent.terminated or agent.crashed:
             return None
-        if not self._optimized:
-            intent = self.peek_intended_action(index)
-            if intent.kind is not ActionKind.MOVE:
-                return None
-            return self.topology.edge_from(
-                agent.node, self._move_target(agent, intent))
         return self._peek_entry(agent)[4]
-
-    def _move_target(self, agent: AgentState, action: Action):
-        """The port a MOVE action aims at (local direction or port token)."""
-        direction = action.direction
-        if direction is not None:
-            return agent.left_global if direction is _LEFT else agent.right_global
-        return action.port
 
     def _peek_entry(self, agent: AgentState) -> tuple:
         """The agent's cached ``(action, node, port, version, edge)`` peek.
@@ -384,8 +351,14 @@ class SimulationCore:
             return entry
         snapshot = self.snapshot_for(agent)
         action = self.algorithm.compute(snapshot, agent.memory.clone())
-        if action.kind is ActionKind.MOVE:
-            edge = self.topology.edge_from(node, self._move_target(agent, action))
+        if action.kind is _MOVE:
+            # The port the MOVE aims at: a local direction or a port token.
+            direction = action.direction
+            if direction is None:
+                target = action.port
+            else:
+                target = agent.left_global if direction is _LEFT else agent.right_global
+            edge = self.topology.edge_from(node, target)
         else:
             edge = None
         entry = (action, node, agent.port, version, edge)
@@ -452,33 +425,23 @@ class SimulationCore:
 
         Agent decisions are mutually independent — a Compute only
         mutates its own agent's memory and no snapshot reads any memory
-        but the observer's — so the optimized path fuses Look and
-        Compute per agent; the reference path keeps the original
-        two-pass shape.
+        but the observer's — so Look and Compute are fused per agent.
         """
         decisions = self._decisions
         decisions.clear()
-        algorithm = self.algorithm
         agents = self.agents
-        if self._optimized:
-            # snapshot_for, unrolled: one index read and one topology call.
-            # The Look reads ``failed`` before this round clears it.
-            occ = self._occ
-            look = self.topology.snapshot
-            compute = algorithm.compute
-            for i in active:
-                agent = agents[i]
-                interior, holders = occ[agent.node]
-                snapshot = look(agent, interior, holders)
-                memory = agent.memory
-                memory.failed = False
-                decisions[i] = compute(snapshot, memory)
-        else:
-            snapshots = {i: self.snapshot_for(agents[i]) for i in active}
-            for i in active:
-                agent = agents[i]
-                agent.memory.failed = False
-                decisions[i] = algorithm.compute(snapshots[i], agent.memory)
+        # snapshot_for, unrolled: one index read and one topology call.
+        # The Look reads ``failed`` before this round clears it.
+        occ = self._occ
+        look = self.topology.snapshot
+        compute = self.algorithm.compute
+        for i in active:
+            agent = agents[i]
+            interior, holders = occ[agent.node]
+            snapshot = look(agent, interior, holders)
+            memory = agent.memory
+            memory.failed = False
+            decisions[i] = compute(snapshot, memory)
         return decisions
 
     def set_instrument(self, instrument) -> None:
@@ -548,8 +511,7 @@ class SimulationCore:
 
         A crashed agent releases its occupancy (a dead robot must not
         hold a port against the mutual-exclusion rule forever), leaves
-        the live set, and is invisible to every later Look snapshot —
-        on both the indexed and the reference scan path.
+        the live set, and is invisible to every later Look snapshot.
         """
         node = agent.node
         entry = self._occ[node]
@@ -599,29 +561,21 @@ class SimulationCore:
         traverse this round (the Move-phase participants).
 
         Port denial rule: a port occupied at the *start* of the round is
-        denied to new requesters all round.  The optimized path answers
-        "occupied at start?" from the live index plus ``_released`` (the
-        ports vacated earlier in this very call — explicitly by
-        ``ENTER_NODE`` or implicitly by an agent winning the opposite
-        port); the reference path snapshots the start set up front.
+        denied to new requesters all round.  "Occupied at start?" is the
+        live index plus ``_released`` (the ports vacated earlier in this
+        very call — explicitly by ``ENTER_NODE`` or implicitly by an
+        agent winning the opposite port).
 
         Both port-holding changes of this phase update the occupancy
         index here, in line: ``ENTER_NODE`` moves a port holder into the
         interior, a winner moves from the interior (or its other port)
         onto the requested port.  Each bumps the node's version counter.
         """
-        optimized = self._optimized
         agents = self.agents
         occ = self._occ
         versions = self._node_version
         released = self._released
         released.clear()
-        if optimized:
-            occupied_at_start = None
-        else:
-            occupied_at_start = {
-                (a.node, a.port) for a in agents if a.port is not None
-            }
         movers = self._movers
         movers.clear()
         requests = self._requests
@@ -675,14 +629,9 @@ class SimulationCore:
         tie_break = self._tie_break
         default_tie_break = tie_break is _default_tie_break
         for (node, target), contenders in requests.items():
-            if optimized:
-                entry = occ.get(node)
-                occupied = (
-                    entry is not None and target in entry[1]
-                ) or (node, target) in released
-            else:
-                occupied = (node, target) in occupied_at_start
-            if occupied:
+            entry = occ.get(node)
+            if (entry is not None and target in entry[1]) or (
+                    (node, target) in released):
                 winner = -1
             elif default_tie_break and len(contenders) == 1:
                 winner = contenders[0]

@@ -15,8 +15,6 @@ checks the adversary's choice and multi-edge removal is rejected outright
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .agent import AgentState
 from .directions import GlobalDirection, LocalDirection
 from .errors import AdversaryViolation
@@ -128,33 +126,6 @@ class RingTopology:
         if snap is None:
             snap = intern_snapshot(*key)
         return snap
-
-    def snapshot_scan(
-        self, agent: AgentState, agents: Sequence[AgentState]
-    ) -> Snapshot:
-        """Reference Look: the original O(k) scan over the team."""
-        others_in_node = 0
-        left_port = agent.orientation.to_global(LocalDirection.LEFT)
-        other_left = False
-        other_right = False
-        for other in agents:
-            if other.index == agent.index or other.node != agent.node:
-                continue
-            if other.port is None:
-                others_in_node += 1
-            elif other.port is left_port:
-                other_left = True
-            else:
-                other_right = True
-        return Snapshot(
-            on_port=agent.local_port(),
-            others_in_node=others_in_node,
-            other_on_left_port=other_left,
-            other_on_right_port=other_right,
-            is_landmark=self.ring.is_landmark(agent.node),
-            moved=agent.memory.moved,
-            failed=agent.memory.failed,
-        )
 
     def __repr__(self) -> str:
         return f"RingTopology({self.ring!r})"

@@ -19,8 +19,8 @@ protocol to the core's Algorithm protocol).  That buys every topology the
 full ring machinery for free: FSYNC/SSYNC schedulers, the NS/PT/ET
 transport models, explicit termination, tracing, the occupancy index, the
 peek cache (so look-ahead adversaries like
-:class:`~repro.adversary.blocking.BlockAgentAdversary` work here too) and
-the ``optimized=False`` reference Look path.  networkx is required.
+:class:`~repro.adversary.blocking.BlockAgentAdversary` work here too).
+networkx is required.
 """
 
 from __future__ import annotations
@@ -349,27 +349,6 @@ class GraphTopology:
             memory.moved, memory.failed, node == self.landmark,
         )
 
-    def snapshot_scan(self, agent, agents: Sequence) -> GraphSnapshot:
-        """Reference Look: the original O(k) scan over the team."""
-        others = 0
-        occupied: set[int] = set()
-        for other in agents:
-            if other.index == agent.index or other.node != agent.node:
-                continue
-            if other.port is None:
-                others += 1
-            else:
-                occupied.add(other.port)
-        return GraphSnapshot(
-            degree=self.degree(agent.node),
-            on_port=agent.port,
-            others_in_node=others,
-            occupied_ports=frozenset(occupied),
-            moved=agent.memory.moved,
-            failed=agent.memory.failed,
-            is_landmark=agent.node == self.landmark,
-        )
-
     def __repr__(self) -> str:
         return f"GraphTopology(n={self.size})"
 
@@ -409,7 +388,7 @@ class DynamicGraphEngine(SimulationCore):
     explorer adapter, defaults to the fully synchronous scheduler and a
     static adversary, and keeps the legacy attribute surface (``graph``,
     ``ports``, ``degree``, ``missing``).  Everything else — schedulers,
-    transports, termination, tracing, both Look paths — is inherited.
+    transports, termination, tracing, the peek cache — is inherited.
     """
 
     def __init__(
@@ -424,7 +403,6 @@ class DynamicGraphEngine(SimulationCore):
         trace=None,
         landmark=None,
         debug_invariants: bool | None = None,
-        optimized: bool = True,
     ) -> None:
         from ..schedulers.fsync import FsyncScheduler
 
@@ -438,7 +416,6 @@ class DynamicGraphEngine(SimulationCore):
             transport=transport,
             trace=trace,
             debug_invariants=debug_invariants,
-            optimized=optimized,
         )
         self.graph = topology.graph
         self.ports = topology.ports

@@ -50,8 +50,7 @@ HISTORY_SCHEMA = 1
 #: run without the graph section) simply records no value for that
 #: headline — ``check`` compares only headlines the latest entry has.
 HEADLINES: dict[str, tuple[str, ...]] = {
-    "engine.rounds_per_s": ("headline", "optimized", "rounds_per_s"),
-    "engine.speedup": ("headline", "speedup"),
+    "engine.rounds_per_s": ("headline", "rounds_per_s"),
     "batch.cells_per_s": ("batch", "headline", "batched", "cells_per_s"),
     "batch.speedup": ("batch", "headline", "speedup"),
     "batch.pt_et.speedup": ("batch", "headline_pt_et", "speedup"),

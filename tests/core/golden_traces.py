@@ -8,14 +8,16 @@ every per-round peek of every agent, and the final result — and
 ``tests/core/golden_ring_traces.json`` pins the digests produced by the
 **pre-refactor engine** (recorded at the commit that still contained the
 legacy loop).  The equivalence suite replays the same cells through the
-current engine and asserts byte-identical digests, for both the
-optimized and the reference (``optimized=False``) paths.
+current engine and asserts byte-identical digests.  The legacy engine
+had two Look paths, an indexed one and an O(k)-scan reference; each cell
+carries one digest per path (``-opt``/``-ref``) and the two are equal.
 
 ``tests/core/golden_lockstep_traces.json`` freezes the rest of what the
-optimized-vs-reference lockstep suite compared: the ring matrix at seed
-7, the graph cells under their per-round snapshot/state discipline, and
-20 fixed chaos-protocol configurations.  Each digest was recorded with
-both paths asserted equal.
+lockstep suite compared while the engine still carried the reference
+path (``optimized=False``): the ring matrix at seed 7, the graph cells
+under their per-round snapshot/state discipline, and 20 fixed
+chaos-protocol configurations.  Each digest was recorded on the engine
+of 3121d16 with both paths asserted equal.
 
 Regenerate (only when a *deliberate* behaviour change is being made)::
 
@@ -74,13 +76,16 @@ GOLDEN_CELLS = [
 GOLDEN_SEEDS = (0, 1)
 
 
-def cell_id(cell: CellConfig, optimized: bool) -> str:
-    path = "opt" if optimized else "ref"
+#: The legacy engine's two Look paths, as suffixes of the fixture keys.
+LEGACY_PATHS = ("opt", "ref")
+
+
+def ring_key(cell: CellConfig) -> str:
     return (f"{cell.algorithm}-{cell.adversary}-{cell.transport}"
-            f"-n{cell.ring_size}-k{cell.agents}-seed{cell.seed}-{path}")
+            f"-n{cell.ring_size}-k{cell.agents}-seed{cell.seed}")
 
 
-def run_digest(cell: CellConfig, *, optimized: bool) -> str:
+def run_digest(cell: CellConfig) -> str:
     """One canonical sha256 over a run's events, peeks and result.
 
     Uses only process-stable serialisations (enum ``.value``/``.name``,
@@ -92,7 +97,7 @@ def run_digest(cell: CellConfig, *, optimized: bool) -> str:
     from repro.core.trace import Trace
 
     trace = Trace(limit=None)
-    engine = build_cell_engine(cell, trace=trace, optimized=optimized)
+    engine = build_cell_engine(cell, trace=trace)
     return _peek_digest(engine, trace, cell.max_rounds)
 
 
@@ -150,13 +155,13 @@ def record() -> dict[str, str]:
     for cell in GOLDEN_CELLS:
         for seed in GOLDEN_SEEDS:
             seeded = replace(cell, seed=seed)
-            for optimized in (True, False):
-                digests[cell_id(seeded, optimized)] = run_digest(
-                    seeded, optimized=optimized)
+            digest = run_digest(seeded)
+            for path in LEGACY_PATHS:
+                digests[f"{ring_key(seeded)}-{path}"] = digest
     return digests
 
 
-def golden_result_payload(cell: CellConfig, *, optimized: bool = True) -> dict:
+def golden_result_payload(cell: CellConfig) -> dict:
     """The ``result`` block of :func:`run_digest`'s payload, un-hashed.
 
     Runs the exact stepping discipline the digest uses (step up to
@@ -168,7 +173,7 @@ def golden_result_payload(cell: CellConfig, *, optimized: bool = True) -> dict:
     """
     from repro.campaigns.registry import build_cell_engine
 
-    engine = build_cell_engine(cell, optimized=optimized)
+    engine = build_cell_engine(cell)
     for _ in range(cell.max_rounds):
         if not engine.step():
             break
@@ -181,8 +186,7 @@ def load_fixture() -> dict[str, str]:
 
 # ----------------------------------------------------------------------
 # The lockstep fixture: what the optimized-vs-reference lockstep suite
-# compared, frozen as digests.  Every digest was recorded with both
-# engine paths asserted equal (``record_lockstep``).
+# compared, frozen as digests (recorded with both paths asserted equal).
 # ----------------------------------------------------------------------
 
 LOCKSTEP_FIXTURE = Path(__file__).with_name("golden_lockstep_traces.json")
@@ -232,18 +236,13 @@ GRAPH_SEEDS = (0, 3)
 CHAOS_ROUNDS = 50
 
 
-def ring_key(cell: CellConfig) -> str:
-    return (f"{cell.algorithm}-{cell.adversary}-{cell.transport}"
-            f"-n{cell.ring_size}-k{cell.agents}-seed{cell.seed}")
-
-
 def graph_key(cell: CellConfig) -> str:
     return (f"{cell.algorithm}-{cell.topology}-{cell.adversary}"
             f"-{cell.scheduler}-n{cell.ring_size}-k{cell.agents}"
             f"-seed{cell.seed}")
 
 
-def graph_digest(cell: CellConfig, *, optimized: bool) -> str:
+def graph_digest(cell: CellConfig) -> str:
     """Digest of a graph cell under the lockstep suite's discipline.
 
     Per round: every agent's Look snapshot, then one step, then every
@@ -255,7 +254,7 @@ def graph_digest(cell: CellConfig, *, optimized: bool) -> str:
     from repro.core.trace import Trace
 
     trace = Trace(limit=None)
-    engine = build_graph_cell_engine(cell, trace=trace, optimized=optimized)
+    engine = build_graph_cell_engine(cell, trace=trace)
     rounds = []
     for _ in range(cell.max_rounds):
         looks = []
@@ -332,7 +331,7 @@ def chaos_configs(count: int = 20, seed: int = 2016) -> list[dict]:
             for i in range(count)]
 
 
-def build_chaos_engine(config: dict, *, trace=None, optimized: bool = True):
+def build_chaos_engine(config: dict, *, trace=None):
     """The ring engine one chaos configuration describes."""
     from repro.adversary import RandomMissingEdge
     from repro.api import build_engine
@@ -352,40 +351,33 @@ def build_chaos_engine(config: dict, *, trace=None, optimized: bool = True):
                    else RandomFairScheduler(seed=seed + 1)),
         transport=TransportModel(config["transport"]),
         trace=trace,
-        optimized=optimized,
     )
 
 
-def chaos_digest(config: dict, *, optimized: bool) -> str:
+def chaos_digest(config: dict) -> str:
     """Digest of one chaos configuration: events, peeks and result."""
     from repro.core.trace import Trace
 
     trace = Trace(limit=None)
-    engine = build_chaos_engine(config, trace=trace, optimized=optimized)
+    engine = build_chaos_engine(config, trace=trace)
     return _peek_digest(engine, trace, CHAOS_ROUNDS)
 
 
 def record_lockstep() -> dict:
-    """Record the lockstep fixture, asserting both engine paths agree."""
+    """The lockstep fixture's digests, from the current engine."""
     from dataclasses import replace
-
-    def both(digest, *args) -> str:
-        opt = digest(*args, optimized=True)
-        ref = digest(*args, optimized=False)
-        assert opt == ref, f"optimized and reference paths diverge: {args}"
-        return opt
 
     ring = {}
     for cell in GOLDEN_CELLS:
         for seed in RING_LOCKSTEP_SEEDS:
             seeded = replace(cell, seed=seed)
-            ring[ring_key(seeded)] = both(run_digest, seeded)
+            ring[ring_key(seeded)] = run_digest(seeded)
     graph = {}
     for cell in GRAPH_CELLS:
         for seed in GRAPH_SEEDS:
             seeded = replace(cell, seed=seed)
-            graph[graph_key(seeded)] = both(graph_digest, seeded)
-    chaos = [dict(config, digest=both(chaos_digest, config))
+            graph[graph_key(seeded)] = graph_digest(seeded)
+    chaos = [dict(config, digest=chaos_digest(config))
              for config in chaos_configs()]
     return {"ring": ring, "graph": graph, "chaos": chaos}
 
@@ -402,8 +394,8 @@ if __name__ == "__main__":  # pragma: no cover - manual regeneration entry
                         help="rewrite the legacy fixture from the current "
                              "engine")
     parser.add_argument("--record-lockstep", action="store_true",
-                        help="rewrite the lockstep fixture (asserts the "
-                             "optimized and reference paths agree)")
+                        help="rewrite the lockstep fixture from the current "
+                             "engine")
     args = parser.parse_args()
     if args.record_lockstep:
         pins = record_lockstep()

@@ -1,4 +1,4 @@
-"""Differential suite: BatchCore vs the scalar cores, cell by cell.
+"""Differential suite: BatchCore vs the scalar core, cell by cell.
 
 The vectorized batch engine re-implements the FSYNC round loop as
 whole-array NumPy operations; these tests are its correctness proof,
@@ -7,7 +7,7 @@ built on the shared harness (:mod:`repro.analysis.differential`):
 * a deterministic grid — >= 20 cells x 3 seeds covering every
   vectorizable algorithm/adversary pair, every placement policy, bound
   overrides and mirrored orientations — executed as real mixed batches
-  and compared against *both* scalar paths;
+  and compared against the scalar core;
 * lockstep round-by-round state equality (positions, ports, every
   memory counter) so divergences that cancel by run end still fail;
 * hypothesis-generated compositions: random ring sizes, placements and
@@ -26,7 +26,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.differential import (
-    SCALAR_PATHS,
     differential_cells,
     lockstep_divergence,
     result_payload,
@@ -188,12 +187,12 @@ class TestGridEquivalence:
         assert all(batch_eligible(c) for c in GRID)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_batch_agrees_with_both_scalar_paths(self, seed):
-        """The whole grid as ONE mixed batch, against both scalar paths."""
+    def test_batch_agrees_with_scalar(self, seed):
+        """The whole grid as ONE mixed batch, against the scalar core."""
         from dataclasses import replace
 
         cells = [replace(c, seed=seed) for c in GRID]
-        divergences = differential_cells(cells, paths=SCALAR_PATHS)
+        divergences = differential_cells(cells)
         assert not divergences, "\n".join(str(d) for d in divergences)
 
     def test_round_counts_match_cell_by_cell(self):
@@ -202,7 +201,7 @@ class TestGridEquivalence:
 
         results = run_batch_cells(GRID)
         for cell, batch_result in zip(GRID, results):
-            scalar = scalar_result(cell, optimized=True)
+            scalar = scalar_result(cell)
             assert batch_result.rounds == scalar.rounds, cell
             assert batch_result.halted_reason == scalar.halted_reason, cell
 
@@ -568,7 +567,7 @@ class TestWidthAndScale:
                             agents=2, max_rounds=12, seed=s,
                             adversary="random")
                  for s in range(2)]
-        assert not differential_cells(cells, paths=("optimized",))
+        assert not differential_cells(cells)
 
     def test_width_one_still_correct(self, monkeypatch):
         monkeypatch.setattr("repro.core.batch.BATCH_WIDTH", 1)
@@ -576,7 +575,7 @@ class TestWidthAndScale:
         from repro.core.batch import _split_batches
 
         assert len(_split_batches(list(enumerate(cells)))) == 4
-        assert not differential_cells(cells, paths=("optimized",))
+        assert not differential_cells(cells)
 
 
 # -- hypothesis: any valid composition agrees ---------------------------
@@ -633,7 +632,7 @@ class TestHypothesisCompositions:
     @given(cells=st.lists(_eligible_cell(), min_size=1, max_size=6))
     def test_any_valid_batch_agrees_cell_by_cell(self, cells):
         assert all(batch_eligible(c) for c in cells)
-        divergences = differential_cells(cells, paths=("optimized",))
+        divergences = differential_cells(cells)
         assert not divergences, "\n".join(str(d) for d in divergences)
 
     @settings(max_examples=15, deadline=None)

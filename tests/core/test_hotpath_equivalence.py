@@ -1,132 +1,78 @@
-"""Trace-equivalence between the optimized and reference engine paths.
+"""The engine's hot path against its frozen oracles.
 
-The hot-path rebuild (occupancy index, peek caching, snapshot interning,
-fused Look/Compute) must be *behaviourally invisible*: seed-matched
-configurations run through ``optimized=True`` and ``optimized=False``
-must produce identical :class:`~repro.core.trace.Trace` event streams,
-identical :class:`~repro.core.results.RunResult`s, identical per-round
-peeks, and (for the graph engine) identical per-round agent state.
+The hot path (occupancy index, peek cache, snapshot interning, fused
+Look/Compute) must be *behaviourally invisible*.  It was proven in
+lockstep against an O(k)-scan reference path; that path is retired, and
+what the lockstep compared is pinned as digests:
 
-Coverage is property-style: a grid of named campaign cells spanning every
-transport model and every peeking adversary, plus a hypothesis chaos
-algorithm under random adversaries/schedulers.
+* ``golden_ring_traces.json`` — the ring matrix at seeds 0 and 1,
+  recorded by the pre-refactor engine on both of its Look paths;
+* ``golden_lockstep_traces.json`` — the ring matrix at seed 7, the graph
+  cells at seeds 0 and 3, and 20 chaos-protocol configurations, recorded
+  with the reference path asserted equal.
+
+Between fixtures, single-engine invariants check every round: the
+indexed Look against the scan Look of ``tests/core/look_oracle.py``,
+every cached peek against a fresh Compute, and port mutual exclusion.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.adversary import RandomMissingEdge
 from repro.campaigns.registry import build_cell_engine, build_graph_cell_engine
 from repro.campaigns.spec import CellConfig
-from repro.core import Engine, LEFT, RIGHT, Ring, STAY, TransportModel, move
+from repro.core import Engine, LEFT, Ring, STAY
+from repro.core.actions import ActionKind
 from repro.core.snapshot import intern_snapshot
-from repro.schedulers import FsyncScheduler, RandomFairScheduler
+from repro.schedulers import FsyncScheduler
+
+from tests.core import golden_traces
+from tests.core.look_oracle import graph_look, ring_look
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
-def _lockstep(cell: CellConfig, rounds: int | None = None):
-    """Run a cell through both paths in lockstep; compare as we go."""
-    from repro.core.trace import Trace
-
-    t_opt, t_ref = Trace(limit=None), Trace(limit=None)
-    opt = build_cell_engine(cell, trace=t_opt, optimized=True)
-    ref = build_cell_engine(cell, trace=t_ref, optimized=False)
-    horizon = rounds if rounds is not None else cell.max_rounds
-    for _ in range(horizon):
-        # Peeks (cached on the optimized path, fresh on the reference one)
-        # must agree for every live agent before each round.
-        for agent in opt.agents:
-            i = agent.index
-            assert opt.peek_intended_action(i) == ref.peek_intended_action(i)
-            assert opt.peek_intended_edge(i) == ref.peek_intended_edge(i)
-        stepped_opt = opt.step()
-        stepped_ref = ref.step()
-        assert stepped_opt == stepped_ref
-        if not stepped_opt:
-            break
-    assert t_opt.events == t_ref.events
-    assert opt._build_result("equivalence") == ref._build_result("equivalence")
-    return opt, ref
+@pytest.fixture(scope="module")
+def lockstep_pins():
+    return golden_traces.load_lockstep_fixture()
 
 
-# One cell per (transport x adversary-style) corner, every peeking
-# adversary included; ring sizes/horizons sized to finish fast while
-# leaving the constructions room to exhibit their behaviour.
-EQUIVALENCE_CELLS = [
-    CellConfig(algorithm="known-bound", ring_size=12, agents=2, max_rounds=80,
-               adversary="random", transport="ns"),
-    CellConfig(algorithm="known-bound", ring_size=10, agents=5, max_rounds=80,
-               adversary="random", scheduler="round-robin", transport="ns"),
-    CellConfig(algorithm="unconscious", ring_size=9, agents=3, max_rounds=60,
-               adversary="random", transport="ns", stop_on_exploration=True),
-    CellConfig(algorithm="landmark-chirality", ring_size=10, agents=2,
-               max_rounds=120, adversary="random", transport="ns", landmark=0),
-    CellConfig(algorithm="landmark-no-chirality", ring_size=8, agents=2,
-               max_rounds=200, adversary="block-agent", transport="ns",
-               landmark=0, chirality=False, flipped=(1,)),
-    CellConfig(algorithm="known-bound", ring_size=10, agents=2, max_rounds=120,
-               adversary="prevent-meetings", transport="ns"),
-    CellConfig(algorithm="known-bound", ring_size=12, agents=6, max_rounds=150,
-               adversary="ns-starvation", transport="ns"),
-    CellConfig(algorithm="known-bound", ring_size=9, agents=2, max_rounds=40,
-               adversary="figure2", transport="ns", placement="explicit",
-               positions=(0, 1), chirality=False, flipped=(0, 1)),
-    CellConfig(algorithm="pt-bound", ring_size=10, agents=2, max_rounds=200,
-               adversary="zigzag", transport="pt", adversary_arg=3),
-    CellConfig(algorithm="pt-landmark", ring_size=9, agents=2, max_rounds=200,
-               adversary="random", transport="pt", landmark=0),
-    CellConfig(algorithm="pt-bound-3", ring_size=9, agents=3, max_rounds=250,
-               adversary="random", transport="pt"),
-    CellConfig(algorithm="et-unconscious", ring_size=8, agents=2, max_rounds=200,
-               adversary="random", transport="et"),
-    CellConfig(algorithm="et-exact", ring_size=9, agents=3, max_rounds=300,
-               adversary="random", transport="et", bound=9),
-    CellConfig(algorithm="et-exact", ring_size=12, agents=3, max_rounds=200,
-               adversary="theorem19", transport="et", bound=6,
-               placement="explicit", positions=(0, 2, 4)),
-]
+@pytest.mark.parametrize("index", range(14), ids=lambda i: f"cell{i}")
+@pytest.mark.parametrize("seed", golden_traces.RING_LOCKSTEP_SEEDS)
+def test_ring_lockstep_replay(lockstep_pins, index, seed):
+    """Ring matrix at seed 7: events, every per-round peek, result."""
+    cell = replace(golden_traces.GOLDEN_CELLS[index], seed=seed)
+    assert (golden_traces.run_digest(cell)
+            == lockstep_pins["ring"][golden_traces.ring_key(cell)])
 
 
-@pytest.mark.parametrize(
-    "cell", EQUIVALENCE_CELLS,
-    ids=[f"{c.algorithm}-{c.adversary}-{c.transport}" for c in EQUIVALENCE_CELLS],
-)
-@pytest.mark.parametrize("seed", [0, 1, 7])
-def test_cell_equivalence(cell: CellConfig, seed: int):
-    from dataclasses import replace
+@pytest.mark.parametrize("index", range(10), ids=lambda i: f"cell{i}")
+@pytest.mark.parametrize("seed", golden_traces.GRAPH_SEEDS)
+def test_graph_lockstep_replay(lockstep_pins, index, seed):
+    """Graph cells: events, per-round snapshots and agent state, result."""
+    pytest.importorskip("networkx")
+    cell = replace(golden_traces.GRAPH_CELLS[index], seed=seed)
+    assert (golden_traces.graph_digest(cell)
+            == lockstep_pins["graph"][golden_traces.graph_key(cell)])
 
-    _lockstep(replace(cell, seed=seed))
+
+@pytest.mark.parametrize("index", range(20), ids=lambda i: f"config{i}")
+def test_chaos_lockstep_replay(lockstep_pins, index):
+    """Fixed chaos-protocol configurations: events, peeks, result."""
+    config = lockstep_pins["chaos"][index]
+    assert golden_traces.chaos_digest(config) == config["digest"]
 
 
-class ChaosAlgorithm:
-    """Deterministic pseudo-random protocol (hash of own observations)."""
-
-    name = "hotpath-chaos"
-
-    def __init__(self, seed: int) -> None:
-        self._seed = seed
-
-    def setup(self, memory) -> None:
+def _peek_edge(engine, agent, action):
+    """The edge a MOVE ``action`` of ``agent`` would try to cross."""
+    if action.kind is not ActionKind.MOVE:
         return None
-
-    def compute(self, snapshot, memory):
-        h = hash((self._seed, memory.Ttime, memory.Tsteps, memory.net,
-                  snapshot.on_port, snapshot.others_in_node,
-                  snapshot.other_on_left_port, snapshot.other_on_right_port,
-                  snapshot.moved, snapshot.failed))
-        choice = h % 4
-        if choice == 0:
-            return move(LEFT)
-        if choice == 1:
-            return move(RIGHT)
-        if choice == 2 and snapshot.on_port is not None:
-            from repro.core.actions import ENTER_NODE
-
-            return ENTER_NODE
-        return STAY
+    port = agent.left_global if action.direction is LEFT else agent.right_global
+    return engine.topology.edge_from(agent.node, port)
 
 
 @settings(max_examples=40, deadline=None)
@@ -134,53 +80,60 @@ class ChaosAlgorithm:
     seed=st.integers(0, 2**20),
     n=st.integers(4, 12),
     agents=st.integers(1, 5),
-    transport=st.sampled_from(list(TransportModel)),
+    transport=st.sampled_from(["ns", "pt", "et"]),
     fsync=st.booleans(),
 )
 def test_chaos_equivalence(seed, n, agents, transport, fsync):
-    """Random protocols, adversaries and schedulers: both paths agree."""
-    from repro.api import build_engine
-    from repro.core.trace import Trace
+    """Random protocols, adversaries and schedulers, checked every round:
 
-    def make(optimized: bool) -> tuple[Engine, Trace]:
-        trace = Trace(limit=None)
-        engine = build_engine(
-            ChaosAlgorithm(seed),
-            ring_size=n,
-            positions=[(seed + 3 * i) % n for i in range(agents)],
-            landmark=seed % n if seed % 2 else None,
-            chirality=False,
-            flipped=tuple(i for i in range(agents) if (seed >> i) & 1),
-            adversary=RandomMissingEdge(seed=seed),
-            scheduler=(FsyncScheduler() if fsync
-                       else RandomFairScheduler(seed=seed + 1)),
-            transport=transport,
-            trace=trace,
-            optimized=optimized,
-        )
-        return engine, trace
+    * the indexed Look equals the scan oracle;
+    * every cached peek (action and edge) equals a fresh Compute on a
+      clone of the agent's memory;
+    * no port occupied at the start of the round gets a new holder
+      during it.
+    """
+    engine = golden_traces.build_chaos_engine(
+        {"seed": seed, "n": n, "agents": agents, "transport": transport,
+         "fsync": fsync})
+    held_at_start: dict = {}
+    resolve = engine._resolve_actions
 
-    opt, t_opt = make(True)
-    ref, t_ref = make(False)
-    for _ in range(50):
-        for agent in opt.agents:
-            assert (opt.peek_intended_action(agent.index)
-                    == ref.peek_intended_action(agent.index))
-        opt.step()
-        ref.step()
-    assert t_opt.events == t_ref.events
-    assert opt._build_result("x") == ref._build_result("x")
+    def resolve_checked(decisions):
+        movers = resolve(decisions)
+        for agent in engine.agents:
+            if agent.port is not None:
+                key = (agent.node, agent.port)
+                assert held_at_start.get(key, agent.index) == agent.index, (
+                    f"port {key} changed hands in round {engine.round_no}")
+        return movers
+
+    engine._resolve_actions = resolve_checked
+    for _ in range(golden_traces.CHAOS_ROUNDS):
+        for agent in engine.agents:
+            look = ring_look(engine, agent)
+            assert engine.snapshot_for(agent) == look
+            if agent.terminated:
+                continue
+            fresh = engine.algorithm.compute(look, agent.memory.clone())
+            assert engine.peek_intended_action(agent.index) == fresh
+            assert (engine.peek_intended_edge(agent.index)
+                    == _peek_edge(engine, agent, fresh))
+        held_at_start.clear()
+        held_at_start.update({(a.node, a.port): a.index
+                              for a in engine.agents if a.port is not None})
+        if not engine.step():
+            break
 
 
 def test_indexed_snapshot_matches_scan_every_round():
-    """On one optimized engine, the index read equals a fresh O(k) scan."""
+    """The index read equals a fresh O(k) scan, every round."""
     cell = CellConfig(algorithm="known-bound", ring_size=10, agents=6,
                       max_rounds=60, adversary="random", transport="ns",
                       scheduler="random-fair")
     engine = build_cell_engine(cell)
     for _ in range(60):
         for agent in engine.agents:
-            assert engine.snapshot_for(agent) == engine._snapshot_for_scan(agent)
+            assert engine.snapshot_for(agent) == ring_look(engine, agent)
         if not engine.step():
             break
 
@@ -202,6 +155,33 @@ def test_cached_peek_matches_fresh_compute():
         engine.step()
 
 
+#: Computes per round on the engine bench's headline cell (n=1000, k=32,
+#: ``ns-starvation``).  The adversary peeks at every agent every round,
+#: so each uncached peek costs a Compute: 33.0 per round with the peek
+#: cache cleared every round (34.0 on the retired reference path), 2.1
+#: with the cache.
+COMPUTES_PER_ROUND_BUDGET = 2.5
+
+
+def test_peek_cache_bounds_computes_per_round():
+    cell = CellConfig(algorithm="known-bound", ring_size=1000, agents=32,
+                      max_rounds=300, adversary="ns-starvation",
+                      transport="ns")
+    engine = build_cell_engine(cell)
+    compute = engine.algorithm.compute
+    calls = 0
+
+    def counted(snapshot, memory):
+        nonlocal calls
+        calls += 1
+        return compute(snapshot, memory)
+
+    engine.algorithm.compute = counted
+    result = engine.run(cell.max_rounds)
+    assert result.rounds == cell.max_rounds
+    assert calls / result.rounds <= COMPUTES_PER_ROUND_BUDGET
+
+
 def test_snapshot_interning_reuses_instances():
     snap_a = intern_snapshot(None, 1, False, True, False, True, False)
     snap_b = intern_snapshot(None, 1, False, True, False, True, False)
@@ -221,78 +201,6 @@ def test_occupancy_index_survives_model_check_deepcopy():
     assert result.worst_value == 3 * 5 - 6
 
 
-#: Graph cells across the widened matrix the unified core opened up:
-#: SSYNC schedulers, ET transport, the peeking block-agent adversary and
-#: an explicitly terminating explorer — all on non-ring topologies.
-GRAPH_CELLS = [
-    CellConfig(algorithm="random-walk", ring_size=12, agents=3, max_rounds=150,
-               adversary="random", topology="ring"),
-    CellConfig(algorithm="random-walk", ring_size=10, agents=2, max_rounds=150,
-               adversary="random", topology="path"),
-    CellConfig(algorithm="rotor-router", ring_size=12, agents=3, max_rounds=150,
-               adversary="random", topology="torus"),
-    CellConfig(algorithm="rotor-router", ring_size=11, agents=4, max_rounds=150,
-               adversary="none", topology="cactus"),
-    CellConfig(algorithm="rotor-router", ring_size=12, agents=3, max_rounds=200,
-               adversary="block-agent", topology="torus",
-               scheduler="round-robin"),
-    CellConfig(algorithm="rotor-router-terminating", ring_size=9, agents=2,
-               max_rounds=400, adversary="random", topology="cactus",
-               scheduler="random-fair", transport="et"),
-    # The Observation-2 port: meeting prevention through the generic
-    # topology, on the path (every removal suppressed — the degree-2
-    # boundary) and on the graph-facade ring (every removal legal).
-    CellConfig(algorithm="rotor-router", ring_size=9, agents=2, max_rounds=200,
-               adversary="prevent-meetings", topology="path"),
-    CellConfig(algorithm="rotor-router", ring_size=10, agents=2, max_rounds=200,
-               adversary="prevent-meetings", topology="ring",
-               scheduler="round-robin"),
-    # Theorem 9's combined adversary/scheduler off the ring: starves the
-    # ring, is forced to let the path explore.
-    CellConfig(algorithm="rotor-router", ring_size=8, agents=2, max_rounds=150,
-               adversary="ns-starvation", topology="path",
-               stop_on_exploration=True),
-    CellConfig(algorithm="rotor-router", ring_size=8, agents=2, max_rounds=150,
-               adversary="ns-starvation", topology="ring"),
-]
-
-
-@pytest.mark.parametrize(
-    "cell", GRAPH_CELLS,
-    ids=[f"{c.algorithm}-{c.topology}-{c.adversary}-{c.scheduler}"
-         for c in GRAPH_CELLS],
-)
-@pytest.mark.parametrize("seed", [0, 3])
-def test_graph_engine_equivalence(cell: CellConfig, seed: int):
-    """Graph cells: indexed and scan paths agree on full per-round state."""
-    from dataclasses import replace
-
-    pytest.importorskip("networkx")
-    from repro.core.trace import Trace
-
-    cell = replace(cell, seed=seed)
-    t_opt, t_ref = Trace(limit=None), Trace(limit=None)
-    opt = build_graph_cell_engine(cell, trace=t_opt, optimized=True)
-    ref = build_graph_cell_engine(cell, trace=t_ref, optimized=False)
-    for _ in range(cell.max_rounds):
-        for a_opt, a_ref in zip(opt.agents, ref.agents):
-            assert opt.snapshot_for(a_opt) == ref.snapshot_for(a_ref)
-        stepped_opt = opt.step()
-        stepped_ref = ref.step()
-        assert stepped_opt == stepped_ref
-        state_opt = [(a.node, a.port, a.terminated, a.memory.moved,
-                      a.memory.Tsteps) for a in opt.agents]
-        state_ref = [(a.node, a.port, a.terminated, a.memory.moved,
-                      a.memory.Tsteps) for a in ref.agents]
-        assert state_opt == state_ref
-        if opt.exploration_complete or not stepped_opt:
-            break
-    assert t_opt.events == t_ref.events
-    assert opt.visited == ref.visited
-    assert opt.exploration_round == ref.exploration_round
-    assert opt._build_result("equivalence") == ref._build_result("equivalence")
-
-
 def test_graph_index_matches_scan_every_round():
     pytest.importorskip("networkx")
     cell = CellConfig(algorithm="random-walk", ring_size=9, agents=5,
@@ -300,56 +208,8 @@ def test_graph_index_matches_scan_every_round():
     engine = build_graph_cell_engine(cell)
     for _ in range(80):
         for agent in engine.agents:
-            assert engine.snapshot_for(agent) == engine._snapshot_for_scan(agent)
+            assert engine.snapshot_for(agent) == graph_look(engine, agent)
         engine.step()
-
-
-class TestLockstepFixture:
-    """The lockstep comparisons above, frozen as digests.
-
-    ``tests/core/golden_lockstep_traces.json`` was recorded with the
-    optimized and reference paths asserted equal; both must replay it.
-    """
-
-    @pytest.fixture(scope="class")
-    def pins(self):
-        from tests.core import golden_traces
-
-        return golden_traces.load_lockstep_fixture()
-
-    @pytest.mark.parametrize("optimized", [True, False], ids=["opt", "ref"])
-    @pytest.mark.parametrize("index", range(14), ids=lambda i: f"cell{i}")
-    def test_ring_replay(self, pins, index, optimized):
-        from dataclasses import replace
-
-        from tests.core import golden_traces
-
-        for seed in golden_traces.RING_LOCKSTEP_SEEDS:
-            cell = replace(golden_traces.GOLDEN_CELLS[index], seed=seed)
-            assert (golden_traces.run_digest(cell, optimized=optimized)
-                    == pins["ring"][golden_traces.ring_key(cell)])
-
-    @pytest.mark.parametrize("optimized", [True, False], ids=["opt", "ref"])
-    @pytest.mark.parametrize("index", range(10), ids=lambda i: f"cell{i}")
-    def test_graph_replay(self, pins, index, optimized):
-        from dataclasses import replace
-
-        from tests.core import golden_traces
-
-        pytest.importorskip("networkx")
-        for seed in golden_traces.GRAPH_SEEDS:
-            cell = replace(golden_traces.GRAPH_CELLS[index], seed=seed)
-            assert (golden_traces.graph_digest(cell, optimized=optimized)
-                    == pins["graph"][golden_traces.graph_key(cell)])
-
-    @pytest.mark.parametrize("optimized", [True, False], ids=["opt", "ref"])
-    @pytest.mark.parametrize("index", range(20), ids=lambda i: f"config{i}")
-    def test_chaos_replay(self, pins, index, optimized):
-        from tests.core import golden_traces
-
-        config = pins["chaos"][index]
-        assert (golden_traces.chaos_digest(config, optimized=optimized)
-                == config["digest"])
 
 
 class TestUnifiedVsLegacyGolden:
@@ -362,33 +222,25 @@ class TestUnifiedVsLegacyGolden:
     optimized and the reference Look paths.  Replaying the same cells
     through the unified core must reproduce each digest exactly: this is
     the unified-vs-legacy lockstep proof, with the legacy side frozen in
-    the fixture.
+    the fixture.  One run per cell is checked against both pinned paths.
     """
 
     @pytest.fixture(scope="class")
     def pinned(self):
-        from tests.core import golden_traces
-
         return golden_traces.load_fixture()
 
     @pytest.mark.parametrize(
         "index", range(14), ids=lambda i: f"cell{i}")
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("optimized", [True, False],
-                             ids=["opt", "ref"])
-    def test_ring_digest_matches_legacy(self, pinned, index, seed, optimized):
-        from dataclasses import replace
-
-        from tests.core import golden_traces
-
+    def test_ring_digest_matches_legacy(self, pinned, index, seed):
         cell = replace(golden_traces.GOLDEN_CELLS[index], seed=seed)
-        key = golden_traces.cell_id(cell, optimized)
-        assert key in pinned, f"fixture missing {key}; regenerate deliberately"
-        assert golden_traces.run_digest(cell, optimized=optimized) == pinned[key]
+        digest = golden_traces.run_digest(cell)
+        for path in golden_traces.LEGACY_PATHS:
+            key = f"{golden_traces.ring_key(cell)}-{path}"
+            assert key in pinned, f"fixture missing {key}; regenerate deliberately"
+            assert digest == pinned[key], key
 
     def test_fixture_covers_the_whole_matrix(self, pinned):
-        from tests.core import golden_traces
-
         assert len(golden_traces.GOLDEN_CELLS) == 14
         assert len(pinned) == 14 * len(golden_traces.GOLDEN_SEEDS) * 2
 
@@ -412,8 +264,6 @@ class TestBatchVsGolden:
         # cell 4 is landmark-no-chirality under block-agent.
         from repro.core.batch_rules import batch_eligible
 
-        from tests.core import golden_traces
-
         qualifying = [i for i, cell in enumerate(golden_traces.GOLDEN_CELLS)
                       if batch_eligible(cell)]
         assert qualifying == [0, 1, 2, 3, 4, 9, 10, 11, 12]
@@ -422,20 +272,16 @@ class TestBatchVsGolden:
                              ids=lambda i: f"cell{i}")
     @pytest.mark.parametrize("seed", [0, 1])
     def test_batch_replay_matches_pinned_result(self, index, seed):
-        from dataclasses import replace
-
         from repro.analysis.differential import result_payload
         from repro.core.batch import BatchCore, numpy_available
-
-        from tests.core import golden_traces
 
         if not numpy_available():
             pytest.skip("batch core needs numpy")
         cell = replace(golden_traces.GOLDEN_CELLS[index], seed=seed)
         # the digest of this very run is still the legacy-pinned one
         pinned = golden_traces.load_fixture()
-        assert (golden_traces.run_digest(cell, optimized=True)
-                == pinned[golden_traces.cell_id(cell, True)])
+        assert (golden_traces.run_digest(cell)
+                == pinned[f"{golden_traces.ring_key(cell)}-opt"])
         golden = golden_traces.golden_result_payload(cell)
         # replay under the digest's stepping discipline: no early stop
         # on exploration; the "golden" halt label is the loop's, not a
@@ -470,8 +316,6 @@ def test_debug_invariants_flag_resolution():
     cell = CellConfig(algorithm="known-bound", ring_size=6, agents=2,
                       max_rounds=10, adversary="none", transport="ns")
     assert not build_cell_engine(cell)._debug
-    from dataclasses import replace
-
     noisy = replace(cell, debug_invariants=True)
     assert build_cell_engine(noisy)._debug
     # The flag only changes the store key when enabled (old stores resume).

@@ -279,8 +279,7 @@ class TestBenchVerb:
         path = Path("BENCH_engine.json")
         path.write_text(json.dumps(
             {"mode": "smoke",
-             "headline": {"speedup": 8.0,
-                          "optimized": {"rounds_per_s": rps}}}))
+             "headline": {"rounds_per_s": rps}}))
         return path
 
     def test_record_and_check_roundtrip(self, capsys):

@@ -23,9 +23,8 @@ def main(argv):
 def bench(rounds_per_s=20000.0, speedup=8.0, mode="smoke"):
     return {
         "mode": mode,
-        "headline": {"speedup": speedup,
-                     "optimized": {"rounds_per_s": rounds_per_s}},
-        "batch": {"headline": {"speedup": 8.5,
+        "headline": {"rounds_per_s": rounds_per_s},
+        "batch": {"headline": {"speedup": speedup,
                                "batched": {"cells_per_s": 300.0}}},
     }
 
@@ -40,17 +39,17 @@ class TestExtract:
     def test_known_headlines_extracted(self):
         got = extract_headlines(bench())
         assert got["engine.rounds_per_s"] == 20000.0
-        assert got["engine.speedup"] == 8.0
+        assert got["batch.speedup"] == 8.0
         assert got["batch.cells_per_s"] == 300.0
         assert set(got) < set(HEADLINES)
 
     def test_missing_sections_skipped(self):
-        assert extract_headlines({"headline": {"speedup": 2.0}}) == {
-            "engine.speedup": 2.0}
+        assert extract_headlines({"headline": {"rounds_per_s": 2.0}}) == {
+            "engine.rounds_per_s": 2.0}
         assert extract_headlines({}) == {}
 
     def test_non_numeric_leaf_skipped(self):
-        assert extract_headlines({"headline": {"speedup": "fast"}}) == {}
+        assert extract_headlines({"headline": {"rounds_per_s": "fast"}}) == {}
 
 
 class TestRecord:
@@ -118,7 +117,7 @@ class TestCheck:
     def test_headline_missing_from_baseline_ignored(self, tmp_path):
         hist = tmp_path / "hist.jsonl"
         path = tmp_path / "partial.json"
-        path.write_text(json.dumps({"headline": {"speedup": 8.0}}))
+        path.write_text(json.dumps({"batch": {"headline": {"speedup": 8.0}}}))
         record(path, hist, git_sha="a", now=0.0)
         record(write_bench(tmp_path, rounds_per_s=100.0), hist,
                git_sha="b", now=1.0)
@@ -201,7 +200,7 @@ class TestLikeForLike:
                          + [(self.HOST_B, "smoke", 20000.0, 3.0)])
         problems = check(hist)
         assert len(problems) == 1
-        assert problems[0].startswith("engine.speedup")
+        assert problems[0].startswith("batch.speedup")
 
     def test_entry_without_host_has_no_rate_baseline(self, tmp_path):
         # rows recorded before fingerprints: rates are not comparable

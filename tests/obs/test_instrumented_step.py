@@ -2,9 +2,9 @@
 
 ``SimulationCore.step`` times its phases only when a ``PhaseTimer`` is
 attached (``set_instrument``).  These tests pin that a timed run
-produces exactly the same trajectory, round for round, on both the
-optimized and the reference engines, across adversaries and transports,
-and that the timer's totals land in the metrics registry.
+produces exactly the same trajectory, round for round, across
+adversaries and transports, and that the timer's totals land in the
+metrics registry.
 """
 
 import pytest
@@ -26,9 +26,9 @@ CELLS = [
 ]
 
 
-def run_trajectory(cell: CellConfig, *, optimized: bool, instrument):
+def run_trajectory(cell: CellConfig, *, instrument):
     """(positions, missing, explored) per round, plus the final engine."""
-    engine = build_cell_engine(cell, optimized=optimized)
+    engine = build_cell_engine(cell)
     engine.set_instrument(instrument)
     states = []
     for _ in range(cell.max_rounds):
@@ -45,14 +45,12 @@ def run_trajectory(cell: CellConfig, *, optimized: bool, instrument):
     return states, engine
 
 
-@pytest.mark.parametrize("optimized", [True, False],
-                         ids=["optimized", "reference"])
 @pytest.mark.parametrize("cell", CELLS,
                          ids=[c.algorithm + "/" + c.adversary for c in CELLS])
-def test_instrumented_trajectory_identical(cell, optimized):
-    plain, _ = run_trajectory(cell, optimized=optimized, instrument=None)
+def test_instrumented_trajectory_identical(cell):
+    plain, _ = run_trajectory(cell, instrument=None)
     timer = PhaseTimer()
-    timed, _ = run_trajectory(cell, optimized=optimized, instrument=timer)
+    timed, _ = run_trajectory(cell, instrument=timer)
     assert timed == plain
     assert timer.rounds == len(plain)
     # wall-clock accumulated somewhere (phases are >= 0 by construction)

@@ -115,6 +115,21 @@ class TestScheduledCrashes:
         for _count, ports in engine._occ.values():
             assert 0 not in ports.values()
 
+    def test_crashed_agent_vanishes_from_every_look(self):
+        """The indexed Look drops a crashed agent, as a fresh scan does."""
+        from tests.core.look_oracle import ring_look
+
+        engine = build_cell_engine(cell(agents=3, placement="origin",
+                                        faults="crash:0@3"))
+        for _ in range(40):
+            for agent in engine.agents:
+                if not agent.crashed:
+                    assert engine.snapshot_for(agent) == ring_look(
+                        engine, agent)
+            if not engine.step():
+                break
+        assert engine.agents[0].crashed
+
     def test_fault_free_cell_reports_no_census(self):
         result = build_cell_engine(cell()).run(400)
         assert result.crashed_count is None

@@ -322,10 +322,12 @@ class TestUnifiedCoreMachinery:
             def choose_port(self, snapshot, memory):
                 return None
 
+        from tests.core.look_oracle import graph_look
+
         engine = DynamicGraphEngine(torus(3, 3), Idle(), [4], landmark=4)
         snap = engine.snapshot_for(engine.agents[0])
         assert snap.is_landmark
-        assert engine._snapshot_for_scan(engine.agents[0]).is_landmark
+        assert graph_look(engine, engine.agents[0]).is_landmark
 
     def test_run_returns_the_unified_result_type(self):
         from repro.core.results import RunResult
