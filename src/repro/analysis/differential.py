@@ -3,14 +3,13 @@
 The vectorized batch engine (:mod:`repro.core.batch`) re-implements the
 round loop — FSYNC and the mask-replayable SSYNC schedulers, all three
 transports, every registry algorithm, fault plans and the block-agent
-adversary — as whole-array operations, so
-its correctness argument is *empirical by construction*: every claim of
-equivalence is backed by executing the same cells through
-:class:`~repro.core.batch.BatchCore` and the scalar
-:class:`~repro.core.sim.SimulationCore` and comparing everything
-observable.  This module
-is that harness, packaged once so the equivalence suite, the golden-
-trace replay and ad-hoc sweeps all share one definition of "agrees":
+adversary — as whole-array operations, so its correctness argument is
+*empirical by construction*: every claim of equivalence is backed by
+executing the same cells through :class:`~repro.core.batch.BatchCore`
+and the scalar :class:`~repro.core.sim.SimulationCore` and comparing
+everything observable.  This module is that harness, packaged once so
+the equivalence suite, the golden-trace replay and ad-hoc sweeps all
+share one definition of "agrees":
 
 * :func:`result_payload` — the canonical comparable essence of a
   :class:`~repro.core.results.RunResult` (exactly the ``result`` block
@@ -98,8 +97,8 @@ def differential_cells(cells: Iterable[CellConfig]) -> list[Divergence]:
     including cells that terminate at different rounds — exactly the
     composition a campaign chunk hands :func:`run_batch_cells`), then
     each cell is re-run scalar and the payloads compared field by
-    field.  An empty return is the equivalence proof
-    for this composition.
+    field.  An empty return is the equivalence proof for this
+    composition.
     """
     cells = list(cells)
     for cell in cells:
