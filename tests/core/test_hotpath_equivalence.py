@@ -14,6 +14,8 @@ what the lockstep compared is pinned as digests:
 Between fixtures, single-engine invariants check every round: the
 indexed Look against the scan Look of ``tests/core/look_oracle.py``,
 every cached peek against a fresh Compute, and port mutual exclusion.
+They run on random chaos protocols and on the ring matrix itself at the
+lockstep suite's seeds 0, 1 and 7.
 """
 
 from __future__ import annotations
@@ -75,16 +77,8 @@ def _peek_edge(engine, agent, action):
     return engine.topology.edge_from(agent.node, port)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**20),
-    n=st.integers(4, 12),
-    agents=st.integers(1, 5),
-    transport=st.sampled_from(["ns", "pt", "et"]),
-    fsync=st.booleans(),
-)
-def test_chaos_equivalence(seed, n, agents, transport, fsync):
-    """Random protocols, adversaries and schedulers, checked every round:
+def _check_every_round(engine, rounds: int) -> None:
+    """Step ``engine`` up to ``rounds`` times, checking every round:
 
     * the indexed Look equals the scan oracle;
     * every cached peek (action and edge) equals a fresh Compute on a
@@ -92,9 +86,6 @@ def test_chaos_equivalence(seed, n, agents, transport, fsync):
     * no port occupied at the start of the round gets a new holder
       during it.
     """
-    engine = golden_traces.build_chaos_engine(
-        {"seed": seed, "n": n, "agents": agents, "transport": transport,
-         "fsync": fsync})
     held_at_start: dict = {}
     resolve = engine._resolve_actions
 
@@ -108,7 +99,7 @@ def test_chaos_equivalence(seed, n, agents, transport, fsync):
         return movers
 
     engine._resolve_actions = resolve_checked
-    for _ in range(golden_traces.CHAOS_ROUNDS):
+    for _ in range(rounds):
         for agent in engine.agents:
             look = ring_look(engine, agent)
             assert engine.snapshot_for(agent) == look
@@ -123,6 +114,35 @@ def test_chaos_equivalence(seed, n, agents, transport, fsync):
                               for a in engine.agents if a.port is not None})
         if not engine.step():
             break
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**20),
+    n=st.integers(4, 12),
+    agents=st.integers(1, 5),
+    transport=st.sampled_from(["ns", "pt", "et"]),
+    fsync=st.booleans(),
+)
+def test_chaos_equivalence(seed, n, agents, transport, fsync):
+    """Random protocols, adversaries and schedulers, checked every round."""
+    engine = golden_traces.build_chaos_engine(
+        {"seed": seed, "n": n, "agents": agents, "transport": transport,
+         "fsync": fsync})
+    _check_every_round(engine, golden_traces.CHAOS_ROUNDS)
+
+
+@pytest.mark.parametrize(
+    "cell", golden_traces.GOLDEN_CELLS,
+    ids=[f"{c.algorithm}-{c.adversary}-{c.transport}"
+         for c in golden_traces.GOLDEN_CELLS],
+)
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_cell_equivalence(cell: CellConfig, seed: int):
+    """The paper's algorithms under every peeking adversary, checked every
+    round against the scan Look, a fresh Compute and port exclusion."""
+    cell = replace(cell, seed=seed)
+    _check_every_round(build_cell_engine(cell), cell.max_rounds)
 
 
 def test_indexed_snapshot_matches_scan_every_round():
