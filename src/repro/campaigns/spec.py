@@ -25,11 +25,13 @@ say "run Theorem 8 to its O(n log n) deadline".
 from __future__ import annotations
 
 import ast
+import functools
 import hashlib
 import itertools
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..core.errors import ConfigurationError
@@ -104,20 +106,34 @@ def resolve_horizon(horizon: int | str, *, n: int, bound: int | None, agents: in
     """
     if isinstance(horizon, bool) or not isinstance(horizon, (int, str)):
         raise ConfigurationError(f"horizon must be int or str, got {horizon!r}")
-    if isinstance(horizon, int):
-        value = horizon
-    else:
-        variables = {"n": n, "N": bound if bound is not None else n, "k": agents}
-        try:
-            tree = ast.parse(horizon, mode="eval")
-        except SyntaxError as exc:
-            raise ConfigurationError(f"bad horizon expression {horizon!r}: {exc}") from exc
-        try:
-            value = _eval_horizon_node(tree, variables)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"bad horizon expression {horizon!r}: {exc}") from exc
-        except Exception as exc:
-            raise ConfigurationError(f"bad horizon expression {horizon!r}: {exc}") from exc
+    if isinstance(horizon, str):
+        return _expression_rounds(horizon, n, bound, agents)
+    return _positive_rounds(horizon, horizon)
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _expression_rounds(expression: str, n: int, bound: int | None,
+                       agents: int) -> int:
+    """:func:`resolve_horizon` of an expression, memoised.
+
+    A sweep asks for a handful of distinct ``(expression, n, bound, k)``
+    over thousands of cells, and parsing dominates.  ``typed`` keeps
+    ``True`` and ``1`` apart; a refusal raises (so is not cached) on
+    every call.
+    """
+    variables = {"n": n, "N": bound if bound is not None else n, "k": agents}
+    try:
+        tree = ast.parse(expression, mode="eval")
+    except SyntaxError as exc:
+        raise ConfigurationError(f"bad horizon expression {expression!r}: {exc}") from exc
+    try:
+        value = _eval_horizon_node(tree, variables)
+    except Exception as exc:
+        raise ConfigurationError(f"bad horizon expression {expression!r}: {exc}") from exc
+    return _positive_rounds(expression, value)
+
+
+def _positive_rounds(horizon: int | str, value) -> int:
     value = int(value)
     if value <= 0:
         raise ConfigurationError(f"horizon {horizon!r} resolved to {value} <= 0")
@@ -198,27 +214,27 @@ class CellConfig:
             raise ConfigurationError(f"max_rounds must be >= 1, got {self.max_rounds}")
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-able, round-trips via :meth:`from_dict`)."""
-        out: dict[str, Any] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
+        """Plain-dict form (JSON-able, round-trips via :meth:`from_dict`).
+
+        Keys follow the field order.  ``flipped`` and ``positions`` are
+        the tuple fields (``__post_init__`` makes them tuples); they
+        become lists, as JSON decodes them.
+        """
+        out = dict(zip(_FIELD_NAMES, _field_values(self)))
+        out["flipped"] = list(self.flipped)
+        if self.positions is not None:
+            out["positions"] = list(self.positions)
         return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CellConfig":
         # Records and queued chunks from before routing was a run-level
         # setting carry a ``batch`` field; it never entered the key.
-        kwargs = {k: v for k, v in data.items() if k != "batch"}
-        unknown = set(kwargs) - {f.name for f in fields(cls)}
+        kwargs = dict(data)
+        kwargs.pop("batch", None)
+        unknown = kwargs.keys() - _FIELD_SET
         if unknown:
             raise ConfigurationError(f"unknown cell fields: {sorted(unknown)}")
-        if kwargs.get("flipped") is not None:
-            kwargs["flipped"] = tuple(kwargs["flipped"])
-        if kwargs.get("positions") is not None:
-            kwargs["positions"] = tuple(kwargs["positions"])
         return cls(**kwargs)
 
     def key(self) -> str:
@@ -233,12 +249,19 @@ class CellConfig:
         (:data:`_KEY_EXCLUDED_DEFAULTS`) are excluded while at their
         default, so stores written by older versions still resume.
         """
-        fields_for_hash = {k: v for k, v in self.to_dict().items()
-                           if k != "label"}
+        return self.key_from_dict(self.to_dict())
+
+    @staticmethod
+    def key_from_dict(data: Mapping[str, Any]) -> str:
+        """:meth:`key` of the cell whose :meth:`to_dict` form (or its JSON
+        round trip) is ``data``: a caller that encodes the cell anyway
+        hashes the same dict instead of building a second one."""
+        fields_for_hash = dict(data)
+        fields_for_hash.pop("label", None)
         for name, default in _KEY_EXCLUDED_DEFAULTS.items():
-            if fields_for_hash.get(name) == default:
+            if name in fields_for_hash and fields_for_hash[name] == default:
                 del fields_for_hash[name]
-        canonical = json.dumps(fields_for_hash, sort_keys=True, separators=(",", ":"))
+        canonical = canonical_json(fields_for_hash)
         return hashlib.sha256(canonical.encode()).hexdigest()[:24]
 
     def resolved_positions(self) -> tuple[int, ...]:
@@ -249,6 +272,16 @@ class CellConfig:
             positions=self.positions,
         )
 
+
+#: CellConfig's field names, in order (:meth:`CellConfig.to_dict`'s keys).
+_FIELD_NAMES = tuple(f.name for f in fields(CellConfig))
+_FIELD_SET = frozenset(_FIELD_NAMES)
+_field_values = attrgetter(*_FIELD_NAMES)
+
+#: JSON with sorted keys and no whitespace: the bytes store keys hash
+#: and queue payloads carry (``json.dumps(..., sort_keys=True,
+#: separators=(",", ":"))`` without building an encoder per call).
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 #: Spec/variant keys that are control syntax, not CellConfig fields.
 _SPEC_CONTROL_KEYS = {"grid", "label", "horizon"}
@@ -317,29 +350,23 @@ class CampaignSpec:
         return resolved
 
     def cells(self) -> Iterator[CellConfig]:
-        """Expand the spec into concrete cells, deterministically ordered."""
-        for variant in self.resolved_variants():
+        """Expand the spec into concrete cells, deterministically ordered.
+
+        Every variant is checked before the first cell is built, so a
+        bad key fails the whole spec by name instead of surfacing per
+        cell.
+        """
+        variants = self.resolved_variants()
+        for variant in variants:
+            self._check_variant(variant)
+        from .registry import ALGORITHMS  # late: registry imports us
+
+        for variant in variants:
             scalars = {
                 k: v for k, v in variant.items() if k not in _SPEC_CONTROL_KEYS
             }
             grid = variant["grid"]
             horizon = variant.get("horizon")
-            given = scalars.keys() | grid.keys()
-            if "batch" in given:
-                # Cells dropped the field when routing became a run
-                # setting; from_dict still drops it from stored records.
-                raise ConfigurationError(
-                    f"spec {self.name!r}: 'batch' is no longer a cell "
-                    "field; choose the route per run with "
-                    "--batch auto|on|off")
-            if horizon is not None:
-                given |= {"max_rounds"}
-            missing = sorted(_REQUIRED_FIELDS - given)
-            if missing:
-                raise ConfigurationError(
-                    f"spec {self.name!r}: cells need "
-                    + ", ".join(map(repr, missing))
-                    + (" (or a 'horizon')" if "max_rounds" in missing else ""))
             # Sorted keys make expansion order canonical: a spec serialised
             # through JSON/YAML (which may reorder dict keys) expands to the
             # same cell sequence as the original.
@@ -351,8 +378,6 @@ class CampaignSpec:
                     # Respect the registry's per-algorithm default (e.g.
                     # et-exact is a 3-agent protocol) instead of the
                     # generic CellConfig default of 2.
-                    from .registry import ALGORITHMS  # late: registry imports us
-
                     entry = ALGORITHMS.get(cell_fields.get("algorithm"))
                     if entry is not None:
                         cell_fields["agents"] = entry.default_agents
@@ -363,7 +388,41 @@ class CampaignSpec:
                         bound=cell_fields.get("bound"),
                         agents=cell_fields.get("agents", 2),
                     )
-                yield CellConfig.from_dict(cell_fields)
+                yield CellConfig(**cell_fields)
+
+    def _check_variant(self, variant: Mapping[str, Any]) -> None:
+        """Refuse a resolved variant whose keys cannot make cells."""
+        given = variant.keys() - _SPEC_CONTROL_KEYS | variant["grid"].keys()
+        if "batch" in given:
+            # Cells dropped the field when routing became a run
+            # setting; from_dict still drops it from stored records.
+            raise ConfigurationError(
+                f"spec {self.name!r}: 'batch' is no longer a cell "
+                "field; choose the route per run with "
+                "--batch auto|on|off")
+        unknown = sorted(given - _FIELD_SET)
+        if unknown:
+            import difflib
+
+            hints = []
+            for key in unknown:
+                close = difflib.get_close_matches(
+                    key, [*_FIELD_NAMES, "horizon"], n=1)
+                hints.append(repr(key) + (f" (did you mean {close[0]!r}?)"
+                                          if close else ""))
+            where = f"spec {self.name!r}" + (
+                f", variant {variant['label']!r}" if variant["label"] else "")
+            raise ConfigurationError(
+                f"{where}: unknown key{'s' if len(unknown) > 1 else ''} "
+                + ", ".join(hints))
+        if variant.get("horizon") is not None:
+            given |= {"max_rounds"}
+        missing = sorted(_REQUIRED_FIELDS - given)
+        if missing:
+            raise ConfigurationError(
+                f"spec {self.name!r}: cells need "
+                + ", ".join(map(repr, missing))
+                + (" (or a 'horizon')" if "max_rounds" in missing else ""))
 
     @classmethod
     def merged(

@@ -73,6 +73,8 @@ class TestCampaignCli:
         ({"ring_size": 6}, "cells need 'max_rounds' (or a 'horizon')"),
         ({"ring_size": 6, "max_rounds": 50, "batch": "off"},
          "'batch' is no longer a cell field"),
+        ({"ring_size": 6, "horizn": "3 * n"},
+         "spec 'bad': unknown key 'horizn' (did you mean 'horizon'?)"),
     ])
     def test_bad_spec_file_exits_2_with_one_line(self, in_tmp, capsys,
                                                  base, message):

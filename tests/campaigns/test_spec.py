@@ -108,6 +108,33 @@ class TestHorizon:
         with pytest.raises(ConfigurationError):
             resolve_horizon("n - 100", n=8, bound=None, agents=2)
 
+    def test_bool_is_refused_after_the_equal_int_resolved(self):
+        """``True == 1``: the memo must not hand back the int's answer."""
+        assert resolve_horizon(1, n=8, bound=None, agents=2) == 1
+        with pytest.raises(ConfigurationError, match="int or str"):
+            resolve_horizon(True, n=8, bound=None, agents=2)
+        assert resolve_horizon("k", n=8, bound=None, agents=1) == 1
+        with pytest.raises(ConfigurationError, match="int or str"):
+            resolve_horizon(True, n=8, bound=None, agents=1)
+
+    def test_typed_memo_keeps_bool_and_int_variables_apart(self):
+        assert resolve_horizon("n * k", n=8, bound=None, agents=1) == 8
+        # ``k`` = True evaluates as 1 either way; the memo keys them apart.
+        assert resolve_horizon("n * k", n=8, bound=None, agents=True) == 8
+        from repro.campaigns.spec import _expression_rounds
+
+        _expression_rounds.cache_clear()
+        resolve_horizon("n * k", n=8, bound=None, agents=1)
+        resolve_horizon("n * k", n=8, bound=None, agents=True)
+        assert _expression_rounds.cache_info().misses == 2
+
+    @pytest.mark.parametrize("expression", ["import os", "n +", "x * n",
+                                            "n - 100", "n / 0", "open(n)"])
+    def test_refusals_raise_on_every_call(self, expression):
+        for _ in range(3):
+            with pytest.raises(ConfigurationError):
+                resolve_horizon(expression, n=8, bound=None, agents=2)
+
 
 class TestCampaignSpec:
     def spec(self) -> CampaignSpec:
@@ -197,6 +224,47 @@ class TestCampaignSpec:
             spec.grid["batch"] = ["on", "off"]
         with pytest.raises(ConfigurationError, match="'batch'.*--batch"):
             spec.cell_list()
+
+    @pytest.mark.parametrize("where, key, hint", [
+        ("base", "ring_sise", "ring_size"),
+        ("variant", "horizn", "horizon"),
+        ("grid", "seeds", "seed"),
+        ("variant", "optimized", None),
+    ])
+    def test_unknown_key_is_refused_by_name(self, where, key, hint):
+        """A misspelled key names the spec, the variant and the key,
+        before any cell is built."""
+        spec = self.spec()
+        spec.variants = [{"label": "fine"}, {"label": "typo"}]
+        if where == "base":
+            spec.base[key] = 6
+        elif where == "variant":
+            spec.variants[1][key] = 6
+        else:
+            spec.variants[1]["grid"] = {key: [0, 1]}
+        cells = spec.cells()
+        label = "fine" if where == "base" else "typo"
+        with pytest.raises(ConfigurationError) as info:
+            next(cells)
+        message = str(info.value)
+        assert f"spec 't', variant {label!r}: unknown key {key!r}" in message
+        if hint is not None:
+            assert f"did you mean {hint!r}?" in message
+        else:
+            assert "did you mean" not in message
+
+    def test_unknown_keys_are_listed_together(self):
+        spec = CampaignSpec(name="t", base={
+            "algorithm": "known-bound", "ring_size": 6, "max_rounds": 9,
+            "zz": 1, "agnets": 2})
+        with pytest.raises(ConfigurationError,
+                           match="unknown keys 'agnets' .*'agents'.*, 'zz'"):
+            spec.cell_list()
+
+    def test_stored_records_keep_from_dicts_check(self):
+        with pytest.raises(ConfigurationError, match="unknown cell fields"):
+            CellConfig.from_dict({**cell().to_dict(), "ring_sise": 6})
+        assert CellConfig.from_dict({**cell().to_dict(), "batch": "on"}) == cell()
 
     @pytest.mark.parametrize("field", ["algorithm", "ring_size", "max_rounds"])
     def test_missing_required_field_is_named(self, field):
