@@ -48,7 +48,7 @@ from ...resilience.retry import retry
 from ..executor import plan_chunks
 from ..leases import DEFAULT_LEASE_TTL_S, DEFAULT_MAX_ATTEMPTS, LeaseLost
 from ..registry import validate_cell
-from ..spec import CellConfig
+from ..spec import CellConfig, canonical_json
 from ..stores import ResultStore, open_store
 from ..stores.base import SCHEMA_VERSION
 from ..stores.sqlite import INSERT_RESULT_SQL, result_rows
@@ -272,26 +272,30 @@ class WorkQueue:
         cells = list(cells)
         for cell in cells:
             validate_cell(cell)
-        keyed = [(cell.key(), cell) for cell in cells]
+        # One to_dict per cell: the same dict is hashed into the key and
+        # serialised into the chunk payload.
+        encoded = [(cell, cell.to_dict()) for cell in cells]
+        keyed = [(CellConfig.key_from_dict(data), cell, data)
+                 for cell, data in encoded]
         done = self.store.completed_keys()
         errored = set() if retry_failed else self.store.error_keys()
-        skipped_done = sum(1 for key, _ in keyed if key in done)
+        skipped_done = sum(1 for key, _, _ in keyed if key in done)
         skipped_failed = sum(
-            1 for key, _ in keyed if key not in done and key in errored)
+            1 for key, _, _ in keyed if key not in done and key in errored)
         # Dedupe within the batch too (two spec variants can collapse to
         # identical cells): the first occurrence wins, the rest count as
         # already queued.
         seen: set[str] = set()
         duplicates = 0
         runnable = []
-        for key, cell in keyed:
+        for key, cell, data in keyed:
             if key in done or key in errored:
                 continue
             if key in seen:
                 duplicates += 1
                 continue
             seen.add(key)
-            runnable.append((key, cell))
+            runnable.append((key, cell, data))
         # The planner every mode shares, sized for this host's usable
         # CPUs (the fleet's size is unknown here): each shape group wide
         # enough to batch in chunks that fill the vector width (one
@@ -306,12 +310,11 @@ class WorkQueue:
         # re-hashing) and the inserts, so fleet heartbeats/claims queued
         # behind a large enqueue wait microseconds, not a key-hash pass.
         prepared = [
-            (wide, [key for key, _ in chunk],
-             json.dumps([cell.to_dict() for _, cell in chunk],
-                        sort_keys=True, separators=(",", ":")))
+            (wide, [key for key, _, _ in chunk],
+             canonical_json([data for _, _, data in chunk]))
             for wide, chunk in planned
         ]
-        by_key = dict(runnable)   # built outside the write lock
+        by_key = {key: data for key, _, data in runnable}  # outside the lock
 
         def body(conn):
             queued = self._chunk_keys(conn, "pending", "leased")
@@ -322,9 +325,7 @@ class WorkQueue:
                 if len(kept) != len(keys):
                     # Rare overlap with a concurrent enqueue: rebuild the
                     # chunk from the surviving cells only.
-                    payload = json.dumps(
-                        [by_key[k].to_dict() for k in kept],
-                        sort_keys=True, separators=(",", ":"))
+                    payload = canonical_json([by_key[k] for k in kept])
                     keys = kept
                 if not keys:
                     continue

@@ -129,18 +129,20 @@ def test_every_mode_batches_the_eligible_cells(outcomes):
 def test_every_mode_keys_each_cell_once(mode, tmp_path, monkeypatch):
     """A run hashes each cell once, where it dedupes (serial, pool) or
     enqueues (distributed) it; the key rides with the chunk into the
-    record.  Forked pool and queue workers log their calls too."""
+    record.  Every key goes through ``CellConfig.key_from_dict``
+    (``key()`` included), and forked pool and queue workers log their
+    calls too."""
     spec, cells = mixed_cells()
     log = tmp_path / "key-calls.txt"
-    key = CellConfig.key
+    key_from_dict = CellConfig.key_from_dict
 
-    def logged_key(cell):
-        value = key(cell)
+    def logged_key(data):
+        value = key_from_dict(data)
         with log.open("a") as fh:
             fh.write(value + "\n")
         return value
 
-    monkeypatch.setattr(CellConfig, "key", logged_key)
+    monkeypatch.setattr(CellConfig, "key_from_dict", staticmethod(logged_key))
     store = SqliteStore(tmp_path / "r.db", campaign=spec.name)
     execute(mode, spec, cells, store)
     monkeypatch.undo()
