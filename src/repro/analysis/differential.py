@@ -34,7 +34,7 @@ from typing import Any, Iterable
 
 from ..campaigns.registry import build_cell_engine
 from ..campaigns.spec import CellConfig
-from ..core.batch import BatchCore, batch_ineligible_reason, run_batch_cells
+from ..core.batch import BatchCore, batch_ineligible_reason, run_routed_cells
 from ..core.errors import ConfigurationError
 from ..core.results import RunResult
 
@@ -90,23 +90,27 @@ class Divergence:
                 f"batch={self.batch_value!r} scalar={self.scalar_value!r}")
 
 
-def differential_cells(cells: Iterable[CellConfig]) -> list[Divergence]:
-    """Run a batch composition through both cores; collect divergences.
-
-    The cells are executed *as one batch* (mixed sizes/seeds/adversaries,
-    including cells that terminate at different rounds — exactly the
-    composition a campaign chunk hands :func:`run_batch_cells`), then
-    each cell is re-run scalar and the payloads compared field by
-    field.  An empty return is the equivalence proof for this
-    composition.
-    """
-    cells = list(cells)
+def _require_eligible(cells: Iterable[CellConfig]) -> None:
     for cell in cells:
         reason = batch_ineligible_reason(cell)
         if reason is not None:
             raise ConfigurationError(
                 f"differential harness got a batch-ineligible cell: {reason}")
-    batch_results = run_batch_cells(cells)
+
+
+def differential_cells(cells: Iterable[CellConfig]) -> list[Divergence]:
+    """Run a batch composition through both cores; collect divergences.
+
+    The cells are executed *as one batch* (mixed sizes/seeds/adversaries,
+    including cells that terminate at different rounds — exactly the
+    composition a campaign chunk hands :func:`run_routed_cells`), then
+    each cell is re-run scalar and the payloads compared field by
+    field.  An empty return is the equivalence proof for this
+    composition.
+    """
+    cells = list(cells)
+    _require_eligible(cells)
+    batch_results = run_routed_cells(cells)
     divergences: list[Divergence] = []
     for cell, batch_result in zip(cells, batch_results):
         batch_payload = result_payload(batch_result)
@@ -155,6 +159,7 @@ def lockstep_divergence(cell: CellConfig) -> str | None:
     stepped exactly as :meth:`BatchCore.advance` halts — the halt-check
     mirroring is itself under test here.
     """
+    _require_eligible([cell])
     core = BatchCore([cell])
     engine = build_cell_engine(cell)
     mismatch = _agent_mismatch(core.debug_state(0), engine)

@@ -167,11 +167,12 @@ def _execute_cell(cell: CellConfig, key: str) -> dict[str, Any]:
 
 
 def run_batch_cells(cells: Sequence[CellConfig]) -> list:
-    """:func:`repro.core.batch.run_batch_cells`, imported on first use:
-    only a process that runs a batch loads BatchCore and NumPy."""
-    from ..core.batch import run_batch_cells as run
+    """:func:`repro.core.batch.run_routed_cells`, imported on first use:
+    only a process that runs a batch loads BatchCore and NumPy.  The
+    cells must be batch-eligible; :func:`run_chunk` checked them."""
+    from ..core.batch import run_routed_cells
 
-    return run(cells)
+    return run_routed_cells(cells)
 
 
 def run_chunk(
@@ -214,21 +215,23 @@ def run_chunk(
     rec = obs_spans.recorder()
     reg = obs_metrics.registry() if obs_metrics.enabled() else None
     records: list[dict[str, Any] | None] = [None] * len(cells)
-    vectorize = numpy_available() and (
-        batch == "on" or (planned and batch != "off"))
+    numpy_ok = numpy_available()
+    vectorize = numpy_ok and (batch == "on" or (planned and batch != "off"))
+    # One verdict per cell (``None`` = eligible) both routes it and names
+    # its rejection counter.
+    verdicts = ([batch_ineligible_key(cell) for cell in cells]
+                if numpy_ok and batch != "off"
+                and (vectorize or reg is not None) else None)
     vector = ([(i, cell) for i, cell in enumerate(cells)
-               if batch_eligible(cell)] if vectorize else [])
+               if verdicts[i] is None] if vectorize else [])
     if reg is not None:
         reg.counter("executor.chunks").inc()
         reg.histogram("executor.chunk_cells").observe(len(cells))
         routed = {i for i, _ in vector}
-        for i, cell in enumerate(cells):
+        for i in range(len(cells)):
             if batch == "off" or i in routed:
                 continue
-            if not numpy_available():
-                reason_key = "no_numpy"
-            else:
-                reason_key = batch_ineligible_key(cell) or "narrow"
+            reason_key = (verdicts[i] or "narrow") if numpy_ok else "no_numpy"
             reg.counter(f"{BATCH_REJECT_PREFIX}{reason_key}").inc()
     batched = 0
     if vector:

@@ -165,6 +165,9 @@ class BatchCore:
     """
 
     def __init__(self, cells: Sequence["CellConfig"]) -> None:
+        """Lay out ``cells``, which must be batch-eligible and share one
+        :func:`batch_shape`.  Eligibility is not re-checked here:
+        :func:`run_batch_cells` checks it, and the executor routes by it."""
         global _np
         if not numpy_available():
             raise ConfigurationError("BatchCore requires numpy (HAVE_NUMPY is false)")
@@ -179,10 +182,6 @@ class BatchCore:
                 "a BatchCore batch must share one algorithm and agent count "
                 f"(got {sorted(algorithms)} x {sorted(agent_counts)}); "
                 "run_batch_cells groups heterogeneous batches")
-        for cell in cells:
-            reason = batch_ineligible_reason(cell)
-            if reason is not None:
-                raise ConfigurationError(f"cell is not batch-eligible: {reason}")
         # Late imports: spec is import-light; the registry is the single
         # source of truth for auto-scheduler / landmark / placement
         # resolution and is loaded by every campaign caller anyway.
@@ -791,23 +790,33 @@ def _split_batches(indexed_cells):
 def run_batch_cells(cells: Sequence["CellConfig"]) -> list[RunResult]:
     """Run eligible cells in lockstep; results align with the input order.
 
-    Heterogeneous inputs are grouped by :func:`batch_shape` — the two
-    axes :class:`BatchCore` requires to be uniform; transport,
-    scheduler, adversary and landmark mix freely within a batch — and
-    each group is split so the pairwise occupancy tensor and the packed
-    visited bitmap stay modest.  Raises :class:`ConfigurationError` if
-    NumPy is unavailable or any cell is ineligible; routing callers are
-    expected to have filtered with
-    :func:`~repro.core.batch_rules.batch_eligible` already.
+    Raises :class:`ConfigurationError` if NumPy is unavailable or any
+    cell is ineligible, before any batch runs; then
+    :func:`run_routed_cells` runs them.
     """
     if not numpy_available():
         raise ConfigurationError("run_batch_cells requires numpy")
-    results: list[RunResult | None] = [None] * len(cells)
-    groups: dict[tuple[str, int], list] = {}
     for idx, cell in enumerate(cells):
         reason = batch_ineligible_reason(cell)
         if reason is not None:
             raise ConfigurationError(f"cell {idx} is not batch-eligible: {reason}")
+    return run_routed_cells(cells)
+
+
+def run_routed_cells(cells: Sequence["CellConfig"]) -> list[RunResult]:
+    """Run cells already found batch-eligible; results align with the input.
+
+    The executor's chunk runner evaluates each cell's eligibility once,
+    to route it, and hands the eligible cells here unchecked.
+    Heterogeneous inputs are grouped by :func:`batch_shape` — the two
+    axes :class:`BatchCore` requires to be uniform; transport,
+    scheduler, adversary and landmark mix freely within a batch — and
+    each group is split so the pairwise occupancy tensor and the packed
+    visited bitmap stay modest.
+    """
+    results: list[RunResult | None] = [None] * len(cells)
+    groups: dict[tuple[str, int], list] = {}
+    for idx, cell in enumerate(cells):
         groups.setdefault(batch_shape(cell), []).append((idx, cell))
     for group in groups.values():
         for batch in _split_batches(group):
@@ -822,4 +831,4 @@ def run_batch_cells(cells: Sequence["CellConfig"]) -> list[RunResult]:
     return results  # type: ignore[return-value]
 
 
-__all__ = ["BatchCore", "run_batch_cells"]
+__all__ = ["BatchCore", "run_batch_cells", "run_routed_cells"]

@@ -120,7 +120,7 @@ def _batch_ineligibility(cell: "CellConfig") -> tuple[str, str] | None:
         return "edge", f"edge {cell.edge} outside ring of size {cell.ring_size}"
     if cell.chirality and cell.flipped:
         return "chirality", "chirality with flipped agents (scalar path rejects it)"
-    if any(not 0 <= i < cell.agents for i in cell.flipped):
+    if cell.flipped and any(not 0 <= i < cell.agents for i in cell.flipped):
         return "flipped", "flipped index out of range (scalar path rejects it)"
     if cell.placement == "explicit":
         if cell.positions is None:
