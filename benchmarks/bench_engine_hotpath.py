@@ -4,9 +4,10 @@ Unlike the pytest-benchmark suites next to it, this is a standalone
 script: it sweeps ring sizes 10^2..10^5, agent counts 1..64 and the three
 transport models, the peeking adversaries, and the headline worst-case
 configuration (n=1000, k=32, ``ns-starvation``), and reports absolute
-rounds/second for each row.  Rates depend on the host, so compare them
-only between runs on the same machine (``python -m repro bench`` keys
-its history by a host fingerprint).  What the peek cache saves on the
+rounds/second for each row; the headline is the median of
+:data:`HEADLINE_WINDOWS` one-second windows.  Rates depend on the host,
+so compare them only between runs on the same machine (``python -m repro
+bench`` keys its history by a host fingerprint).  What the peek cache saves on the
 headline cell is pinned deterministically instead, as Computes per
 round, by ``tests/core/test_hotpath_equivalence.py``.
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import sys
 import time
 from datetime import datetime, timezone
@@ -43,6 +45,11 @@ HEADLINE = dict(algorithm="known-bound", ring_size=1000, agents=32,
                 adversary="ns-starvation", transport="ns")
 
 WARMUP_ROUNDS = 30
+
+#: Measurement windows behind the headline, which reports their median:
+#: on a shared host one window alone swung by half (12.3k and 18.3k
+#: rounds/s on the same cell), more than ``bench check`` allows for.
+HEADLINE_WINDOWS = 5
 
 
 def measure(cell: CellConfig, *, budget_s: float,
@@ -84,6 +91,20 @@ def measure(cell: CellConfig, *, budget_s: float,
     elapsed += time.perf_counter() - start
     return {"rounds": rounds, "elapsed_s": round(elapsed, 4),
             "rounds_per_s": round(rounds / elapsed, 1) if elapsed else None}
+
+
+def headline_entry(window_s: float) -> dict:
+    """The headline cell measured in :data:`HEADLINE_WINDOWS` windows of
+    ``window_s`` each; ``rounds_per_s`` is the median window's rate."""
+    cell = CellConfig(max_rounds=10**8, **HEADLINE)
+    windows = [measure(cell, budget_s=window_s)
+               for _ in range(HEADLINE_WINDOWS)]
+    rates = [w["rounds_per_s"] for w in windows]
+    return {"config": dict(HEADLINE),
+            "rounds": sum(w["rounds"] for w in windows),
+            "elapsed_s": round(sum(w["elapsed_s"] for w in windows), 4),
+            "rounds_per_s": statistics.median(rates),
+            "window_rounds_per_s": rates}
 
 
 def sweep_cell(ring_size: int, agents: int, transport: str) -> CellConfig:
@@ -250,14 +271,13 @@ def run(smoke: bool, budget_s: float | None) -> dict:
         print(f"  {label:<28} {row['rounds_per_s']:>10,.0f} rounds/s",
               flush=True)
 
-    # The headline feeds the bench history, so give it a full second even
-    # in smoke mode: sub-0.2s windows on shared runners are noisy.
-    headline_budget = max(budget * 4, 1.0)
-    headline_cell = CellConfig(max_rounds=10**8, **HEADLINE)
-    headline = {"config": dict(HEADLINE),
-                **measure(headline_cell, budget_s=headline_budget)}
+    # The headline feeds the bench history, so give each window a full
+    # second even in smoke mode: sub-0.2s windows on shared runners are
+    # noisy.
+    headline = headline_entry(max(budget * 4, 1.0))
     print(f"headline (n=1000, k=32, ns-starvation): "
-          f"{headline['rounds_per_s']:,.0f} rounds/s", flush=True)
+          f"{headline['rounds_per_s']:,.0f} rounds/s (median of "
+          f"{HEADLINE_WINDOWS} windows)", flush=True)
 
     results = {
         "benchmark": "engine-hotpath",
