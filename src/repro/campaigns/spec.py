@@ -400,14 +400,14 @@ class CampaignSpec:
                 f"spec {self.name!r}: 'batch' is no longer a cell "
                 "field; choose the route per run with "
                 "--batch auto|on|off")
-        unknown = sorted(given - _FIELD_SET)
+        unknown = sorted(given - _FIELD_SET, key=str)
         if unknown:
             import difflib
 
             hints = []
             for key in unknown:
                 close = difflib.get_close_matches(
-                    key, [*_FIELD_NAMES, "horizon"], n=1)
+                    str(key), [*_FIELD_NAMES, "horizon"], n=1)
                 hints.append(repr(key) + (f" (did you mean {close[0]!r}?)"
                                           if close else ""))
             where = f"spec {self.name!r}" + (

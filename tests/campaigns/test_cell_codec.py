@@ -146,7 +146,7 @@ def test_to_dict_round_trips_every_sample_cell():
     for cell in SAMPLE.cells():
         data = json.loads(json.dumps(cell.to_dict()))
         assert CellConfig.from_dict(data) == cell
-        assert CellConfig.from_dict(data).key() == cell.key()
+        assert CellConfig.key_from_dict(data) == cell.key()
 
 
 def test_enqueue_writes_the_pinned_payloads(tmp_path):
