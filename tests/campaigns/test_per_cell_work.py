@@ -17,6 +17,7 @@ from repro.campaigns.executor import run_chunk
 from repro.campaigns.spec import CampaignSpec, CellConfig
 from repro.campaigns.stores import SqliteStore
 from repro.core import batch_rules
+from repro.obs import metrics as obs_metrics
 from repro.resilience.faults import FaultPlan
 from tests.campaigns.test_cell_codec import SAMPLE
 
@@ -25,14 +26,14 @@ needs_numpy = pytest.mark.skipif(
 
 #: The sample sweep with 30 seed values: 7 variants x 2 ring sizes x 30
 #: seeds + 1 explicit cell = 421 cells, 301 of them with a horizon
-#: expression.  Those take 5 distinct ``(expression, n, bound, k)``.
+#: expression.
 SWEEP = CampaignSpec.from_dict(
     {**SAMPLE.to_dict(), "grid": {"seed": list(range(30)), "ring_size": [6, 8]}})
-DISTINCT_HORIZONS = 5
 
 #: ``ast.parse`` calls in one expansion of SWEEP: 301 (one per horizon
-#: cell) before the horizon memo, 5 after.
-PARSES_BUDGET = DISTINCT_HORIZONS
+#: cell) before the horizon memo, 5 after (one per distinct
+#: ``(expression, n, bound, k)``).
+PARSES_BUDGET = 5
 
 #: ``CellConfig.to_dict`` calls per cell in ``WorkQueue.enqueue``: 2
 #: before (one for the key, one for the payload), 1 after.
@@ -77,8 +78,6 @@ def test_enqueue_encodes_each_cell_once(monkeypatch, tmp_path):
 @needs_numpy
 @pytest.mark.parametrize("metrics", [False, True])
 def test_a_batch_chunk_checks_each_cell_once(monkeypatch, metrics):
-    from repro.obs import metrics as obs_metrics
-
     cells = [c for c in SAMPLE.cells() if batch_rules.batch_eligible(c)]
     assert any(c.faults for c in cells)
     verdicts = counting(monkeypatch, batch_rules, "_batch_ineligibility")
