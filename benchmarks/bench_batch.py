@@ -1,9 +1,10 @@
 """Batched vs scalar campaign throughput; merges into ``BENCH_engine.json``.
 
 Measures cells/second of :func:`repro.campaigns.executor.run_chunk` —
-the exact code path a campaign chunk takes — with ``batch="on"`` (one
-lockstep :class:`~repro.core.batch.BatchCore` run over the whole chunk,
-whatever its width) against ``batch="off"`` (the per-cell scalar loop).  Both sides
+the exact code path a campaign chunk takes — as a planned batch chunk
+(``planned=True``: one lockstep :class:`~repro.core.batch.BatchCore` run
+over the whole chunk, whatever its width) against a scalar chunk
+(``planned=False``: the per-cell scalar loop).  Both sides
 include engine/array construction and record assembly, so the ratio is
 campaign throughput, not a kernel microbenchmark.
 
@@ -67,16 +68,17 @@ def chunk_cells(base: dict, count: int) -> list[CellConfig]:
     return [replace(cell, seed=seed) for seed in range(count)]
 
 
-def measure_chunk(cells: list[CellConfig], mode: str, *, repeats: int) -> dict:
-    """Cells/second of ``run_chunk`` under one routing mode (best of N)."""
+def measure_chunk(cells: list[CellConfig], planned: bool, *,
+                  repeats: int) -> dict:
+    """Cells/second of ``run_chunk`` on one route (best of N)."""
     best = None
     for _ in range(repeats):
         start = time.perf_counter()
-        records, batched = run_chunk(cells, batch=mode)
+        records, batched = run_chunk(cells, planned=planned)
         elapsed = time.perf_counter() - start
         assert len(records) == len(cells)
         assert all("error" not in r for r in records)
-        if mode == "on":
+        if planned:
             assert batched == len(cells), "headline cells must all batch"
         if best is None or elapsed < best:
             best = elapsed
@@ -121,8 +123,8 @@ def grid(smoke: bool) -> list[tuple[str, dict, int]]:
 def measure_headline(base: dict, count: int, *, repeats: int,
                      label: str) -> dict:
     cells = chunk_cells(base, count)
-    batched = measure_chunk(cells, "on", repeats=repeats)
-    scalar = measure_chunk(cells, "off", repeats=repeats)
+    batched = measure_chunk(cells, True, repeats=repeats)
+    scalar = measure_chunk(cells, False, repeats=repeats)
     headline = {
         "config": dict(base),
         "cells": count,
@@ -140,14 +142,14 @@ def run(smoke: bool) -> dict:
     repeats = 1 if smoke else 3
     # The first BatchCore of a process imports NumPy: keep that one-off
     # cost out of the first row's timing.
-    run_chunk(chunk_cells(HEADLINE, 1), batch="on")
+    run_chunk(chunk_cells(HEADLINE, 1), planned=True)
     rows = []
     for label, base, count in grid(smoke):
         cells = chunk_cells(base, count)
         row = {
             "label": label,
-            "batched": measure_chunk(cells, "on", repeats=repeats),
-            "scalar": measure_chunk(cells, "off", repeats=repeats),
+            "batched": measure_chunk(cells, True, repeats=repeats),
+            "scalar": measure_chunk(cells, False, repeats=repeats),
         }
         row["speedup"] = round(row["batched"]["cells_per_s"]
                                / row["scalar"]["cells_per_s"], 2)

@@ -264,10 +264,13 @@ class WorkQueue:
         the inserts share one transaction, so concurrent enqueues
         serialise instead of racing each other into duplicates.
 
-        ``batch`` is the routing override (``None`` = ``auto``) the
-        chunks are planned under: each chunk is labelled batch or
-        scalar, and a worker follows that label unless its own
-        ``--batch`` says ``on`` or ``off``.
+        ``batch`` is the routing mode (``None`` = ``auto``) the chunks
+        are planned under (:func:`~repro.campaigns.executor.plan_chunks`,
+        which refuses a bad mode before a chunk row is written); workers
+        follow each chunk's label.  With metrics on, this process's
+        snapshot, the planner's reject counts included, is persisted
+        once as its own ``worker_metrics`` row and the registry reset,
+        so a worker forked from here reports only its own work.
         """
         cells = list(cells)
         for cell in cells:
@@ -344,6 +347,11 @@ class WorkQueue:
             return fresh, len(rows)
 
         fresh_count, chunk_count = self._txn("queue.enqueue", body)
+        if obs_metrics.enabled():
+            self.record_worker_metrics(
+                worker_identity(f"enqueue-{time.time_ns()}"),
+                obs_metrics.snapshot())
+            obs_metrics.reset()
         return EnqueueReport(
             total=len(cells),
             enqueued_cells=fresh_count,

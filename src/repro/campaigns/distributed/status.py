@@ -59,9 +59,8 @@ def enqueue_campaign(
 ) -> tuple[WorkQueue, EnqueueReport]:
     """Expand a spec and enqueue its pending cells as claimable chunks.
 
-    ``batch`` is the routing override the chunks are planned under
-    (``None`` = ``auto``); workers follow each chunk's batch or scalar
-    label unless their own override says ``on`` or ``off``.
+    ``batch`` is the routing mode the chunks are planned under (``None``
+    = ``auto``); workers follow each chunk's batch or scalar label.
     """
     store = open_store(store, campaign=spec.name)
     queue = WorkQueue(store, lease_ttl_s=lease_ttl_s)
@@ -101,8 +100,9 @@ class FleetStatus:
     #: any cell is done).
     batch_share: float | None = None
     #: Per-reason scalar-fallback counts (``executor.batch_reject.*``
-    #: counters merged across workers), most frequent first; None when
-    #: no worker recorded a rejection (or none ran with ``--metrics``).
+    #: counters merged across the enqueue's and the workers' snapshots),
+    #: most frequent first; None when none was recorded (or nothing ran
+    #: with metrics on).
     batch_rejects: dict[str, int] | None = None
     #: One-line skew hint: the slowest active lease vs the fleet median
     #: chunk time (:func:`repro.obs.analyze.straggler_hint`); None when
@@ -341,7 +341,7 @@ def watch_status(
 # ---------------------------------------------------------------------------
 
 def _local_worker_main(store_uri: str, campaign: str, worker_id: str,
-                       lease_ttl_s: float, batch: str | None = None) -> None:
+                       lease_ttl_s: float) -> None:
     """Entry point of one spawned local worker process."""
     run_worker(
         store_uri,
@@ -349,7 +349,6 @@ def _local_worker_main(store_uri: str, campaign: str, worker_id: str,
         worker_id=worker_id,
         lease_ttl_s=lease_ttl_s,
         poll_s=0.2,
-        batch=batch,
     )
 
 
@@ -381,7 +380,7 @@ def run_distributed(
     # Overrides apply before enqueue keys the cells: workers execute
     # chunks exactly as enqueued.
     cells = prepare_cells(spec.cell_list() if cells is None else cells,
-                          debug_invariants=debug_invariants, batch=batch)
+                          debug_invariants=debug_invariants)
     queue, report = enqueue_campaign(
         spec, store, cells=cells, chunk_size=chunk_size,
         retry_failed=retry_failed, lease_ttl_s=lease_ttl_s, batch=batch)
@@ -408,7 +407,7 @@ def run_distributed(
     procs = [
         ctx.Process(target=_local_worker_main,
                     args=(store.uri(), queue.campaign,
-                          f"local-{i}-{os.getpid()}", lease_ttl_s, batch),
+                          f"local-{i}-{os.getpid()}", lease_ttl_s),
                     daemon=True)
         for i in range(workers)
     ]

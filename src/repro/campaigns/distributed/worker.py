@@ -37,7 +37,6 @@ SIGKILL costs at most one lease TTL).
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from typing import Callable
@@ -47,7 +46,6 @@ from .. import executor as executor_module  # noqa: F401  (test hook)
 from ..executor import (  # noqa: F401  (run_chunk is re-exported)
     Chunk,
     WorkerReport,
-    check_batch_mode,
     drain,
     run_chunk,
     run_inline,
@@ -206,7 +204,6 @@ def run_worker(
     max_chunks: int | None = None,
     progress: Callable[[str], None] | None = None,
     clock: Callable[[], float] = time.time,
-    batch: str | None = None,
 ) -> WorkerReport:
     """Drain one campaign's work queue until it is finished.
 
@@ -219,21 +216,15 @@ def run_worker(
     key, so they are applied at enqueue time (``campaign enqueue
     --debug-invariants`` / ``run_distributed``), never per worker: a
     worker re-keying cells would record them under keys the queue's
-    dedupe and the fleet's resume logic cannot see.  ``batch`` is safe
-    per worker precisely because it is *not* configuration: routing
-    through :class:`~repro.core.batch.BatchCore` changes neither keys
-    nor records, so a mixed fleet (some hosts without NumPy) stays
-    coherent.  ``None`` (or ``auto``) follows each chunk's planned
-    label; ``on`` batches the eligible cells of every chunk, ``off``
-    none.  An unknown mode raises
-    :class:`~repro.core.errors.ConfigurationError` before any claim.
+    dedupe and the fleet's resume logic cannot see.  Routing was decided
+    at enqueue time too: a worker runs each chunk as its batch or scalar
+    label says.  A batch chunk claimed by a host without NumPy runs
+    scalar with the same records, so a mixed fleet stays coherent.
     """
-    check_batch_mode(batch)
     queue = WorkQueue(
         store, campaign=campaign, lease_ttl_s=lease_ttl_s,
         max_attempts=max_attempts, clock=clock)
     say = progress or (lambda message: None)
     report = WorkerReport(worker_id=worker_id or worker_identity())
     leased = LeasedQueue(queue, report.worker_id, poll_s=poll_s, say=say)
-    return drain(leased, functools.partial(run_inline, batch=batch), report,
-                 say=say, max_chunks=max_chunks)
+    return drain(leased, run_inline, report, say=say, max_chunks=max_chunks)

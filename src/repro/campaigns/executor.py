@@ -18,12 +18,13 @@ Chunks reach the store as they complete, so an interrupted campaign
 loses at most the chunks in flight; :func:`run_cells` consults
 ``store.completed_keys()`` first and never re-runs a recorded cell.
 :func:`plan_chunks` cuts the chunks of serial, pool and distributed
-runs alike, and it is the one place that decides a chunk's route.  It
-never mixes routes in one chunk: a shape group wide enough to batch
+runs alike, and the only code that reads the routing mode: it decides
+each chunk's route and counts why a cell runs scalar.  It never mixes
+routes in one chunk: a shape group wide enough to batch
 (:data:`MIN_BATCH_LANES`) fills the vector width on its own, and every
 other cell keeps its spec order in 25-cell chunks.  :func:`run_chunk`
-follows the chunk's label unless its own override says ``on`` or
-``off``.  Only a process that runs a batch imports NumPy.
+follows the chunk's label.  Only a process that runs a batch imports
+NumPy.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import functools
 import multiprocessing
 import os
 import time
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
@@ -57,7 +59,8 @@ from .stores import ResultStore, open_store
 
 _log = get_logger(__name__)
 
-#: Valid values of the execution-routing switch (CLI ``--batch``).
+#: Valid values of the routing mode (CLI ``--batch``), which only
+#: :func:`plan_chunks` reads.
 BATCH_MODES = ("auto", "on", "off")
 
 #: Metric-name prefix of the per-reason batch rejection counters.
@@ -71,22 +74,14 @@ BATCH_REJECT_PREFIX = "executor.batch_reject."
 MIN_BATCH_LANES = 128
 
 
-def check_batch_mode(batch: str | None) -> None:
-    """Refuse a routing override outside :data:`BATCH_MODES` (``None``
-    means ``auto``)."""
-    if batch is not None and batch not in BATCH_MODES:
-        raise ConfigurationError(
-            f"batch must be one of {BATCH_MODES}, got {batch!r}")
-
-
 def batch_reject_counts(snapshot: dict[str, dict] | None) -> dict[str, int]:
     """Per-reason scalar-fallback counts from a metrics snapshot.
 
     Collapses the ``executor.batch_reject.<key>`` counters (written by
-    :func:`run_chunk` whenever a cell that *could* have batched is routed
-    scalar) into ``{reason_key: count}``, ordered most-frequent first so
-    a rendered table leads with the dominant reason.  Empty dict when the
-    snapshot is ``None`` or holds no rejections.
+    :func:`plan_chunks` for each cell it routes scalar) into
+    ``{reason_key: count}``, ordered most-frequent first so a rendered
+    table leads with the dominant reason.  Empty dict when the snapshot
+    is ``None`` or holds no rejections.
     """
     rejects: dict[str, int] = {}
     for name, dump in (snapshot or {}).items():
@@ -179,20 +174,19 @@ def run_chunk(
     cells: Sequence[CellConfig],
     *,
     keys: Sequence[str] | None = None,
-    batch: str | None = None,
     abort: Callable[[], bool] | None = None,
     planned: bool = False,
 ) -> tuple[list[dict[str, Any]], int]:
-    """Run one chunk of cells, batching its eligible cells in lockstep.
+    """Run one chunk of cells, batching a planned chunk in lockstep.
 
     The single execution point of every mode.  It does not route:
     :func:`plan_chunks` did, and ``planned`` marks a chunk it cut as a
-    batch chunk.  The chunk's
+    batch chunk.  A planned chunk's
     :func:`~repro.core.batch_rules.batch_eligible` cells run through
-    :class:`~repro.core.batch.BatchCore` when NumPy is present and
-    ``batch`` is ``on``, or is not ``off`` and the chunk is ``planned``;
-    the rest run through :func:`execute_cell` one by one.  Records come back in input order with the exact schema the
-    scalar path appends, so stores cannot tell the paths apart.
+    :class:`~repro.core.batch.BatchCore` when NumPy is present; every
+    other cell runs through :func:`execute_cell` one by one.  Records
+    come back in input order with the exact schema the scalar path
+    appends, so stores cannot tell the paths apart.
     Returns ``(records, batched)`` where ``batched`` counts cells that
     actually took the vector path.  ``keys`` are the cells' store keys,
     parallel to ``cells``, when the caller computed them already
@@ -203,12 +197,10 @@ def run_chunk(
     discard or keep.
 
     Observability (all no-ops unless enabled): cell spans nest under the
-    caller's open span (the chunk span :func:`drain` emits); routing
-    decisions feed the ``executor.*`` counters — per-reason batch
-    rejections (``executor.batch_reject.<key>``, ``narrow`` for an
-    eligible cell of a scalar chunk, which the planner found below
-    :data:`MIN_BATCH_LANES`) and vector-path degradations
-    (``executor.degrade_to_scalar``).
+    caller's open span (the chunk span :func:`drain` emits); the
+    ``executor.*`` counters record the chunk, a planned chunk that lands
+    on a host without NumPy (``executor.batch_reject.no_numpy``, one per
+    cell) and vector-path degradations (``executor.degrade_to_scalar``).
     """
     if keys is None:
         keys = [cell.key() for cell in cells]
@@ -216,23 +208,13 @@ def run_chunk(
     reg = obs_metrics.registry() if obs_metrics.enabled() else None
     records: list[dict[str, Any] | None] = [None] * len(cells)
     numpy_ok = numpy_available()
-    vectorize = numpy_ok and (batch == "on" or (planned and batch != "off"))
-    # One verdict per cell (``None`` = eligible) both routes it and names
-    # its rejection counter.
-    verdicts = ([batch_ineligible_key(cell) for cell in cells]
-                if numpy_ok and batch != "off"
-                and (vectorize or reg is not None) else None)
     vector = ([(i, cell) for i, cell in enumerate(cells)
-               if verdicts[i] is None] if vectorize else [])
+               if batch_eligible(cell)] if planned and numpy_ok else [])
     if reg is not None:
         reg.counter("executor.chunks").inc()
         reg.histogram("executor.chunk_cells").observe(len(cells))
-        routed = {i for i, _ in vector}
-        for i in range(len(cells)):
-            if batch == "off" or i in routed:
-                continue
-            reason_key = (verdicts[i] or "narrow") if numpy_ok else "no_numpy"
-            reg.counter(f"{BATCH_REJECT_PREFIX}{reason_key}").inc()
+        if planned and not numpy_ok:
+            reg.counter(f"{BATCH_REJECT_PREFIX}no_numpy").inc(len(cells))
     batched = 0
     if vector:
         start = time.perf_counter()
@@ -279,30 +261,30 @@ def run_chunk(
 # runners: where a claimed chunk executes
 # ---------------------------------------------------------------------------
 
-def _timed_chunk(cells, keys, batch, span_id, abort=None, planned=False):
+def _timed_chunk(cells, keys, span_id, abort=None, planned=False):
     """``run_chunk`` under the chunk span ``span_id``, plus its wall start
     (epoch seconds) and duration: ``(records, batched, start_s, run_s)``."""
     rec = obs_spans.recorder()
     start_s, t0 = time.time(), time.perf_counter()
     with rec.within(span_id) if rec is not None else nullcontext():
-        records, batched = run_chunk(cells, keys=keys, batch=batch,
-                                     abort=abort, planned=planned)
+        records, batched = run_chunk(cells, keys=keys, abort=abort,
+                                     planned=planned)
     return records, batched, start_s, time.perf_counter() - t0
 
 
-def _run_chunk(task, batch: str | None = None):
+def _run_chunk(task):
     """Pool-worker entry point: run one chunk of serialised cells.
 
     ``task`` is ``(n, cell_dicts, keys, span_id, planned)``; returns ``(n,
     records, batched, start_s, run_s, metrics_snapshot)``.  The snapshot
-    is a per-chunk delta (the child registry is drained after each
-    chunk) so the parent can merge pool snapshots without double
-    counting.
+    is a per-chunk delta (the child registry starts empty and is drained
+    after each chunk) so the parent can merge pool snapshots without
+    double counting.
     """
     n, payload, keys, span_id, planned = task
     obs_spans.ensure_recorder()  # pool children: env-driven JSONL sink
     outcome = _timed_chunk(
-        [CellConfig.from_dict(d) for d in payload], keys, batch, span_id,
+        [CellConfig.from_dict(d) for d in payload], keys, span_id,
         planned=planned)
     snap: dict | None = None
     if obs_metrics.enabled():
@@ -311,25 +293,25 @@ def _run_chunk(task, batch: str | None = None):
     return (n, *outcome, snap)
 
 
-def run_inline(chunks, *, batch: str | None = None):
+def run_inline(chunks):
     """Runner: execute each claimed chunk here, as it is claimed."""
     for chunk in chunks:
-        yield chunk, (*_timed_chunk(chunk.cells, chunk.keys, batch,
-                                    chunk.span_id, chunk.abort,
-                                    chunk.planned), None)
+        yield chunk, (*_timed_chunk(chunk.cells, chunk.keys, chunk.span_id,
+                                    chunk.abort, chunk.planned), None)
 
 
-def run_pooled(chunks, *, workers: int, batch: str | None = None):
+def run_pooled(chunks, *, workers: int):
     """Runner: every claimed chunk goes to a pool of ``workers`` forked
-    processes; outcomes come back in completion order."""
+    processes; outcomes come back in completion order.  Each child
+    starts from an empty metrics registry, so what the parent recorded
+    before the fork is reported once, by the parent."""
     by_id = {chunk.id: chunk for chunk in chunks}
     tasks = [(n, [c.to_dict() for c in chunk.cells], chunk.keys,
               chunk.span_id, chunk.planned) for n, chunk in by_id.items()]
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    with ctx.Pool(processes=workers) as pool:
-        for n, *outcome in pool.imap_unordered(
-                functools.partial(_run_chunk, batch=batch), tasks):
+    with ctx.Pool(processes=workers, initializer=obs_metrics.reset) as pool:
+        for n, *outcome in pool.imap_unordered(_run_chunk, tasks):
             yield by_id.pop(n), outcome
 
 
@@ -355,7 +337,7 @@ class Chunk:
     abort: Callable[[], bool] | None = None
     span_id: str | None = None
     #: Cut by :func:`plan_chunks` as a batch chunk (``run_chunk``'s
-    #: ``planned``): it batches unless the runner's override is ``off``.
+    #: ``planned``).
     planned: bool = False
 
 
@@ -629,16 +611,19 @@ def plan_chunks(
     """Cut a run's pending cells into chunks that never mix routes.
 
     The one chunk planner of serial, pool and distributed runs, and the
-    one routing decision: returns ``(batch, items)`` pairs, ``batch``
-    marking a batch chunk (which :func:`run_chunk` runs with
-    ``planned=True``).  A cell may batch when the ``batch`` override is
-    not ``off``, NumPy is installed and the cell is
-    :func:`~repro.core.batch_rules.batch_eligible`.  Those cells are
-    grouped by :func:`~repro.core.batch_rules.batch_shape`; a group
-    batches under ``on`` at any width, otherwise only when it is wide
-    over the whole run: its cells times its agents reach
-    :data:`MIN_BATCH_LANES`.
-    Each such group is cut on its own into :func:`even_chunks` of
+    only code that reads the routing mode ``batch`` (one of
+    :data:`BATCH_MODES`; ``None`` = ``auto``): returns ``(batch, items)``
+    pairs, ``batch`` marking a batch chunk (which :func:`run_chunk` runs
+    with ``planned=True``).  Unless the mode is ``off`` or NumPy is
+    missing, each cell gets one
+    :func:`~repro.core.batch_rules.batch_ineligible_key` verdict, and the
+    eligible cells are grouped by
+    :func:`~repro.core.batch_rules.batch_shape`.  A group batches under
+    ``on`` at any width, otherwise only when its cells times its agents
+    reach :data:`MIN_BATCH_LANES` over the whole run.  ``on`` without
+    NumPy or with an ineligible cell raises :class:`ConfigurationError`.
+
+    Each batching group is cut on its own into :func:`even_chunks` of
     at most ``default_chunk_size(len(group), workers, batch=True)``
     cells, so a chunk is one lockstep run of one shape and a wide group
     leaves no narrow tail.  The other cells, narrow groups included,
@@ -646,14 +631,40 @@ def plan_chunks(
     workers)``.  An explicit ``chunk_size`` caps both instead.  Batch
     chunks come first, as the widest units of work.
 
+    With metrics on, each cell routed scalar counts once under
+    ``executor.batch_reject.<reason>``: its ineligibility key, ``narrow``
+    for a cell of a group below the width, ``no_numpy`` without NumPy.
+    ``off`` counts nothing.
+
     ``items`` may carry more than the cell (the queue plans over its
     ``(key, cell)`` pairs); ``cell`` extracts the cell from one item.
     """
+    if batch is not None and batch not in BATCH_MODES:
+        raise ConfigurationError(
+            f"batch must be one of {BATCH_MODES}, got {batch!r}")
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-    may_batch = batch != "off" and numpy_available()
-    shapes = [batch_shape(c) if may_batch and batch_eligible(c) else None
-              for c in map(cell, items)]
+    numpy_ok = numpy_available()
+    if batch == "on" and not numpy_ok:
+        raise ConfigurationError(
+            "--batch on requires NumPy, which is not importable here; "
+            "use --batch auto for a scalar fallback")
+    cells = [cell(item) for item in items]
+    # One verdict per cell: None = eligible, else why it runs scalar.
+    if batch != "off" and numpy_ok:
+        verdicts = [batch_ineligible_key(c) for c in cells]
+    else:  # nothing batches (``off`` counts nothing below)
+        verdicts = ["no_numpy"] * len(cells)
+    if batch == "on":
+        ineligible = [c for c, v in zip(cells, verdicts) if v is not None]
+        if ineligible:
+            raise ConfigurationError(
+                f"--batch on: {len(ineligible)} cell(s) are not "
+                "batch-eligible (first: "
+                f"{batch_ineligible_reason(ineligible[0])}); use --batch "
+                "auto to run them through the scalar core")
+    shapes = [batch_shape(c) if v is None else None
+              for c, v in zip(cells, verdicts)]
     groups: dict[tuple[str, int], list[Any]] = {}
     for item, shape in zip(items, shapes):
         if shape is not None:
@@ -661,8 +672,13 @@ def plan_chunks(
     groups = {(algorithm, agents): group
               for (algorithm, agents), group in groups.items()
               if batch == "on" or len(group) * agents >= MIN_BATCH_LANES}
-    scalar = [item for item, shape in zip(items, shapes)
-              if shape not in groups]
+    reasons = [None if shape in groups else verdict or "narrow"
+               for shape, verdict in zip(shapes, verdicts)]
+    if batch != "off" and obs_metrics.enabled():
+        reg = obs_metrics.registry()
+        for reason, count in Counter(filter(None, reasons)).items():
+            reg.counter(f"{BATCH_REJECT_PREFIX}{reason}").inc(count)
+    scalar = [item for item, reason in zip(items, reasons) if reason]
     chunks = []
     for group in groups.values():
         size = chunk_size or default_chunk_size(len(group), workers, batch=True)
@@ -676,32 +692,17 @@ def prepare_cells(
     cells: Iterable[CellConfig],
     *,
     debug_invariants: bool | None = None,
-    batch: str | None = None,
 ) -> list[CellConfig]:
-    """Apply a run's cell overrides and refuse what cannot run.
+    """Apply a run's cell overrides before any cell is keyed.
 
-    The gate serial, pool and distributed runs all pass before any cell
-    is executed or enqueued.  ``debug_invariants`` (``None`` = leave each
+    Serial, pool and distributed runs all pass here before any cell is
+    executed or enqueued.  ``debug_invariants`` (``None`` = leave each
     cell's flag alone) is applied here because it is part of the cell
-    key.  ``batch="on"`` is refused unless NumPy is importable and every
-    cell is batch-eligible.
+    key.
     """
-    check_batch_mode(batch)
     cells = list(cells)
     if debug_invariants is not None:
         cells = [replace(c, debug_invariants=debug_invariants) for c in cells]
-    if batch == "on":
-        if not numpy_available():
-            raise ConfigurationError(
-                "--batch on requires NumPy, which is not importable here; "
-                "use --batch auto for a scalar fallback")
-        ineligible = [r for r in map(batch_ineligible_reason, cells)
-                      if r is not None]
-        if ineligible:
-            raise ConfigurationError(
-                f"--batch on: {len(ineligible)} cell(s) are not "
-                f"batch-eligible (first: {ineligible[0]}); use --batch auto "
-                "to run them through the scalar core")
     return cells
 
 
@@ -722,8 +723,9 @@ def run_cells(
     each wide shape group of eligible cells through the vectorized
     :class:`~repro.core.batch.BatchCore` (:func:`plan_chunks`) and the
     rest scalar, ``"off"`` forces the scalar path, ``"on"`` demands the
-    vector path and refuses up front if NumPy is missing or any cell is
-    ineligible.  Routing never changes store keys or record contents.
+    vector path and refuses before any cell runs if NumPy is missing or
+    any pending cell is ineligible.  Routing never changes store keys or
+    record contents.
 
     ``workers=None`` uses every usable CPU (:func:`usable_cpus`);
     ``workers<=1`` runs the chunks in-process (same chunks and records,
@@ -742,8 +744,7 @@ def run_cells(
     campaigns default the audit off, so passing ``True`` is the "paranoid
     sweep" switch (note it changes non-default cells' store keys).
     """
-    cells = prepare_cells(cells, debug_invariants=debug_invariants,
-                          batch=batch)
+    cells = prepare_cells(cells, debug_invariants=debug_invariants)
     for cell in cells:
         validate_cell(cell)
     start = time.perf_counter()
@@ -773,9 +774,8 @@ def run_cells(
     queue = LocalQueue(store, plan_chunks(pending, workers, batch=batch,
                                           chunk_size=chunk_size,
                                           cell=itemgetter(1)))
-    runner = (functools.partial(run_inline, batch=batch) if workers == 1
-              else functools.partial(run_pooled, workers=workers,
-                                     batch=batch))
+    runner = (run_inline if workers == 1
+              else functools.partial(run_pooled, workers=workers))
     report = drain(
         queue, runner, WorkerReport(worker_id=f"run-{os.getpid()}"),
         progress=(None if progress is None

@@ -54,16 +54,17 @@ The flags are exported as ``REPRO_METRICS`` / ``REPRO_TRACE`` /
 top-level ``--log-level/--log-json/-q/--verbose`` flags configure the
 stdlib-``logging`` backbone every progress line now flows through.
 
-``--batch {auto,on,off}`` (on ``run``/``resume``/``worker``) routes
-eligible cells through the vectorized batch executor
-(:mod:`repro.core.batch`): ``auto`` batches a shape group (algorithm,
-agents) only when it is wide enough to beat the scalar engine
-(``executor.MIN_BATCH_LANES``), ``on`` batches every eligible cell.
-The chunk planner makes that decision once per run (at enqueue time
-for the distributed verbs) and labels each chunk batch or scalar; a
-``worker`` without ``--batch`` follows the labels, ``on``/``off``
-override them.  It is pure execution routing, never cell identity:
-store keys, records and reports are byte-identical to the scalar path.
+``--batch {auto,on,off}`` (on ``run``/``resume``) routes eligible
+cells through the vectorized batch executor (:mod:`repro.core.batch`):
+``auto`` batches a shape group (algorithm, agents) only when it is wide
+enough to beat the scalar engine (``executor.MIN_BATCH_LANES``), ``on``
+batches every eligible cell.  The chunk planner decides once per run
+(at enqueue time for the distributed path; ``campaign enqueue`` plans
+under ``auto``), labels each chunk batch or scalar, and records why
+cells run scalar (persisted by ``campaign enqueue`` under
+``REPRO_METRICS=1``); workers follow the labels.  Routing never changes
+cell identity: store keys, records and reports are byte-identical to
+the scalar path.
 
 ``--store`` accepts a backend URI everywhere: ``sqlite:results/t2.db``
 selects the concurrent, indexed SQLite backend, ``jsonl:`` (or a bare
@@ -87,7 +88,12 @@ from pathlib import Path
 from typing import Sequence
 
 from .campaigns.aggregate import aggregate_records, render_rows
-from .campaigns.executor import MIN_BATCH_LANES, prepare_cells, run_cells
+from .campaigns.executor import (
+    BATCH_MODES,
+    MIN_BATCH_LANES,
+    prepare_cells,
+    run_cells,
+)
 from .campaigns.leases import DEFAULT_LEASE_TTL_S, DEFAULT_MAX_ATTEMPTS
 from .campaigns.presets import DEFAULT_SPEC, SPECS, get_spec, load_spec
 from .campaigns.registry import (
@@ -195,6 +201,16 @@ def make_parser() -> argparse.ArgumentParser:
                             "spawn --workers local worker processes, and let "
                             "any extra 'campaign worker' processes on other "
                             "hosts join the same queue")
+        p.add_argument("--batch", choices=BATCH_MODES, default=None,
+                       help="vectorized batch execution: auto runs each "
+                            "group of eligible cells sharing an algorithm "
+                            "and agent count through the lockstep NumPy "
+                            "core when cells x agents >= %d (the scalar "
+                            "engine is faster below), on batches every "
+                            "cell and refuses ineligible ones, off forces "
+                            "the scalar path; decided once, when the run "
+                            "plans its chunks; never changes results or "
+                            "store keys (default: auto)" % MIN_BATCH_LANES)
         _add_fleet_args(p)
 
     p = csub.add_parser(
@@ -364,25 +380,14 @@ def _add_store_args(p: argparse.ArgumentParser, *, sqlite: bool = False,
 
 
 def _add_fleet_args(p: argparse.ArgumentParser) -> None:
-    """Lease, routing and observability flags of the verbs that execute
-    cells (``run``/``resume``/``worker``)."""
+    """Lease and observability flags of the verbs that execute cells
+    (``run``/``resume``/``worker``)."""
     p.add_argument("--lease-ttl", type=float, default=DEFAULT_LEASE_TTL_S,
                    metavar="S",
                    help="distributed lease time-to-live in seconds: a "
                         "worker silent this long is presumed dead and its "
                         "chunk is stolen (default: %(default)s; must match "
                         "the fleet's)")
-    p.add_argument("--batch", choices=("auto", "on", "off"), default=None,
-                   help="vectorized batch execution: auto runs each "
-                        "group of eligible cells sharing an algorithm and "
-                        "agent count through the lockstep NumPy core when "
-                        "cells x agents >= %d (the scalar engine is faster "
-                        "below), on batches every cell and refuses "
-                        "ineligible ones, off forces the scalar path; a "
-                        "worker left at auto follows each enqueued "
-                        "chunk's batch or scalar label; never changes "
-                        "results or store keys, so a mixed fleet is fine "
-                        "(default: auto)" % MIN_BATCH_LANES)
     p.add_argument("--metrics", action="store_true",
                    help="record counters/histograms (queue claim latency, "
                         "engine phase timings, batch share) and print a "
@@ -571,7 +576,6 @@ def _campaign_worker(args, spec) -> int:
             max_chunks=args.max_chunks,
             max_attempts=args.max_attempts,
             progress=_log.info,
-            batch=args.batch,
         )
     except KeyboardInterrupt:
         # run_worker released any held chunk on the way out.

@@ -48,7 +48,6 @@ __all__ = [
     "enabled",
     "merge_snapshots",
     "phase_timer",
-    "phase_timing_enabled",
     "registry",
     "reset",
     "snapshot",
@@ -356,7 +355,6 @@ class PhaseTimer:
 # --------------------------------------------------------------------------
 
 _ENABLED: bool | None = None  # None → defer to the environment
-_PHASES: bool | None = None
 _REGISTRY: MetricsRegistry | None = None
 _DISABLED_REGISTRY = MetricsRegistry(enabled=False)
 _STATE_LOCK = threading.Lock()
@@ -368,25 +366,14 @@ def enabled() -> bool:
     return os.environ.get("REPRO_METRICS") == "1"
 
 
-def phase_timing_enabled() -> bool:
-    """Engine phase timing: on with metrics unless REPRO_PHASE_METRICS=0."""
-    if not enabled():
-        return False
-    if _PHASES is not None:
-        return _PHASES
-    return os.environ.get("REPRO_PHASE_METRICS", "1") != "0"
-
-
-def configure(enabled: bool | None = None,
-              phase_timing: bool | None = None) -> None:
+def configure(enabled: bool | None = None) -> None:
     """Programmatic override of the environment gate (tests, embedding).
 
     ``configure(enabled=None)`` returns control to the environment.
     """
-    global _ENABLED, _PHASES
+    global _ENABLED
     with _STATE_LOCK:
         _ENABLED = enabled
-        _PHASES = phase_timing
 
 
 def registry() -> MetricsRegistry:
@@ -412,5 +399,5 @@ def reset() -> None:
 
 
 def phase_timer() -> PhaseTimer | None:
-    """A fresh :class:`PhaseTimer`, or None when phase timing is off."""
-    return PhaseTimer() if phase_timing_enabled() else None
+    """A fresh :class:`PhaseTimer`, or None when metrics are off."""
+    return PhaseTimer() if enabled() else None

@@ -41,6 +41,7 @@ from repro.campaigns.executor import (
     batch_reject_counts,
     chunk_cells,
     default_chunk_size,
+    even_chunks,
     plan_chunks,
     run_chunk,
 )
@@ -86,39 +87,38 @@ def report_text(store, name):
 @needs_numpy
 class TestRunChunkRouting:
     def test_mixed_chunk_splits_and_keeps_input_order(self):
+        """A planned chunk still checks each cell before vectorizing it."""
         eligible = eligible_spec().cell_list()
         mixed = [eligible[0], scalar_only_cell(0), eligible[1],
                  scalar_only_cell(1), eligible[2]]
-        records, batched = run_chunk(mixed, batch="on")
+        records, batched = run_chunk(mixed, planned=True)
         assert batched == 3
         assert [r["key"] for r in records] == [c.key() for c in mixed]
         assert all("metrics" in r for r in records)
 
-    def test_off_routes_nothing_through_batch(self):
-        records, batched = run_chunk(eligible_spec().cell_list(), batch="off")
+    def test_unplanned_chunk_routes_nothing_through_batch(self):
+        records, batched = run_chunk(eligible_spec().cell_list())
         assert batched == 0 and len(records) == 6
 
-    @pytest.mark.parametrize("batch, seeds, planned, wide", [
-        ("on", 3, False, True),                        # on: any width
-        ("auto", 3, True, True),    # a planned batch chunk: any width
+    @pytest.mark.parametrize("seeds, planned", [
+        (3, True),                  # a planned batch chunk: any width
         # an unplanned chunk is never re-routed, however wide (the
         # width rule is the planner's: TestPlannerRouting)
-        ("auto", MIN_BATCH_LANES // 4, False, False),
+        (MIN_BATCH_LANES // 4, False),
     ])
-    def test_record_shape_identical_across_routing(self, batch, seeds,
-                                                   planned, wide):
+    def test_record_shape_identical_across_routing(self, seeds, planned):
         cells = eligible_spec(seeds=range(seeds)).cell_list()
         obs_metrics.configure(enabled=True)
         obs_metrics.reset()
         try:
-            auto, n_auto = run_chunk(cells, batch=batch, planned=planned)
+            auto, n_auto = run_chunk(cells, planned=planned)
             rejects = batch_reject_counts(obs_metrics.snapshot())
         finally:
             obs_metrics.configure(enabled=None)
             obs_metrics.reset()
-        off, n_off = run_chunk(cells, batch="off")
-        assert n_auto == (len(cells) if wide else 0) and n_off == 0
-        assert rejects == ({} if wide else {"narrow": len(cells)})
+        off, n_off = run_chunk(cells)
+        assert n_auto == (len(cells) if planned else 0) and n_off == 0
+        assert rejects == {}        # the planner counts, not the chunk
         for a, o in zip(auto, off):
             assert a["key"] == o["key"]
             assert a["config"] == o["config"]
@@ -133,7 +133,7 @@ class TestRunChunkRouting:
             return len(calls) > 1  # allow one scalar cell, then abort
 
         cells = [scalar_only_cell(s) for s in range(4)]
-        records, batched = run_chunk(cells, batch="off", abort=abort)
+        records, batched = run_chunk(cells, abort=abort)
         assert batched == 0
         assert len(records) == 1
 
@@ -144,20 +144,21 @@ class TestPlannerRouting:
     :func:`run_chunk` follows the label."""
 
     @staticmethod
-    def run_plan(chunks, **options):
-        """Run planned chunks with metrics on: ``(records, batched,
-        rejects)``."""
+    def run_plan(cells, batch):
+        """Plan and run ``cells`` with metrics on: ``(chunks, records,
+        batched, rejects)``."""
         obs_metrics.configure(enabled=True)
         obs_metrics.reset()
         try:
-            runs = [run_chunk(chunk, planned=planned, **options)
+            chunks = plan_chunks(cells, 1, batch=batch)
+            runs = [run_chunk(chunk, planned=planned)
                     for planned, chunk in chunks]
             rejects = batch_reject_counts(obs_metrics.snapshot())
         finally:
             obs_metrics.configure(enabled=None)
             obs_metrics.reset()
         records = [r for chunk_records, _ in runs for r in chunk_records]
-        return records, sum(n for _, n in runs), rejects
+        return chunks, records, sum(n for _, n in runs), rejects
 
     @pytest.mark.parametrize("seeds, wide", [
         # cells x agents = 4 * seeds: one seed short of the minimum
@@ -166,12 +167,11 @@ class TestPlannerRouting:
     ])
     def test_width_rule_routes_whole_chunks(self, seeds, wide):
         cells = eligible_spec(seeds=range(seeds)).cell_list()
-        chunks = plan_chunks(cells, 1, batch="auto")
+        chunks, auto, n_auto, rejects = self.run_plan(cells, "auto")
         assert {planned for planned, _ in chunks} == {wide}
-        auto, n_auto, rejects = self.run_plan(chunks, batch="auto")
         assert n_auto == (len(cells) if wide else 0)
         assert rejects == ({} if wide else {"narrow": len(cells)})
-        off, n_off = run_chunk(cells, batch="off")
+        off, n_off = run_chunk(cells)
         assert n_off == 0 and len(auto) == len(off)
         for a, o in zip(auto, off):
             assert a["key"] == o["key"]
@@ -182,7 +182,24 @@ class TestPlannerRouting:
     def test_no_numpy_plans_scalar_chunks(self, monkeypatch):
         monkeypatch.setattr(batch_rules, "HAVE_NUMPY", False)
         cells = eligible_spec(seeds=range(MIN_BATCH_LANES)).cell_list()
-        assert {p for p, _ in plan_chunks(cells, 1, batch="auto")} == {False}
+        chunks, _, _, rejects = self.run_plan(cells, "auto")
+        assert {p for p, _ in chunks} == {False}
+        assert rejects == {"no_numpy": len(cells)}
+
+    @pytest.mark.parametrize("batch, expected", [
+        # the 6-cell unconscious group is narrow; zigzag peeks
+        ("auto", {"narrow": 6, "adversary": 2}),
+        ("off", {}),                # off decides nothing, so counts nothing
+        ("on", {}),                 # every cell batches
+    ])
+    def test_planner_counts_each_scalar_cell_once(self, batch, expected):
+        cells = eligible_spec().cell_list()
+        if batch != "on":           # on refuses the peeking cells
+            cells += [scalar_only_cell(0), scalar_only_cell(1)]
+        _, records, batched, rejects = self.run_plan(cells, batch)
+        assert len(records) == len(cells)
+        assert batched == (len(cells) if batch == "on" else 0)
+        assert rejects == expected
 
 
 @needs_numpy
@@ -359,14 +376,25 @@ class TestStrictMode:
             run_cells(eligible_spec().cell_list(),
                       JsonlStore(tmp_path / "r.jsonl"), batch="sideways")
 
-    def test_worker_rejects_unknown_mode_before_claiming(self, tmp_path):
-        spec = eligible_spec(name="bad-mode")
+    def test_enqueue_rejects_unknown_mode_before_writing_a_chunk(
+            self, tmp_path):
+        spec = eligible_spec(name="bad-mode", seeds=range(32))  # 64 cells
         store = SqliteStore(tmp_path / "q.db", campaign=spec.name)
-        queue, _ = enqueue_campaign(spec, store)
         with pytest.raises(ConfigurationError, match="batch"):
-            run_worker(store, campaign=spec.name, worker_id="w0",
-                       poll_s=0.01, batch="sideways")
-        assert queue.counts().leased == 0
+            enqueue_campaign(spec, store, batch="sideways")
+        assert not WorkQueue(store).ever_enqueued()
+        assert store.connection().execute(
+            "SELECT COUNT(*) FROM chunks").fetchone() == (0,)
+
+    def test_worker_verb_has_no_batch_flag(self, capsys):
+        """Workers follow the planner's labels; there is nothing for a
+        worker-side override to decide."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "worker", "--campaign", "x", "--batch", "on"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --batch" in capsys.readouterr().err
 
 
 #: Modules a scalar run never calls into, so it must not import them.
@@ -479,18 +507,18 @@ class TestChunkSizing:
 
     @needs_numpy
     def test_enqueue_sizes_mixed_cells_by_route(self, tmp_path):
-        """Six batchable cells fill their chunks at the batch size; the
-        scalar cell gets a chunk of its own."""
+        """A wide group of 64 batchable cells fills its chunks at the
+        batch size; the scalar cell gets a chunk of its own."""
         lone = scalar_only_cell()
-        cells = eligible_spec(seeds=range(3)).cell_list() + [lone]
+        cells = eligible_spec(seeds=range(32)).cell_list() + [lone]
         spec = eligible_spec()
         store = SqliteStore(tmp_path / "q.db", campaign=spec.name)
-        WorkQueue(store).enqueue(cells, batch="on")
+        WorkQueue(store).enqueue(cells)
         rows = [(n, json.loads(keys)) for n, keys in store.connection().execute(
             "SELECT n_cells, cell_keys FROM chunks ORDER BY id")]
-        batch_size = default_chunk_size(6, batch=True)
+        batch_size = default_chunk_size(64, batch=True)
         assert [n for n, _ in rows] == [
-            len(c) for c in chunk_cells(range(6), batch_size)] + [1]
+            len(c) for c in even_chunks(range(64), batch_size)] + [1]
         assert rows[-1][1] == [lone.key()]
 
     @needs_numpy
@@ -590,44 +618,66 @@ class TestFleetTelemetry:
             assert chunk.batched
             assert chunk.cells_per_s is None or chunk.cells_per_s > 0
 
-    def test_scalar_worker_leaves_chunks_unmarked(self, tmp_path):
+    def test_scalar_labels_leave_chunks_unmarked(self, tmp_path):
         spec = eligible_spec(name="scalar-fleet")
         store = SqliteStore(tmp_path / "q.db", campaign=spec.name)
-        queue, _ = enqueue_campaign(spec, store, batch="on")
+        queue, _ = enqueue_campaign(spec, store, batch="off")
         report = run_worker(store, campaign=spec.name, worker_id="w0",
-                            poll_s=0.01, batch="off")
+                            poll_s=0.01)
         assert report.cells_batched == 0
         counts = queue.counts()
         assert counts.batched_done == 0 and counts.cells_batched == 0
 
-    def test_workers_follow_labels_unless_overridden(self, tmp_path):
-        """Chunks enqueued under auto carry the planner's route; a
-        default worker follows it, ``on`` and ``off`` override it."""
+    def test_numpy_less_worker_runs_batch_labels_scalar(self, tmp_path,
+                                                        monkeypatch):
+        """A mixed fleet: chunks labelled batch on a host with NumPy run
+        scalar on a worker without it, counted under ``no_numpy``, and
+        the store ends up as a ``--batch off`` run's."""
         wide = eligible_spec(seeds=range(MIN_BATCH_LANES // 4)).cell_list()
-        narrow = [replace(c, algorithm="known-bound", label="kb")
-                  for c in eligible_spec(seeds=range(20)).cell_list()]
-        spec = eligible_spec(name="labelled-fleet")
+        spec = eligible_spec(name="numpy-less-fleet")
         store = SqliteStore(tmp_path / "q.db", campaign=spec.name)
         queue = WorkQueue(store)
-        queue.enqueue(wide + narrow, chunk_size=32)
+        queue.enqueue(wide, chunk_size=32)
         assert list(store.connection().execute(
             "SELECT n_cells, batched FROM chunks ORDER BY id")) == [
-            (32, 1), (32, 1), (32, 0), (8, 0)]
-
-        def work(worker_id, max_chunks=None, batch=None):
+            (32, 1), (32, 1)]
+        monkeypatch.setattr(batch_rules, "HAVE_NUMPY", False)
+        obs_metrics.configure(enabled=True)
+        obs_metrics.reset()
+        try:
             report = run_worker(store, campaign=spec.name,
-                                worker_id=worker_id, poll_s=0.01,
-                                max_chunks=max_chunks, batch=batch)
-            return report.cells_done, report.cells_batched
-
-        assert work("off", 1, batch="off") == (32, 0)  # a batch chunk
-        assert work("default", 2) == (64, 32)          # batch + scalar
-        assert work("on", batch="on") == (8, 8)        # a scalar chunk
-        assert queue.finished()
+                                worker_id="no-numpy", poll_s=0.01)
+        finally:
+            obs_metrics.configure(enabled=None)
+            obs_metrics.reset()
+        assert (report.cells_done, report.cells_batched) == (64, 0)
+        assert batch_reject_counts(report.metrics) == {"no_numpy": 64}
+        assert queue.finished() and queue.counts().batched_done == 0
         serial = JsonlStore(tmp_path / "serial.jsonl")
-        run_cells(wide + narrow, serial, workers=1, batch="off")
+        run_cells(wide, serial, workers=1, batch="off")
         assert (metrics_by_key(store.records())
                 == metrics_by_key(serial.records()))
+        assert report_text(store, spec.name) == report_text(serial, spec.name)
+
+    def test_status_counts_each_reject_reason_once(self, tmp_path):
+        """The enqueue records the planner's reject counts, the worker
+        its own work: status merges both and shows each reason once."""
+        cells = eligible_spec().cell_list() + [scalar_only_cell(0),
+                                               scalar_only_cell(1)]
+        spec = eligible_spec(name="rejects")
+        store = SqliteStore(tmp_path / "q.db", campaign=spec.name)
+        obs_metrics.configure(enabled=True)
+        obs_metrics.reset()
+        try:
+            enqueue_campaign(spec, store, cells=cells)
+            run_worker(store, campaign=spec.name, worker_id="w0",
+                       poll_s=0.01)
+        finally:
+            obs_metrics.configure(enabled=None)
+            obs_metrics.reset()
+        status = fleet_status(store, campaign=spec.name)
+        assert status.batch_rejects == {"narrow": 6, "adversary": 2}
+        assert "  narrow     x6" in render_status(status)
 
     def test_status_renders_batch_telemetry(self, tmp_path):
         spec = eligible_spec()

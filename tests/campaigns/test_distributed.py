@@ -108,7 +108,7 @@ def _slow_worker_main(path, campaign, worker_id, ttl, delay_s):
 
     worker_mod.executor_module.execute_cell = slow
     run_worker(f"sqlite:{path}", campaign=campaign, worker_id=worker_id,
-               lease_ttl_s=ttl, poll_s=0.02, batch="off")
+               lease_ttl_s=ttl, poll_s=0.02)
 
 
 class TestWorkQueue:
@@ -647,7 +647,7 @@ class TestReviewRegressions:
             worker_mod.executor_module, "execute_cell", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run_worker(queue.store, worker_id="w", lease_ttl_s=10,
-                       poll_s=0.01, batch="off")
+                       poll_s=0.01)
         counts = queue.counts()
         assert counts.pending == 1 and counts.leased == 0
         assert len(queue.store) == 0           # nothing recorded
@@ -670,7 +670,7 @@ class TestReviewRegressions:
             worker_mod.executor_module, "execute_cell", broken)
         with pytest.raises(RuntimeError):
             run_worker(queue.store, worker_id="w", lease_ttl_s=0.3,
-                       poll_s=0.01, batch="off")
+                       poll_s=0.01)
         assert queue.counts().leased == 1
         time.sleep(0.5)                        # > TTL with no heartbeat
         vulture = WorkQueue(SqliteStore(queue.store.path, campaign=spec.name),

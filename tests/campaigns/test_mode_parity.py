@@ -18,8 +18,9 @@ import pytest
 
 from repro.campaigns import CampaignSpec, CellConfig, SqliteStore, run_cells
 from repro.campaigns.distributed import run_distributed
-from repro.campaigns.executor import MIN_BATCH_LANES
+from repro.campaigns.executor import MIN_BATCH_LANES, batch_reject_counts
 from repro.core.batch_rules import batch_eligible, numpy_available
+from repro.obs import metrics as obs_metrics
 
 MODES = ("serial", "pool", "distributed")
 TELEMETRY = {"elapsed_s", "span_id"}
@@ -53,11 +54,21 @@ def mixed_cells() -> tuple[CampaignSpec, list[CellConfig]]:
     return spec, cells + [broken]
 
 
-def execute(mode: str, spec, cells, store):
+def execute(mode: str, spec, cells, store, batch=None):
     if mode == "distributed":
         return run_distributed(spec, store, cells=cells, workers=2,
-                               lease_ttl_s=10)
-    return run_cells(cells, store, workers=1 if mode == "serial" else 2)
+                               lease_ttl_s=10, batch=batch)
+    return run_cells(cells, store, workers=1 if mode == "serial" else 2,
+                     batch=batch)
+
+
+@pytest.fixture
+def metrics_on(monkeypatch):
+    """Metrics on (inherited by forked workers) from an empty registry."""
+    monkeypatch.setenv("REPRO_METRICS", "1")
+    obs_metrics.reset()
+    yield
+    obs_metrics.reset()
 
 
 def results(store) -> dict[str, dict]:
@@ -182,3 +193,43 @@ def test_every_mode_traces_the_same_span_tree(mode, tmp_path, monkeypatch):
     cells_traced = [s for s in spans if s["kind"] == "cell"]
     assert len(cells_traced) == len(cells)
     assert all(s["parent_id"] in chunks for s in cells_traced)
+
+
+@pytest.mark.parametrize("batch", ["auto", "on", "off"])
+def test_every_mode_counts_the_same_rejects(batch, tmp_path, metrics_on):
+    """The planner counts each scalar-routed cell once, in the process
+    that plans; pool children and queue workers add nothing to it."""
+    spec, cells = mixed_cells()
+    if batch == "on":
+        if not numpy_available():
+            pytest.skip("batch path needs numpy")
+        cells = [c for c in cells if batch_eligible(c)]
+    counts = {}
+    for mode in MODES:
+        obs_metrics.reset()
+        run = execute(mode, spec, cells, SqliteStore(
+            tmp_path / f"{mode}.db", campaign=spec.name), batch)
+        counts[mode] = batch_reject_counts(run.metrics)
+    if batch == "auto" and numpy_available():
+        # the narrow unconscious group, the peeking adversary and the
+        # broken cell's placement
+        assert counts["serial"] == {
+            "adversary": 6, "narrow": 6, "placement": 1}
+    elif batch == "auto":
+        assert counts["serial"] == {"no_numpy": len(cells)}
+    else:
+        assert counts["serial"] == {}
+    for mode in MODES[1:]:
+        assert counts[mode] == counts["serial"], mode
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_coordinator_metrics_are_reported_once(mode, tmp_path, metrics_on):
+    """What the coordinator recorded before the run appears once in the
+    run's metrics: forked pool and queue workers start from an empty
+    registry, and the enqueue publishes the coordinator's own snapshot."""
+    spec, cells = mixed_cells()
+    obs_metrics.registry().counter("test.coordinator").inc()
+    run = execute(mode, spec, cells, SqliteStore(tmp_path / "r.db",
+                                                 campaign=spec.name))
+    assert run.metrics["test.coordinator"]["value"] == 1

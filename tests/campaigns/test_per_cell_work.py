@@ -12,6 +12,7 @@ import ast
 import pytest
 
 from repro.campaigns import spec as spec_module
+from repro.campaigns.distributed import run_distributed
 from repro.campaigns.distributed.queue import WorkQueue
 from repro.campaigns.executor import run_chunk
 from repro.campaigns.spec import CampaignSpec, CellConfig
@@ -43,6 +44,12 @@ TO_DICT_PER_ENQUEUED_CELL = 1
 #: before (``run_chunk``, ``core.batch.run_batch_cells`` and
 #: ``BatchCore.__init__``), 1 after.
 VERDICTS_PER_BATCHED_CELL = 1
+
+#: ``_batch_ineligibility`` calls per cell in the coordinator of a
+#: ``--batch on`` distributed run: 2 before (``prepare_cells`` refused
+#: ineligible cells, then ``plan_chunks`` routed them), 1 after (the
+#: planner's one verdict does both).
+VERDICTS_PER_PLANNED_CELL = 1
 
 
 def counting(monkeypatch, owner, name):
@@ -93,3 +100,16 @@ def test_a_batch_chunk_checks_each_cell_once(monkeypatch, metrics):
     # ``faults`` strings are parsed once per distinct value, not per cell.
     distinct = {c.faults for c in cells if c.faults}
     assert FaultPlan.parse.cache_info().misses == len(distinct)
+
+
+@needs_numpy
+def test_planning_under_on_checks_each_cell_once(monkeypatch, tmp_path):
+    """Counts the coordinator's calls only: the forked queue worker
+    that runs the chunks appends to its own copy of the list."""
+    cells = [c for c in SAMPLE.cells() if batch_rules.batch_eligible(c)]
+    verdicts = counting(monkeypatch, batch_rules, "_batch_ineligibility")
+    store = SqliteStore(tmp_path / "q.db", campaign=SAMPLE.name)
+    run = run_distributed(SAMPLE, store, cells=cells, workers=1,
+                          lease_ttl_s=10, batch="on")
+    assert run.batched == len(cells) == run.executed
+    assert len(verdicts) == VERDICTS_PER_PLANNED_CELL * len(cells)

@@ -529,7 +529,7 @@ class TestMixedEligibility:
         assert all(not batch_eligible(c) for c in ineligible)
         cells = [eligible[0], ineligible[0], eligible[1], ineligible[1],
                  eligible[2]]
-        records, batched = run_chunk(cells, batch="on")
+        records, batched = run_chunk(cells, planned=True)
         assert batched == 3
         assert [r["key"] for r in records] == [c.key() for c in cells]
         for cell, record in zip(cells, records):

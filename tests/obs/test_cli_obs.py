@@ -33,7 +33,6 @@ def load_script(name: str):
 def obs_isolation(monkeypatch, tmp_path):
     """Each test runs with a clean env, cwd, registry, and logger tree."""
     monkeypatch.delenv("REPRO_METRICS", raising=False)
-    monkeypatch.delenv("REPRO_PHASE_METRICS", raising=False)
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     monkeypatch.delenv("REPRO_TRACE_JSONL", raising=False)
     monkeypatch.chdir(tmp_path)

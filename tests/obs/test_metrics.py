@@ -18,11 +18,10 @@ from repro.obs.metrics import (
 def clean_state(monkeypatch):
     """Every test starts env-gated-off with a fresh global registry."""
     monkeypatch.delenv("REPRO_METRICS", raising=False)
-    monkeypatch.delenv("REPRO_PHASE_METRICS", raising=False)
-    metrics.configure(enabled=None, phase_timing=None)
+    metrics.configure(enabled=None)
     metrics.reset()
     yield
-    metrics.configure(enabled=None, phase_timing=None)
+    metrics.configure(enabled=None)
     metrics.reset()
 
 
@@ -218,14 +217,10 @@ class TestGlobalGate:
         metrics.reset()
         assert metrics.snapshot() == {}
 
-    def test_phase_timing_follows_metrics_unless_vetoed(self, monkeypatch):
-        assert not metrics.phase_timing_enabled()
-        monkeypatch.setenv("REPRO_METRICS", "1")
-        assert metrics.phase_timing_enabled()
-        assert isinstance(metrics.phase_timer(), PhaseTimer)
-        monkeypatch.setenv("REPRO_PHASE_METRICS", "0")
-        assert not metrics.phase_timing_enabled()
+    def test_phase_timing_follows_metrics(self, monkeypatch):
         assert metrics.phase_timer() is None
+        monkeypatch.setenv("REPRO_METRICS", "1")
+        assert isinstance(metrics.phase_timer(), PhaseTimer)
 
 
 class TestPhaseTimer:

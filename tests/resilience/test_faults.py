@@ -214,7 +214,7 @@ class TestCampaignIntegration:
     def test_batch_auto_equals_batch_off_for_fault_cells(self):
         config = cell(faults="crash:1@4")
         [auto], batched = run_chunk([config], planned=True)
-        [off], _ = run_chunk([config], batch="off")
+        [off], _ = run_chunk([config])
         assert batched == 1
         assert auto["metrics"] == off["metrics"]
         assert auto["metrics"]["crashed_count"] == 1
