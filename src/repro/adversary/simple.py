@@ -7,8 +7,11 @@ missing per round).
 
 The first four decide from the round, the ring size and their own seeded
 state only; ``choose_missing_edge`` delegates to that engine-free
-``edge_for(round_no, size)``, which :class:`~repro.core.batch.BatchCore`
-calls per cell.
+``edge_for(round_no, size)``.  Their parameters are read-only
+attributes, and :class:`RandomMissingEdge` hands out its stream's raw
+words (:meth:`~RandomMissingEdge.words`), so
+:class:`~repro.core.batch.BatchCore` replays the same removals as array
+operations.
 """
 
 from __future__ import annotations
@@ -56,6 +59,18 @@ class FixedMissingEdge:
         self._from = from_round
         self._until = until_round
 
+    @property
+    def edge(self) -> int:
+        return self._edge
+
+    @property
+    def from_round(self) -> int:
+        return self._from
+
+    @property
+    def until_round(self) -> int | None:
+        return self._until
+
     def reset(self, engine: "Engine") -> None:
         if not 0 <= self._edge < engine.ring.size:
             raise ConfigurationError(
@@ -93,6 +108,18 @@ class PeriodicMissingEdge:
         self._period = period
         self._duty = duty
 
+    @property
+    def edge(self) -> int:
+        return self._edge
+
+    @property
+    def period(self) -> int:
+        return self._period
+
+    @property
+    def duty(self) -> int:
+        return self._duty
+
     def reset(self, engine: "Engine") -> None:
         if not 0 <= self._edge < engine.ring.size:
             raise ConfigurationError(
@@ -118,6 +145,16 @@ class RandomMissingEdge:
         self._p = p
         self._seed = seed
         self._rng = random.Random(seed)
+
+    @property
+    def p(self) -> float:
+        """The probability that some edge is missing in a round."""
+        return self._p
+
+    def words(self, count: int) -> bytes:
+        """The next ``count`` 32-bit words of this adversary's stream,
+        little-endian, in the order ``edge_for`` would draw them."""
+        return self._rng.getrandbits(32 * count).to_bytes(4 * count, "little")
 
     def reset(self, engine: "Engine") -> None:  # noqa: ARG002
         self._rng = random.Random(self._seed)

@@ -160,12 +160,13 @@ class LeasedQueue:
         done = self.store.completed_keys(among=claim.cell_keys)
         todo = [(cell, key) for cell, key in zip(claim.cells, claim.cell_keys)
                 if key not in done]
-        return Chunk(claim.chunk_id,
-                     [CellConfig.from_dict(cell) for cell, _ in todo],
+        decoded = [CellConfig.from_payload(cell) for cell, _ in todo]
+        return Chunk(claim.chunk_id, [cell for cell, _ in decoded],
                      [key for _, key in todo], attrs, claim_s=claim_s,
                      skipped=len(claim.cells) - len(todo),
                      abort=self._keepers[claim.chunk_id].lost.is_set,
-                     planned=claim.planned)
+                     planned=claim.planned,
+                     configs=[config for _, config in decoded])
 
     def complete(self, chunk: Chunk, records, *, batched: bool,
                  cells_per_s: float | None) -> None:

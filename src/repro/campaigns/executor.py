@@ -174,6 +174,7 @@ def run_chunk(
     cells: Sequence[CellConfig],
     *,
     keys: Sequence[str] | None = None,
+    configs: Sequence[dict[str, Any]] | None = None,
     abort: Callable[[], bool] | None = None,
     planned: bool = False,
 ) -> tuple[list[dict[str, Any]], int]:
@@ -190,7 +191,9 @@ def run_chunk(
     Returns ``(records, batched)`` where ``batched`` counts cells that
     actually took the vector path.  ``keys`` are the cells' store keys,
     parallel to ``cells``, when the caller computed them already
-    (``None`` = compute them here).
+    (``None`` = compute them here); ``configs``, likewise, their
+    :meth:`~repro.campaigns.spec.CellConfig.to_dict` forms (a claimed
+    chunk's decoded payload), which batched records reuse.
 
     ``abort`` (polled between scalar cells) lets a lease-losing worker
     stop early; already-produced records are returned for the caller to
@@ -236,7 +239,8 @@ def run_chunk(
             for (i, cell), result in zip(vector, results):
                 records[i] = {
                     "key": keys[i],
-                    "config": cell.to_dict(),
+                    "config": (cell.to_dict() if configs is None
+                               else configs[i]),
                     "metrics": metrics_from_result(result),
                     "elapsed_s": per_cell,
                 }
@@ -261,14 +265,14 @@ def run_chunk(
 # runners: where a claimed chunk executes
 # ---------------------------------------------------------------------------
 
-def _timed_chunk(cells, keys, span_id, abort=None, planned=False):
+def _timed_chunk(cells, keys, configs, span_id, abort=None, planned=False):
     """``run_chunk`` under the chunk span ``span_id``, plus its wall start
     (epoch seconds) and duration: ``(records, batched, start_s, run_s)``."""
     rec = obs_spans.recorder()
     start_s, t0 = time.time(), time.perf_counter()
     with rec.within(span_id) if rec is not None else nullcontext():
-        records, batched = run_chunk(cells, keys=keys, abort=abort,
-                                     planned=planned)
+        records, batched = run_chunk(cells, keys=keys, configs=configs,
+                                     abort=abort, planned=planned)
     return records, batched, start_s, time.perf_counter() - t0
 
 
@@ -283,9 +287,10 @@ def _run_chunk(task):
     """
     n, payload, keys, span_id, planned = task
     obs_spans.ensure_recorder()  # pool children: env-driven JSONL sink
-    outcome = _timed_chunk(
-        [CellConfig.from_dict(d) for d in payload], keys, span_id,
-        planned=planned)
+    decoded = [CellConfig.from_payload(d) for d in payload]
+    outcome = _timed_chunk([cell for cell, _ in decoded], keys,
+                           [config for _, config in decoded], span_id,
+                           planned=planned)
     snap: dict | None = None
     if obs_metrics.enabled():
         snap = obs_metrics.snapshot()
@@ -296,8 +301,9 @@ def _run_chunk(task):
 def run_inline(chunks):
     """Runner: execute each claimed chunk here, as it is claimed."""
     for chunk in chunks:
-        yield chunk, (*_timed_chunk(chunk.cells, chunk.keys, chunk.span_id,
-                                    chunk.abort, chunk.planned), None)
+        yield chunk, (*_timed_chunk(chunk.cells, chunk.keys, chunk.configs,
+                                    chunk.span_id, chunk.abort,
+                                    chunk.planned), None)
 
 
 def run_pooled(chunks, *, workers: int):
@@ -339,6 +345,9 @@ class Chunk:
     #: Cut by :func:`plan_chunks` as a batch chunk (``run_chunk``'s
     #: ``planned``).
     planned: bool = False
+    #: The cells' ``to_dict()`` forms, parallel to :attr:`cells`, when
+    #: the queue decoded them from a payload (``None`` = build them).
+    configs: list[dict[str, Any]] | None = None
 
 
 class LocalQueue:

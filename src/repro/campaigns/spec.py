@@ -237,6 +237,19 @@ class CellConfig:
             raise ConfigurationError(f"unknown cell fields: {sorted(unknown)}")
         return cls(**kwargs)
 
+    @classmethod
+    def from_payload(
+            cls, data: dict[str, Any]) -> tuple["CellConfig", dict[str, Any]]:
+        """:meth:`from_dict` plus the cell's :meth:`to_dict` form.
+
+        A queued chunk's payload holds each cell's ``to_dict()`` decoded
+        from JSON, which is that form already, so ``data`` itself is
+        returned; a payload with other keys (an old queue's ``batch``
+        field) is encoded afresh.
+        """
+        cell = cls.from_dict(data)
+        return cell, data if data.keys() == _FIELD_SET else cell.to_dict()
+
     def key(self) -> str:
         """Stable content hash identifying this cell in a result store.
 

@@ -22,22 +22,26 @@ The frontier spans the paper's oblivious matrix and two extensions:
   *rides* the edge when it is present (one extra masked traverse per
   round); ET differs from NS only through its scheduler;
 * **SSYNC schedulers and the oblivious adversaries** — each cell's
-  adversary, scheduler and fault injector are the objects the registry
-  builds for the scalar engine, asked per running cell through their
-  engine-free entry points (``edge_for``, ``choose``,
-  ``crashes_at_round``), so every parameter and seeded stream has one
-  owner; the answers fill the per-round missing-edge vector and
-  ``act[C, K]`` mask, and everything downstream stays lockstep.  FSYNC
-  rows, round-robin's rotation and the block-agent peek keep array
-  forms;
+  adversary and scheduler are the objects the registry builds for the
+  scalar engine, and those objects own every parameter and seed.
+  BatchCore reads the parameters off their read-only attributes into
+  columns (the edge windows of ``none``/``fixed``/``periodic``,
+  round-robin's window, random-fair's ``p`` and cap, et-fair's
+  patience beside a ``debt[C, K]`` column).  The seeded ones
+  (``random``, ``random-fair``) hand over their generator's raw 32-bit
+  words in blocks (:class:`_WordBlocks`), and BatchCore replays
+  ``random()``, ``randrange`` and ``choice`` on those words with one
+  cursor per row, so every draw is the scalar engine's, word for word.
+  A factory class with no array form raises :class:`ConfigurationError`
+  (the executor then runs the chunk scalar);
 * **landmark cells** — the landmark is one more per-cell column
   (``lm``/``lm_seen``/``lm_first_net``/``size``/``Ntime``), maintained
   for every cell so LExplore observations match the scalar engine even
   for algorithms that ignore them;
 * **fault plans** — every plan the scalar path accepts (``crash:A@R``,
   ``lost:A``/``lost:*``, ``rate:p``): a ``crashed[C, K]`` column, the
-  round's crashes (each cell's injector asked) applied before the
-  adversary;
+  round's crashes (each faulty cell's injector asked through
+  ``crashes_at_round``) applied before the adversary;
 * **the block-agent adversary** (Observation 1) — the target's intended
   move comes from one side-effect-free pass of the vector program
   against the round-start Look, its columns saved and restored around
@@ -115,6 +119,143 @@ _MAX_PAIRWISE = 1 << 22
 _MAX_VISITED_BYTES = 1 << 26
 
 
+#: Words one refill draws per row of a seeded policy's block: 256 cells
+#: hold a few tens of KB of words.
+_BLOCK_WORDS = 64
+
+#: Words :meth:`_WordBlocks.below` examines per row at once.  A word
+#: passes with probability >= 1/2, so 16 leave a row unsettled with
+#: probability <= 2**-16.
+_LOOKAHEAD = 16
+
+#: Rows one refill pass handles: a bound on its temporaries.
+_REFILL_ROWS = 64
+
+
+def _randbelow_bounds(n):
+    """``(limit, shift)`` per ``n >= 1``: ``Random._randbelow(n)`` keeps
+    the first word below ``limit`` and returns it ``>> shift``, where
+    ``shift = 32 - n.bit_length()`` and ``limit = n << shift`` (a word's
+    top ``bit_length`` bits are below ``n`` iff the word is below
+    ``limit``)."""
+    np = _np
+    shift = (32 - np.frexp(n.astype(np.float64))[1]).astype(np.uint32)
+    return n.astype(np.uint32) << shift, shift
+
+
+class _WordBlocks:
+    """The raw 32-bit words of seeded policy objects, read in blocks.
+
+    Row ``j`` owns ``width`` slots of one flat ``uint32`` array and holds
+    a contiguous stretch of ``sources[j]``'s stream there: its unread
+    words sit at flat positions ``cur[j] .. end[j] - 1``.  The draws
+    decode words the way :class:`random.Random` does, so reading a row
+    from its cursor replays the object's own ``random()``/``randrange``/
+    ``choice`` calls word for word.  No generator state is copied: the
+    words come from the object's ``words(count)``.
+
+    With ``below`` (one ``n`` per row) a row's stream is nothing but
+    ``randrange(n)`` draws, so each block is decoded as it arrives and
+    the row holds draws, one per :meth:`pop`, instead of words.
+    """
+
+    def __init__(self, sources, reach: int, below=None) -> None:
+        """``reach``: the most words one draw reads past the cursor."""
+        np = _np
+        self._sources = sources
+        self._reach = max(reach, _LOOKAHEAD)
+        width = _BLOCK_WORDS + self._reach
+        self._words = np.zeros(len(sources) * width, dtype=np.uint32)
+        self._base = np.arange(len(sources)) * width
+        self._tail = np.arange(self._reach)
+        self._block = np.arange(_BLOCK_WORDS)
+        self._ahead = np.arange(_LOOKAHEAD)
+        self._decode = None if below is None else _randbelow_bounds(below)
+        self.cur = self._base.copy()
+        self.end = self._base.copy()
+
+    def ensure(self, rows, need) -> None:
+        """Give every row of ``rows`` at least ``need`` (<= the reach)
+        unread words, refilling the short ones."""
+        short = rows[self.end[rows] - self.cur[rows] < need]
+        while short.size:
+            # A few rows per pass keep the temporaries small.
+            for lo in range(0, short.size, _REFILL_ROWS):
+                self._refill(short[lo:lo + _REFILL_ROWS])
+            # A decoded block may keep too few draws (each word passes
+            # with probability >= 1/2); those rows draw another.
+            short = short[self.end[short] - self.cur[short] < need]
+
+    def _refill(self, rows) -> None:
+        """Move each row's unread tail to the front of its slots and
+        append the whole next block of its stream (decoded: the block's
+        kept draws)."""
+        np = _np
+        words = self._words
+        fresh = np.frombuffer(
+            b"".join([self._sources[j].words(_BLOCK_WORDS)
+                      for j in rows.tolist()]),
+            dtype="<u4").reshape(rows.size, _BLOCK_WORDS)
+        base, cur = self._base[rows], self.cur[rows]
+        tail = self.end[rows] - cur
+        keep = self._tail < tail[:, None]
+        moved = words.take(cur[:, None] + self._tail, mode="clip")
+        words[(base[:, None] + self._tail)[keep]] = moved[keep]
+        start = base + tail
+        self.cur[rows] = base
+        if self._decode is None:
+            words[start[:, None] + self._block] = fresh
+            self.end[rows] = start + _BLOCK_WORDS
+            return
+        limit, shift = self._decode
+        kept = fresh < limit[rows, None]
+        at = np.cumsum(kept, axis=1)
+        at += (start - 1)[:, None]
+        words[at[kept]] = (fresh >> shift[rows, None])[kept]
+        self.end[rows] = start + kept.sum(axis=1)
+
+    def pop(self, rows):
+        """The next draw of each decoded row, consumed."""
+        cur = self.cur[rows]
+        self.cur[rows] = cur + 1
+        return self._words.take(cur)
+
+    def peek(self, rows, offsets):
+        """The words ``offsets[i, :]`` past row ``rows[i]``'s cursor (not
+        consumed; they must be among its unread words)."""
+        return self._words.take(self.cur[rows, None] + offsets)
+
+    def random(self, rows, offsets):
+        """``Random.random()`` from the two words at each offset (not
+        consumed): ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``."""
+        np = _np
+        a = (self.peek(rows, offsets) >> 5).astype(np.int64)
+        b = self.peek(rows, offsets + 1) >> 6
+        return (a * 67108864 + b) * (1.0 / 9007199254740992.0)
+
+    def below(self, rows, n):
+        """``Random._randbelow(n)`` per row (each ``n >= 1``), consuming
+        the word it returns and the words it rejects.  At least half of
+        all words pass, so one look at the next :data:`_LOOKAHEAD` words
+        settles nearly every row; the rest look again."""
+        np = _np
+        limit, shift = _randbelow_bounds(n)
+        out = np.empty(rows.size, dtype=np.int64)
+        todo = np.arange(rows.size)
+        while todo.size:
+            now = rows[todo]
+            self.ensure(now, _LOOKAHEAD)
+            word = self.peek(now, self._ahead)
+            ok = word < limit[todo, None]
+            first = ok.argmax(axis=1)
+            hit = ok.any(axis=1)
+            self.cur[now] += np.where(hit, first + 1, _LOOKAHEAD)
+            done = todo[hit]
+            out[done] = word[hit, first[hit]] >> shift[done]
+            todo = todo[~hit]
+        return out
+
+
 class BatchCore:
     """Lockstep execution of same-shape eligible cells.
 
@@ -141,10 +282,12 @@ class BatchCore:
                             ``last_dir`` for the program driver
     program columns         ``v_*[C,K]`` variables and ``pbound[C]``,
                             allocated by the program's ``setup``
-    scheduling              ``rsa[C,K]`` rounds since active, the FSYNC /
-                            round-robin row masks with RR offsets and
-                            windows; other rows' state lives in their
-                            scheduler objects
+    scheduling              ``rsa[C,K]`` rounds since active; round-robin
+                            rows' windows and offsets, random-fair rows'
+                            ``p``/cap and word blocks, et-fair rows'
+                            patience and ``debt[C,K]``
+    adversary               oblivious rows' edge windows, random rows'
+                            ``p`` and word blocks, block-agent targets
     ``visited_bits``        packed bitmap ``[C, ceil(n_max/8)]`` +
                             ``visited_count``/``explo_round``
     ``running[C]``          cells still stepping; halted cells freeze
@@ -153,8 +296,8 @@ class BatchCore:
     Each :meth:`advance` replays one scalar round exactly — the fault
     plans' crashes, Look (pairwise same-node occupancy tensors),
     adversary choice (block-agent rows peek through the vector program),
-    scheduler activation (FSYNC constant, round-robin rotation or the
-    cell's scheduler object), the
+    scheduler activation (FSYNC constant, round-robin rotation,
+    random-fair coins and et-fair debts), the
     algorithm's vector program (state transitions with the driver's
     entered-state timing), port mutual exclusion (denial = port held at
     round start, winner = lowest index, ``Btime`` reset for every
@@ -188,7 +331,6 @@ class BatchCore:
         from ..campaigns.registry import (
             ADVERSARIES, ALGORITHMS, cell_scheduler, fault_injector)
         from ..campaigns.spec import resolve_positions
-        from ..schedulers import FsyncScheduler, RoundRobinScheduler
 
         np = _np
         self.cells = list(cells)
@@ -261,21 +403,11 @@ class BatchCore:
 
         # -- the cells' own round policies, built by the registry --------
         adversaries = [ADVERSARIES[c.adversary](c) for c in cells]
-        self._schedulers = [
-            cell_scheduler(c, adv) for c, adv in zip(cells, adversaries)]
+        self._adversary_columns(adversaries)
+        self._scheduler_columns(
+            [cell_scheduler(c, adv) for c, adv in zip(cells, adversaries)])
         self.is_pt = np.array([c.transport == "pt" for c in cells], dtype=bool)
         self._any_pt = bool(self.is_pt.any())
-        # FSYNC rows and round-robin's rotation are array forms; every
-        # other scheduler is asked per running cell (:meth:`_activation`).
-        self._fsync = np.array(
-            [isinstance(s, FsyncScheduler) for s in self._schedulers])
-        self._rr = np.array(
-            [isinstance(s, RoundRobinScheduler) for s in self._schedulers])
-        self._ask = ~(self._fsync | self._rr)
-        self._all_fsync = bool(self._fsync.all())
-        self._rr_window = np.array(
-            [getattr(s, "window", 1) for s in self._schedulers], dtype=np.int64)
-        self._rr_offset = np.zeros(C, dtype=np.int64)
         self.rsa = zeros(np.int64)          # rounds_since_active
 
         # -- fault plans: one FaultInjector per faulty cell ---------------
@@ -304,15 +436,6 @@ class BatchCore:
         self._program_columns = ("state", "entered", "last_dir", "Etime",
                                  "Esteps") + tuple(
             sorted(name for name in vars(self) if name.startswith("v_")))
-
-        # The oblivious adversaries answer ``edge_for``; the one without
-        # it, block-agent, peeks through the vector program at its target.
-        self._edge_for = [getattr(adv, "edge_for", None) for adv in adversaries]
-        self._sizes = self.n.tolist()
-        self._block = np.array([f is None for f in self._edge_for])
-        self._any_block = bool(self._block.any())
-        self._block_target = np.array(
-            [getattr(adv, "target", 0) for adv in adversaries], dtype=np.int64)
 
         self._n_max = int(self.n.max())
         self._n_bytes = (self._n_max + 7) >> 3
@@ -392,16 +515,157 @@ class BatchCore:
             pass
         return self.results()
 
+    # ------------------------------------------------------------------
+    # round policies: the registry's objects as columns
+    # ------------------------------------------------------------------
+
+    def _adversary_columns(self, adversaries) -> None:
+        """Lay out each cell's edge adversary as columns.
+
+        ``none``, ``fixed`` and ``periodic`` share one rule: edge
+        ``_adv_edge`` (-1 = none) is missing in rounds ``from <= t <
+        until`` with ``t % period < duty``.  ``random`` rows keep their
+        object's ``p`` and read its words; block-agent rows peek at
+        their ``target``.
+        """
+        np = _np
+        from ..adversary.simple import (
+            FixedMissingEdge, NoRemoval, PeriodicMissingEdge, RandomMissingEdge)
+
+        C = self._C
+        self._adv_edge = np.full(C, -1, dtype=np.int64)
+        self._adv_from = np.zeros(C, dtype=np.int64)
+        self._adv_until = np.full(C, np.iinfo(np.int64).max, dtype=np.int64)
+        self._adv_period = np.ones(C, dtype=np.int64)
+        self._adv_duty = np.ones(C, dtype=np.int64)
+        self._block = np.zeros(C, dtype=bool)
+        self._block_target = np.zeros(C, dtype=np.int64)
+        randoms = []
+        for ci, adv in enumerate(adversaries):
+            kind = type(adv)
+            if kind is NoRemoval:
+                continue
+            if kind is FixedMissingEdge:
+                self._adv_edge[ci] = adv.edge
+                self._adv_from[ci] = adv.from_round
+                if adv.until_round is not None:
+                    self._adv_until[ci] = adv.until_round
+            elif kind is PeriodicMissingEdge:
+                self._adv_edge[ci] = adv.edge
+                self._adv_period[ci] = adv.period
+                self._adv_duty[ci] = adv.duty
+            elif kind is RandomMissingEdge:
+                randoms.append(ci)
+            else:
+                from ..adversary.blocking import BlockAgentAdversary
+
+                if kind is not BlockAgentAdversary:
+                    raise ConfigurationError(
+                        f"adversary class {kind.__name__} has no array form")
+                self._block[ci] = True
+                self._block_target[ci] = adv.target
+        self._any_block = bool(self._block.any())
+        # At p = 1 a random row's stream is one ``randrange(n)`` per
+        # round, decoded a block at a time; below 1 a ``random()`` coin
+        # (two words) comes first.
+        sure = [ci for ci in randoms if adversaries[ci].p >= 1.0]
+        tossed = [ci for ci in randoms if adversaries[ci].p < 1.0]
+        self._sure_cells = np.array(sure, dtype=np.int64)
+        self._sure_edges = (_WordBlocks(
+            [adversaries[ci] for ci in sure], 1,
+            below=self.n[self._sure_cells]) if sure else None)
+        self._toss_cells = np.array(tossed, dtype=np.int64)
+        self._toss_p = np.array(
+            [adversaries[ci].p for ci in tossed], dtype=np.float64)
+        self._toss_words = (_WordBlocks([adversaries[ci] for ci in tossed], 2)
+                            if tossed else None)
+
+    def _scheduler_columns(self, schedulers) -> None:
+        """Lay out each cell's scheduler as columns.
+
+        FSYNC rows need nothing; round-robin rows keep a window and a
+        rotating offset; random-fair rows keep ``p``, the starvation cap
+        and their object's words.  An et-fair row is its base's row plus
+        a patience and a ``debt[C, K]`` column.
+        """
+        np = _np
+        from ..schedulers import (
+            ETFairScheduler, FsyncScheduler, RandomFairScheduler,
+            RoundRobinScheduler)
+
+        C = self._C
+        self._rr = np.zeros(C, dtype=bool)
+        self._rr_window = np.ones(C, dtype=np.int64)
+        self._rr_offset = np.zeros(C, dtype=np.int64)
+        self._patience = np.zeros(C, dtype=np.int64)
+        fair = []
+        for ci, scheduler in enumerate(schedulers):
+            if type(scheduler) is ETFairScheduler:
+                self._patience[ci] = scheduler.patience
+                scheduler = scheduler.base
+            kind = type(scheduler)
+            if kind is RoundRobinScheduler:
+                self._rr[ci] = True
+                self._rr_window[ci] = scheduler.window
+            elif kind is RandomFairScheduler:
+                fair.append((ci, scheduler))
+            elif kind is not FsyncScheduler:
+                raise ConfigurationError(
+                    f"scheduler class {kind.__name__} has no array form")
+        self._any_et = bool(self._patience.any())
+        self._debt = np.zeros((C, self._K), dtype=np.int64)
+        self._fair_cells = np.array([ci for ci, _ in fair], dtype=np.int64)
+        self._fair_p = np.array([f.p for _, f in fair], dtype=np.float64)
+        self._fair_cap = np.array(
+            [f.starvation_cap for _, f in fair], dtype=np.int64)
+        # One round reads two words per live agent past the cursor.
+        self._fair_words = (_WordBlocks([f for _, f in fair], 2 * self._K)
+                            if fair else None)
+        self._all_fsync = not (fair or self._rr.any() or self._any_et)
+
+    def _missing_edges(self, run, dead, look):
+        """This round's missing edge per cell (-1 = none, or not stepping).
+
+        Running cells all sit at round ``t``.  Random rows draw as
+        ``RandomMissingEdge.edge_for``: with ``p < 1`` one ``random()``
+        decides whether an edge goes, then ``randrange(n)`` picks it (at
+        ``p = 1``, the next decoded draw).  Block-agent rows remove the
+        edge their target is about to try.
+        """
+        np = _np
+        t = self._t
+        missing = np.where(
+            run & (self._adv_from <= t) & (t < self._adv_until)
+            & (t % self._adv_period < self._adv_duty), self._adv_edge, -1)
+        edges = self._sure_edges
+        if edges is not None:
+            rows = np.nonzero(run[self._sure_cells])[0]
+            edges.ensure(rows, 1)
+            missing[self._sure_cells[rows]] = edges.pop(rows)
+        words = self._toss_words
+        if words is not None:
+            rows = np.nonzero(run[self._toss_cells])[0]
+            words.ensure(rows, 2)
+            spared = words.random(rows, 0)[:, 0] >= self._toss_p[rows]
+            words.cur[rows] += 2
+            rows = rows[~spared]
+            cells = self._toss_cells[rows]
+            missing[cells] = words.below(rows, self.n[cells])
+        if self._any_block:
+            mask = run & self._block
+            if mask.any():
+                missing[mask] = self._intended_edge(mask, dead, look)[mask]
+        return missing
+
     def _activation(self, run, missing, dead):
-        """This round's activation mask, from each cell's own scheduler.
+        """This round's activation mask, replayed from the cells' schedulers.
 
         Live means neither terminated nor crashed (``dead`` is the
         complement).  FSYNC rows activate every live agent; round-robin
-        rows, computed for all cells at once, the scheduler's window of
-        live agents at its rotating offset.  Every other row asks its
-        scheduler object's ``choose`` with the inputs its ``select``
-        would read off the scalar engine, so the activation sets are the
-        ones the scalar engine sees round by round.
+        rows the scheduler's window of live agents at its rotating
+        offset; random-fair rows their coins, the starvation cap and the
+        empty-set fallback (:meth:`_random_fair`); et-fair rows then
+        settle their debts (:meth:`_enforce_et`).
         """
         np = _np
         live = ~dead
@@ -419,27 +683,61 @@ class BatchCore:
             act[rr] = live_rr & ((rank - start) % count
                                  < np.minimum(self._rr_window[rr, None], count))
             self._rr_offset[rr] += 1
-        rows = np.nonzero(run & self._ask)[0]
-        if rows.size:
-            pos, port = self.pos[rows], self.port[rows]
-            edge = np.where(port == 1, pos, (pos - 1) % self.n[rows, None])
-            present = (edge != missing[rows, None]).tolist()
-            waits = (self.on_port & ~self.term)[rows].tolist()
-            # Rounds since active per non-terminated agent (-1 = terminated).
-            idle = np.where(self.term, -1, self.rsa)[rows].tolist()
-            picks = [
-                self._schedulers[ci].choose(
-                    [i for i, a in enumerate(alive) if a],
-                    {i: r for i, r in enumerate(rsa) if r >= 0},
-                    {i: p for i, (w, p) in enumerate(zip(wait, pres)) if w})
-                for ci, alive, rsa, wait, pres in zip(
-                    rows.tolist(), live[rows].tolist(), idle, waits, present)
-            ]
-            chosen = np.zeros((rows.size, self._K), dtype=bool)
-            chosen[[j for j, pick in enumerate(picks) for _ in pick],
-                   [i for pick in picks for i in pick]] = True
-            act[rows] = chosen & live[rows]
+        if self._fair_words is not None:
+            rows = np.nonzero(run[self._fair_cells])[0]
+            if rows.size:
+                cells = self._fair_cells[rows]
+                act[cells] = self._random_fair(rows, live[cells],
+                                               self.rsa[cells])
+        if self._any_et:
+            self._enforce_et(run & (self._patience > 0), act, missing)
         return act
+
+    def _random_fair(self, rows, live, idle):
+        """``RandomFairScheduler.choose`` for the random-fair ``rows``.
+
+        One ``random()`` per live agent in index order (two words each,
+        so agent of live rank ``r`` reads the words at ``cursor + 2r``)
+        decides the coins; live agents idle for the cap are forced; a
+        row left empty falls back to ``choice(live)``, whose word count
+        depends on the data, so :meth:`_WordBlocks.below` advances each
+        row's cursor on its own.
+        """
+        np = _np
+        words = self._fair_words
+        words.ensure(rows, 2 * self._K)
+        rank = np.cumsum(live, axis=1) - 1
+        count = rank[:, -1] + 1
+        chosen = live & (words.random(rows, 2 * np.maximum(rank, 0))
+                         < self._fair_p[rows, None])
+        words.cur[rows] += 2 * count
+        chosen |= live & (idle >= self._fair_cap[rows, None])
+        empty = np.nonzero(~chosen.any(axis=1) & (count > 0))[0]
+        if empty.size:
+            pick = words.below(rows[empty], count[empty])
+            chosen[empty] = live[empty] & (rank[empty] == pick[:, None])
+        return chosen
+
+    def _enforce_et(self, rows, act, missing) -> None:
+        """``ETFairScheduler._enforce`` for the et-fair ``rows``, in place.
+
+        A live agent on a port whose edge is present accrues one unit of
+        debt per round it is not chosen, and is forced (debt back to 0)
+        once the debt reaches the patience; a chosen one's debt clears
+        while its edge is present; an agent off a port owes nothing.
+        """
+        np = _np
+        edge = np.where(self.port == 1, self.pos, (self.pos - 1) % self.n[:, None])
+        waiting = rows[:, None] & self.on_port & ~self.term
+        present = waiting & (edge != missing[:, None])
+        debt = np.where(waiting, self._debt, 0)
+        debt[present & act] = 0
+        grow = present & ~act
+        debt += grow
+        force = grow & (debt >= self._patience[:, None])
+        act |= force
+        debt[force] = 0
+        self._debt = np.where(rows[:, None], debt, self._debt)
 
     def _step(self, run) -> None:
         np = _np
@@ -467,20 +765,8 @@ class BatchCore:
                     other_plus, other_minus,
                     is_lm=(pos == self.lm[:, None]))
 
-        # 2. adversary: the missing edge per cell (-1 = none).  Running
-        # cells all sit at round t; each oblivious row asks its own
-        # adversary's ``edge_for`` (a seeded one draws exactly as on the
-        # scalar engine), block-agent rows remove the edge their target
-        # is about to try.
-        missing = np.full(self._C, -1, dtype=np.int64)
-        rows = np.nonzero(run & ~self._block)[0].tolist()
-        if rows:
-            edges = [self._edge_for[ci](t, self._sizes[ci]) for ci in rows]
-            missing[rows] = [-1 if e is None else e for e in edges]
-        if self._any_block:
-            mask = run & self._block
-            if mask.any():
-                missing[mask] = self._intended_edge(mask, dead, look)[mask]
+        # 2. adversary: the missing edge per cell (-1 = none).
+        missing = self._missing_edges(run, dead, look)
         self.missing = missing
 
         # 3. activation (FSYNC: every live agent; SSYNC: replayed draws).
@@ -684,44 +970,47 @@ class BatchCore:
     # results + introspection
     # ------------------------------------------------------------------
 
-    def _visited_nodes(self, ci: int) -> set[int]:
-        np = _np
-        n = int(self.n[ci])
-        row = np.unpackbits(self.visited_bits[ci], bitorder="little")[:n]
-        return {int(v) for v in np.nonzero(row)[0]}
-
     def results(self) -> list[RunResult]:
-        """Per-cell :class:`RunResult`s, identical to the scalar engine's."""
+        """Per-cell :class:`RunResult`s, identical to the scalar engine's.
+
+        Each column converts once (``tolist``); the visited sets come
+        from one ``unpackbits`` of the whole bitmap, whose set bits are
+        exactly the visited nodes, cell by cell.
+        """
+        np = _np
+        bits = np.unpackbits(self.visited_bits, axis=1, bitorder="little")
+        owner, nodes = np.nonzero(bits)
+        ends = np.cumsum(np.bincount(owner, minlength=self._C)).tolist()
+        nodes = nodes.tolist()
+        # Only cells with a plan report a census, as on the scalar path:
+        # fault-free records keep their shape.
+        census = np.where(self.has_plan, self.crashed.sum(axis=1), -1).tolist()
+        index = range(self._K)
         out = []
-        for ci, _cell in enumerate(self.cells):
-            n = int(self.n[ci])
-            explo = int(self.explo_round[ci])
-            stats = [
-                AgentStats(
-                    index=i,
-                    moves=int(self.Tsteps[ci, i]),
-                    terminated=bool(self.term[ci, i]),
-                    termination_round=(int(self.term_round[ci, i])
-                                       if self.term_round[ci, i] >= 0 else None),
-                    final_node=int(self.pos[ci, i]),
-                    waiting_on_port=bool(self.on_port[ci, i]),
-                    crashed=bool(self.crashed[ci, i]),
-                )
-                for i in range(self._K)
-            ]
+        start = 0
+        for (n, rounds, count, explo, halted, crashed_count, end, moves, term,
+             term_round, final, waiting, crashed) in zip(
+                self.n.tolist(), self.round_no.tolist(),
+                self.visited_count.tolist(), self.explo_round.tolist(),
+                self.halted, census, ends, self.Tsteps.tolist(),
+                self.term.tolist(), self.term_round.tolist(),
+                self.pos.tolist(), self.on_port.tolist(),
+                self.crashed.tolist()):
             out.append(RunResult(
                 ring_size=n,
-                rounds=int(self.round_no[ci]),
-                explored=int(self.visited_count[ci]) >= n,
+                rounds=rounds,
+                explored=count >= n,
                 exploration_round=explo if explo >= 0 else None,
-                visited=self._visited_nodes(ci),
-                agents=stats,
-                halted_reason=self.halted[ci] or "horizon",
-                # Only cells with a plan report a census, as on the scalar
-                # path: fault-free records keep their shape.
-                crashed_count=(int(self.crashed[ci].sum())
-                               if self.has_plan[ci] else None),
+                visited=set(nodes[start:end]),
+                agents=[
+                    AgentStats(i, m, t, r if r >= 0 else None, f, w, c)
+                    for i, m, t, r, f, w, c in zip(
+                        index, moves, term, term_round, final, waiting,
+                        crashed)],
+                halted_reason=halted or "horizon",
+                crashed_count=crashed_count if crashed_count >= 0 else None,
             ))
+            start = end
         return out
 
     def debug_state(self, ci: int) -> dict:

@@ -54,8 +54,8 @@ BATCH_ADVERSARIES = frozenset(
 #: scheduler, so its move phase is NS's; PT adds the port ride).
 BATCH_TRANSPORTS = frozenset({"ns", "pt", "et"})
 
-#: Schedulers with an array form or an engine-free ``choose`` ("auto"
-#: resolves per transport via the registry).
+#: Schedulers with an array form ("auto" resolves per transport via the
+#: registry).
 BATCH_SCHEDULERS = frozenset(
     {"auto", "fsync", "round-robin", "random-fair", "et-fair"})
 

@@ -20,9 +20,13 @@ reproduction uses:
 All randomness comes from a scheduler-owned :class:`random.Random` seeded
 at construction, so every simulation is reproducible.  The first three
 also decide without an engine: ``select(engine)`` reads ``choose``'s
-inputs off it — the sorted live indexes, rounds since active per
-non-terminated agent, and (ET) whether each port sleeper's edge is
-present — so :class:`~repro.core.batch.BatchCore` can call ``choose``.
+inputs off it — the sorted live indexes, rounds since active per live
+agent, and (ET) whether each port sleeper's edge is present.  They
+expose their parameters as read-only attributes, and
+:class:`RandomFairScheduler` hands out its stream's raw words
+(:meth:`~RandomFairScheduler.words`), so
+:class:`~repro.core.batch.BatchCore` replays the same decisions as
+array operations without asking ``choose`` per cell.
 """
 
 from __future__ import annotations
@@ -87,17 +91,34 @@ class RandomFairScheduler:
         self._cap = starvation_cap
         self._rng = random.Random(seed)
 
+    @property
+    def p(self) -> float:
+        """Each live agent's activation probability per round."""
+        return self._p
+
+    @property
+    def starvation_cap(self) -> int:
+        """Rounds idle after which an agent is force-activated."""
+        return self._cap
+
+    def words(self, count: int) -> bytes:
+        """The next ``count`` 32-bit words of this scheduler's stream,
+        little-endian, in the order ``choose`` would draw them."""
+        return self._rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+
     def reset(self, engine: "Engine") -> None:  # noqa: ARG002
         self._rng = random.Random(self._seed)
 
     def select(self, engine: "Engine") -> set[int]:
-        idle = {agent.index: agent.rounds_since_active
-                for agent in engine.agents if not agent.terminated}
-        return self.choose(sorted(engine.live_indexes), idle, {})
+        live = sorted(engine.live_indexes)
+        agents = engine.agents
+        return self.choose(
+            live, {i: agents[i].rounds_since_active for i in live}, {})
 
     def choose(self, live: list[int], idle: dict[int, int],
                waiting) -> set[int]:  # noqa: ARG002
-        # A crashed agent is in ``idle`` too; the engine drops it.
+        # ``idle`` holds live agents only: a crashed agent's count is
+        # frozen, and forcing it would activate nobody live.
         if not live:
             return set()
         chosen = {i for i in live if self._rng.random() < self._p}
@@ -130,6 +151,16 @@ class ETFairScheduler:
         self._base = base
         self._patience = patience
         self._debt: dict[int, int] = {}
+
+    @property
+    def base(self):
+        """The wrapped scheduler."""
+        return self._base
+
+    @property
+    def patience(self) -> int:
+        """Present-edge rounds a port sleeper waits before it is forced."""
+        return self._patience
 
     def reset(self, engine: "Engine") -> None:
         self._base.reset(engine)

@@ -384,6 +384,244 @@ class TestFaultPlans:
             assert lockstep_divergence(cell) is None
 
 
+class TestCrashedAgentsAreNeverForced:
+    """A crashed agent's idle count is frozen, so the starvation cap must
+    not force it: random-fair forces live agents only, on both cores.
+
+    With ``p=0.3`` and a cap of 5, agent 0 can reach the cap in the round
+    its crash lands; forcing it left a chosen set with no live agent, so
+    the scalar engine refused the round while BatchCore ran on.
+    """
+
+    @pytest.mark.parametrize("seed,faults", [
+        (16, "crash:0@10"), (18, "crash:0@7"), (23, "crash:0@10")])
+    def test_scalar_completes_and_batch_agrees(self, monkeypatch, seed,
+                                               faults):
+        from repro.analysis.differential import scalar_result
+        from repro.campaigns import registry
+        from repro.schedulers import RandomFairScheduler
+
+        monkeypatch.setitem(
+            registry.SCHEDULERS, "random-fair",
+            lambda c: RandomFairScheduler(p=0.3, seed=c.seed + 1,
+                                          starvation_cap=5))
+        cell = CellConfig(algorithm="pt-bound", ring_size=9, agents=3,
+                          max_rounds=400, transport="pt", seed=seed,
+                          faults=faults)
+        scalar = scalar_result(cell)
+        assert scalar.crashed_count == 1
+        assert result_payload(run_batch_cells([cell])[0]) == \
+            result_payload(scalar)
+        assert lockstep_divergence(cell) is None
+
+
+class TestWordStreams:
+    """BatchCore reads the seeded policies' own words, in blocks.
+
+    The block/cursor draws of :class:`~repro.core.batch._WordBlocks` must
+    equal the calls the policy objects make: checked against twin
+    generators directly, and round by round against detached twins of
+    each cell's adversary and scheduler asked through ``edge_for`` and
+    ``choose``.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _numpy_bound(self):
+        # The first BatchCore of a process binds NumPy to the module.
+        BatchCore([CellConfig(algorithm="known-bound", ring_size=5,
+                              max_rounds=1)])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_blocks_replay_random_randrange_and_choice(self, seed):
+        import random
+
+        import numpy as np
+
+        from repro.adversary import RandomMissingEdge
+        from repro.core.batch import _LOOKAHEAD, _WordBlocks
+
+        script = random.Random(seed)
+        seeds = range(100 * seed, 100 * seed + 12)
+        twins = [random.Random(s) for s in seeds]
+        words = _WordBlocks([RandomMissingEdge(seed=s) for s in seeds], 6)
+        sizes = (1, 2, 3, 5, 6, 7, 8, 9, 16, 17, 64, 100)
+        short_draws = 0
+        for _ in range(3000):
+            rows = np.array(sorted(script.sample(range(12),
+                                                 script.randint(1, 12))))
+            op = script.randrange(3)
+            if op == 0:  # random(), as RandomMissingEdge's coin
+                words.ensure(rows, 2)
+                got = words.random(rows, 0)[:, 0].tolist()
+                words.cur[rows] += 2
+                assert got == [twins[j].random() for j in rows.tolist()]
+            elif op == 1:  # randrange(n) / choice of n, powers of two too
+                n = np.array([script.choice(sizes) for _ in rows])
+                short_draws += int(
+                    (words.end[rows] - words.cur[rows] < _LOOKAHEAD).any())
+                got = words.below(rows, n).tolist()
+                assert got == [twins[j].randrange(int(m))
+                               for j, m in zip(rows.tolist(), n.tolist())]
+            else:  # random-fair's coins: two words per live agent
+                live = np.array([[script.random() < 0.7 for _ in range(3)]
+                                 for _ in rows])
+                rank = np.cumsum(live, axis=1) - 1
+                words.ensure(rows, 6)
+                got = words.random(rows, 2 * np.maximum(rank, 0))
+                words.cur[rows] += 2 * live.sum(axis=1)
+                for j, row, mask in zip(rows.tolist(), got.tolist(),
+                                        live.tolist()):
+                    expect = [twins[j].random() for m in mask if m]
+                    assert [u for u, m in zip(row, mask) if m] == expect
+        # Draws that began within a look-ahead of a block's end, so read
+        # across the refill.
+        assert short_draws > 50
+
+    @staticmethod
+    def replay(cells):
+        """Run ``cells`` as one batch, checking every round's missing edge
+        and activation set against detached twins of each cell's
+        policies; returns the core and the per-row rounds checked."""
+        import numpy as np
+
+        from repro.campaigns.registry import ADVERSARIES, cell_scheduler
+
+        adversaries = [ADVERSARIES[c.adversary](c) for c in cells]
+        schedulers = [cell_scheduler(c, adv)
+                      for c, adv in zip(cells, adversaries)]
+        core = BatchCore(cells)
+        missing_edges, activation = core._missing_edges, core._activation
+        checked = np.zeros(len(cells), dtype=int)
+
+        def check_missing(run, dead, look):
+            missing = missing_edges(run, dead, look)
+            for ci in np.nonzero(run)[0].tolist():
+                edge = adversaries[ci].edge_for(core._t, cells[ci].ring_size)
+                assert missing[ci] == (-1 if edge is None else edge), \
+                    (ci, core._t)
+            return missing
+
+        def check_activation(run, missing, dead):
+            idle = core.rsa.copy()
+            waits = core.on_port & ~core.term
+            edge = np.where(core.port == 1, core.pos,
+                            (core.pos - 1) % core.n[:, None])
+            act = activation(run, missing, dead)
+            for ci in np.nonzero(run)[0].tolist():
+                live = [i for i in range(core._K) if not dead[ci, i]]
+                waiting = {i: bool(edge[ci, i] != missing[ci])
+                           for i in range(core._K) if waits[ci, i]}
+                expect = schedulers[ci].choose(
+                    live, {i: int(idle[ci, i]) for i in live}, waiting)
+                assert set(np.nonzero(act[ci])[0].tolist()) == expect, \
+                    (ci, core._t)
+                checked[ci] += 1
+            return act
+
+        core._missing_edges = check_missing
+        core._activation = check_activation
+        core.run()
+        return core, checked
+
+    @staticmethod
+    def override(monkeypatch, *, edge_p=1.0, fair_p=0.5, cap=64):
+        from repro.adversary import RandomMissingEdge
+        from repro.campaigns import registry
+        from repro.schedulers import ETFairScheduler, RandomFairScheduler
+
+        def random_fair(c):
+            return RandomFairScheduler(p=fair_p, seed=c.seed + 1,
+                                       starvation_cap=cap)
+
+        monkeypatch.setitem(registry.ADVERSARIES, "random",
+                            lambda c: RandomMissingEdge(p=edge_p, seed=c.seed))
+        monkeypatch.setitem(registry.SCHEDULERS, "random-fair", random_fair)
+        monkeypatch.setitem(registry.SCHEDULERS, "et-fair",
+                            lambda c: ETFairScheduler(random_fair(c),
+                                                      patience=3))
+
+    @pytest.mark.parametrize("edge_p", [1.0, 0.4])
+    def test_ring_sizes_including_powers_of_two(self, monkeypatch, edge_p):
+        self.override(monkeypatch, edge_p=edge_p)
+        cells = [
+            CellConfig(algorithm="unconscious", ring_size=n, agents=3,
+                       max_rounds=150, transport=transport,
+                       scheduler=scheduler, seed=seed)
+            for n in (5, 6, 7, 8, 9, 16, 64)
+            for transport, scheduler in (
+                ("ns", "random-fair"), ("ns", "round-robin"),
+                ("et", "auto"))
+            for seed in (0, 1)
+        ]
+        core, checked = self.replay(cells)
+        assert checked.min() > 0
+        assert not differential_cells(cells)
+
+    def test_single_live_agent_falls_back_to_choice(self, monkeypatch):
+        """``choice`` over one live agent reads words until a top bit is
+        0 (``bit_length`` 1): lone agents, and teams crashed down to one,
+        under a scheduler whose coins mostly come up empty."""
+        self.override(monkeypatch, fair_p=0.1)
+        for k, faults in ((1, ""), (3, "crash:0@2,crash:2@5")):
+            cells = [
+                CellConfig(algorithm="unconscious", ring_size=n, agents=k,
+                           max_rounds=300, transport="pt", seed=seed,
+                           faults=faults)
+                for n in (6, 8)
+                for seed in range(3)
+            ]
+            core, checked = self.replay(cells)
+            assert (checked == 300).all()
+            assert (~(core.term | core.crashed)).sum(axis=1).max() == 1
+            assert not differential_cells(cells)
+
+    def test_pt_cells_refill_many_times(self, monkeypatch):
+        from repro.schedulers import RandomFairScheduler
+
+        blocks = []
+        real_words = RandomFairScheduler.words
+        monkeypatch.setattr(
+            RandomFairScheduler, "words",
+            lambda self, count: blocks.append(count) or real_words(self,
+                                                                  count))
+        for algorithm in ("pt-bound", "unconscious"):
+            cells = [
+                CellConfig(algorithm=algorithm, ring_size=n, agents=3,
+                           max_rounds=2000, transport="pt",
+                           placement="thirds", seed=seed)
+                for n in (6, 8)
+                for seed in (0, 1)
+            ]
+            blocks.clear()
+            core, checked = self.replay(cells)
+            assert not differential_cells(cells)
+        # The unconscious rows never halt: 2000 rounds x 3 agents x 2
+        # words each, so each of the four refills its block ~190 times.
+        assert (checked == 2000).all()
+        assert len(blocks) >= 4 * 2000 * 3 * 2 // max(blocks)
+
+    def test_factory_without_array_form_runs_scalar(self, monkeypatch):
+        from repro.adversary import RandomMissingEdge
+        from repro.campaigns import registry
+        from repro.campaigns.executor import execute_cell, run_chunk
+
+        class Custom(RandomMissingEdge):
+            pass
+
+        monkeypatch.setitem(registry.ADVERSARIES, "random",
+                            lambda c: Custom(seed=c.seed))
+        cells = [CellConfig(algorithm="known-bound", ring_size=8,
+                            max_rounds=60, seed=seed) for seed in range(3)]
+        with pytest.raises(ConfigurationError, match="no array form"):
+            BatchCore(cells)
+        records, batched = run_chunk(cells, planned=True)
+        assert batched == 0
+        for record, cell in zip(records, cells):
+            scalar = execute_cell(cell)
+            assert record["metrics"] == scalar["metrics"]
+            assert record["config"] == scalar["config"]
+
+
 class TestRegistryOverrides:
     """BatchCore runs the registry's policy objects, whatever they hold.
 
